@@ -33,7 +33,7 @@ def warm_run_store():
     """Warm the canonical-run store once, in parallel, for the session."""
     if os.environ.get("REPRO_BENCH_NO_PREFETCH"):
         return
-    from repro.analysis.runner import prefetch_all
+    from repro.analysis.service import prefetch_all
 
     prefetch_all(progress=bool(os.environ.get("REPRO_BENCH_PROGRESS")))
 

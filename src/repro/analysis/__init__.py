@@ -10,8 +10,10 @@ simulations.  This package does the same, as three explicit layers:
   on-disk cache (default ``.repro_cache/``) that persists the eight
   canonical runs across processes and invalidates on any config, schema,
   or code-version change;
-* **runner** -- a process-pool executor that warms the store concurrently
-  (``repro prefetch``) and parallelizes sweep points.
+* **service** -- the run engine (:mod:`repro.analysis.service`): supervised
+  worker processes fed by a job queue, behind ``repro prefetch`` and
+  ``repro serve``.  It is not imported here, so loading the package does
+  not pull in the multiprocessing machinery.
 
 :mod:`repro.analysis.experiments` resolves runs through memo -> store ->
 execute; the table/figure modules compute the paper's exact rows from an
@@ -22,7 +24,7 @@ from repro.analysis.artifact import RunArtifact
 from repro.analysis.experiments import RunRecord, clear_cache, get_run
 from repro.analysis.snapshot import capture, diff
 from repro.analysis.store import RunStore
-from repro.analysis import export, figures, metrics, paper, report, runner, sweeps, tables
+from repro.analysis import export, figures, metrics, paper, report, sweeps, tables
 
 __all__ = [
     "capture",
@@ -37,7 +39,6 @@ __all__ = [
     "metrics",
     "paper",
     "report",
-    "runner",
     "sweeps",
     "tables",
 ]

@@ -7,7 +7,7 @@ the three counter windows (*startup*, *steady*, *total*) from
 phase marks.  It carries everything the table/figure/metric builders
 consume and nothing else -- no live handles to the machine -- so it can be
 serialized to JSON, stored on disk (:mod:`repro.analysis.store`), produced
-in a worker process (:mod:`repro.analysis.runner`), and compared for
+in a worker process (:mod:`repro.analysis.service`), and compared for
 equality across process boundaries.
 
 The identity of an artifact is its *fingerprint*: a SHA-256 over the

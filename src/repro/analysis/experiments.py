@@ -238,12 +238,12 @@ def execute_spec(spec: dict, heartbeat=None, max_cycles: int | None = None,
                  checkpoint: bool = False) -> RunArtifact:
     """Execute one run spec and freeze it into an artifact (no caching).
 
-    This is the unit of work the parallel runner ships to worker
+    This is the unit of work the run engine ships to worker
     processes; :func:`get_run` calls it on a cache miss.  With
     *heartbeat* (a :class:`~repro.obs.live.Heartbeat`), the simulation
     emits live progress samples while it runs.  *max_cycles* /
     *watchdog_cycles* are supervision guardrails (see
-    :mod:`repro.analysis.supervisor`): the former truncates gracefully
+    :mod:`repro.analysis.service`): the former truncates gracefully
     at an absolute cycle budget and flags the artifact ``"truncated"``,
     the latter turns a zero-progress machine into a diagnostic
     :class:`~repro.core.simulator.NoProgressError`.  Neither enters the
@@ -264,7 +264,7 @@ def execute_spec(spec: dict, heartbeat=None, max_cycles: int | None = None,
     label = f"{spec['workload']}-{spec['cpu']}-{spec['os_mode']}"
     if faults.fire("sim.hang", label) is not None:
         import time as _time
-        while True:  # injected hang: only a supervisor timeout ends this
+        while True:  # injected hang: only an engine timeout ends this
             _time.sleep(0.05)
     sim = build_simulation(spec["workload"], spec["cpu"], spec["os_mode"],
                            seed=spec["seed"])

@@ -54,11 +54,12 @@ def build_report(include_comparison: bool = True,
     """Run (or reuse) the canonical simulations and build every exhibit.
 
     ``max_workers`` > 1 warms the run store concurrently (one process per
-    worker) before the exhibits are built; the default resolves each run
-    serially through memo -> store -> execute.
+    worker, through :func:`repro.analysis.service.prefetch_all`) before
+    the exhibits are built; the default resolves each run serially
+    through memo -> store -> execute.
     """
     if max_workers is not None and max_workers > 1:
-        from repro.analysis.runner import prefetch_all
+        from repro.analysis.service import prefetch_all
 
         prefetch_all(max_workers=max_workers)
     spec = get_run("specint", "smt", "full")

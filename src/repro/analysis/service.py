@@ -1,20 +1,30 @@
-"""Resilient simulation service: queue-fed supervised execution with
-admission control, circuit breaking, and crash-recoverable sweeps.
+"""The run engine: queue-fed supervised execution with admission
+control, circuit breaking, and crash-recoverable sweeps.
 
-:class:`ReproService` (behind ``repro serve``) turns the one-shot
-supervised sweep of :mod:`repro.analysis.supervisor` into a long-running
-job engine fed by the durable :class:`~repro.analysis.queue.JobQueue`:
+:class:`ReproService` is the one place run specs are sent to workers.
+It drains a :class:`~repro.analysis.queue.JobQueue`: ``repro serve``
+hands it the durable queue under ``<store>/queue``, while
+:func:`run_many` / :func:`prefetch_all` (``repro prefetch``, ``report
+--workers``, ``run --retries``, the ``--seeds`` fan-outs) hand it a
+throwaway queue in a temporary directory and return one
+:class:`RunResult` per spec.  Every sweep gets the same machinery:
 
 * **Submit** admits run specs through the queue's write-ahead journal
   (dedup by artifact fingerprint, priority ordering, bounded backlog
-  with load-shedding); specs whose artifact is already in the store are
-  served warm without consuming a worker.
-* **Claim/lease** hands pending jobs to supervised worker processes
-  (the same process-isolated attempt bodies as the supervisor, results
-  via the store only).  A worker that dies, hangs past its timeout, or
-  stops heartbeating past its lease is killed and its job requeued with
-  the supervisor's deterministic backoff; retry exhaustion quarantines
-  the job, never the sweep.
+  with load-shedding); specs whose artifact is already in the memo or
+  the store are served warm without consuming a worker.
+* **Claim/lease** hands pending jobs to worker processes, one process
+  per attempt, and results come back through the store only -- a
+  worker that dies mid-run can never deliver a torn result.  An error
+  taxonomy decides what is retried: transient errors (worker death,
+  timeouts, injected faults, I/O trouble) requeue the job with
+  deterministic exponential backoff, permanent ones (spec bugs:
+  ``ValueError``/``TypeError``/...) do not.  A worker that dies, hangs
+  past its timeout, or stops heartbeating past its lease is killed and
+  its job requeued; retry exhaustion quarantines the job, never the
+  sweep.  Hosts without usable worker processes run attempts inline
+  with the same retry/quarantine semantics (timeouts and leases are
+  then best-effort: nothing can preempt a hung in-process run).
 * **Circuit breaker**: repeated store-write failures (ENOSPC, torn
   writes, checksum rot) trip the breaker from CLOSED to OPEN -- the
   service degrades to read-only (warm hits still served, no new
@@ -31,31 +41,57 @@ job engine fed by the durable :class:`~repro.analysis.queue.JobQueue`:
   to an uninterrupted run.
 
 The service emits ``core.service.*`` counters when given a probe
-registry and ``service.*`` engine events on an event bus.  Like the
-supervisor, this is host-side machinery (timeouts, leases, backoff
-sleeps) and sits on the D102 wall-clock allowlist; its *transcript* and
-report are wall-clock-free so chaos reports stay byte-identical.
+registry and ``service.*`` engine events on an event bus.  It is
+host-side machinery (timeouts, leases, backoff sleeps) and sits on the
+D102 wall-clock allowlist; its transcripts and report are
+wall-clock-free so chaos reports stay byte-identical.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import multiprocessing.connection
 import os
 import signal
+import tempfile
 import time
 from dataclasses import dataclass, field
 
 from repro import faults
 from repro.analysis import experiments
 from repro.analysis import queue as jobqueue
+from repro.analysis.artifact import RunArtifact
 from repro.analysis.queue import Job, JobQueue, queue_root
-from repro.analysis.runner import CANONICAL_SPECS, _resolve_item
 from repro.analysis.store import RunStore
-from repro.analysis.supervisor import (DEFAULT_BACKOFF_BASE, DEFAULT_RETRIES,
-                                       TRANSIENT, Supervisor, _run_attempt,
-                                       _supervised_worker, backoff_delay,
-                                       classify_error, processes_available)
+
+#: The eight canonical (workload, cpu, os_mode) combinations behind the
+#: paper's Tables 2-9 and Figures 1-7.
+CANONICAL_SPECS: tuple[tuple[str, str, str], ...] = (
+    ("specint", "smt", "full"),
+    ("specint", "smt", "app"),
+    ("specint", "ss", "full"),
+    ("specint", "ss", "app"),
+    ("apache", "smt", "full"),
+    ("apache", "smt", "omit"),
+    ("apache", "ss", "full"),
+    ("apache", "ss", "omit"),
+)
+
+#: Error taxonomy: transient errors are retried, permanent ones are not.
+TRANSIENT = "transient"
+PERMANENT = "permanent"
+
+#: Exception type names that retrying cannot fix (bugs in the spec or
+#: the code, not in the environment).
+PERMANENT_ERRORS = frozenset({
+    "ValueError", "TypeError", "KeyError", "AttributeError",
+    "AssertionError", "ArtifactError",
+})
+
+DEFAULT_RETRIES = 2
+DEFAULT_BACKOFF_BASE = 0.25
+BACKOFF_CAP = 8.0
 
 #: Circuit breaker states.
 CLOSED = "closed"
@@ -74,6 +110,228 @@ _STORE_FAILURE_MARKERS = (
     "store.put.disk_full", "store.put.torn", "disk full", "no space left",
     "enospc", "checksum",
 )
+
+
+def classify_error(type_name: str, transient_hint=None) -> str:
+    """Transient or permanent?  An explicit hint (e.g. an
+    :class:`~repro.faults.InjectedFault`'s ``transient`` flag) wins;
+    otherwise the type name decides."""
+    if transient_hint is not None:
+        return TRANSIENT if transient_hint else PERMANENT
+    return PERMANENT if type_name in PERMANENT_ERRORS else TRANSIENT
+
+
+def backoff_delay(attempt: int, base: float = DEFAULT_BACKOFF_BASE,
+                  cap: float = BACKOFF_CAP) -> float:
+    """Seconds to wait before *attempt* (>= 2).  Pure exponential, no
+    jitter: the delay sequence is part of the deterministic transcript."""
+    return min(cap, base * (2 ** max(0, attempt - 2)))
+
+
+# -- specs and results -----------------------------------------------------
+
+
+def default_workers() -> int:
+    """Worker slots: one per core, capped at the canonical run count."""
+    return max(1, min(len(CANONICAL_SPECS), os.cpu_count() or 1))
+
+
+def resolve_item(item) -> dict:
+    """One run_many item -- a (workload, cpu, os_mode) triple or a dict
+    with optional ``instructions``/``seed`` and execution-tier overrides
+    (``mode``/``warmup``/``sample``/``stride``, see
+    :mod:`repro.core.engine`) -- as a full resolved spec."""
+    if isinstance(item, dict):
+        return experiments.run_spec(
+            item["workload"], item["cpu"], item.get("os_mode", "full"),
+            item.get("instructions"), item.get("seed", 11),
+            mode=item.get("mode", "full"),
+            warmup=item.get("warmup", 0),
+            sample=item.get("sample"),
+            stride=item.get("stride"))
+    wl, cpu, mode = item
+    return experiments.run_spec(wl, cpu, mode)
+
+
+def _spec_label(spec: dict) -> str:
+    return f"{spec['workload']}-{spec['cpu']}-{spec['os_mode']}"
+
+
+def labels_for(items: list, resolved: list[dict]) -> list[str]:
+    """Result-dict keys for run_many items: ``workload-cpu-os_mode``,
+    plus ``-s<seed>`` for dict-form items and ``#n`` on the n-th
+    collision (``x``, ``x#2``, ``x#3``, ...)."""
+    labels: list[str] = []
+    for item, spec in zip(items, resolved):
+        base = _spec_label(spec)
+        if isinstance(item, dict):
+            base += f"-s{spec['seed']}"
+        label, n = base, 2
+        while label in labels:
+            label = f"{base}#{n}"
+            n += 1
+        labels.append(label)
+    return labels
+
+
+@dataclass
+class RunResult:
+    """Outcome of one spec of a :func:`run_many` sweep.
+
+    ``attempts`` counts executions (0 when served from the memo or the
+    store); ``quarantined`` marks a spec that failed for good, with its
+    ``error`` and ``error_kind`` (transient or permanent).
+    ``transcript`` is the job's own deterministic log (no wall-clock
+    values, no worker slots) used by ``repro chaos``.
+    """
+
+    label: str
+    spec: dict
+    ok: bool
+    artifact: RunArtifact | None = None
+    error: str | None = None
+    error_kind: str | None = None
+    attempts: int = 0
+    quarantined: bool = False
+    from_store: bool = False
+    transcript: list = field(default_factory=list)
+
+
+# -- attempt bodies --------------------------------------------------------
+
+
+class _StallingSink:
+    """Wraps a heartbeat sink and goes silent after N beats (the
+    ``heartbeat.stall`` fault: a live worker whose telemetry died)."""
+
+    def __init__(self, inner, after_beats: int) -> None:
+        self.inner = inner
+        self.after = after_beats
+        self.beats = 0
+
+    def __call__(self, sample: dict) -> None:
+        if self.beats >= self.after:
+            return
+        self.beats += 1
+        self.inner(sample)
+
+
+def _run_attempt(spec: dict, store_root: str, attempt: int, *,
+                 progress_path: str | None = None, on_beat=None,
+                 max_cycles: int | None = None,
+                 watchdog_cycles: int | None = None,
+                 checkpoint: bool = False,
+                 allow_exit: bool = False) -> RunArtifact:
+    """One attempt's body, shared by worker processes and inline
+    attempts: fire worker-level fault sites, execute, store.
+
+    With *progress_path*, a heartbeat overwrites that file with the
+    latest progress sample (*on_beat* runs after each write); with
+    *checkpoint*, tiered specs reuse/save warm-up checkpoints in the
+    store (see :mod:`repro.core.checkpoint`).
+    """
+    faults.set_attempt(attempt)
+    faults.reset_fired()
+    label = _spec_label(spec)
+    if faults.fire("worker.crash", label) is not None:
+        raise faults.InjectedFault(
+            "worker.crash",
+            f"injected worker startup crash ({label}, attempt {attempt})")
+    if faults.fire("worker.exit", label) is not None:
+        if allow_exit:
+            os._exit(13)
+        raise faults.InjectedFault(
+            "worker.exit", f"injected worker hard-exit ({label})")
+    heartbeat = None
+    if progress_path is not None:
+        from repro.obs.live import Heartbeat, StateFileSink
+
+        sink = StateFileSink(progress_path, on_write=on_beat)
+        stall = faults.fire("heartbeat.stall", label)
+        if stall is not None:
+            sink = _StallingSink(sink, after_beats=stall.arg or 1)
+        heartbeat = Heartbeat(sink, target_instructions=spec["instructions"],
+                              label=label)
+    artifact = experiments.execute_spec(spec, heartbeat=heartbeat,
+                                        max_cycles=max_cycles,
+                                        watchdog_cycles=watchdog_cycles,
+                                        checkpoint=checkpoint)
+    RunStore(store_root).put(artifact)
+    return artifact
+
+
+def _supervised_worker(spec: dict, store_root: str, attempt: int,
+                       err_path: str, progress_path=None,
+                       max_cycles=None, watchdog_cycles=None,
+                       checkpoint: bool = False) -> None:
+    """Process target: run one attempt, report failure via *err_path*.
+
+    Success is signalled by exit code 0 plus the artifact being present
+    in the store; any failure writes a small JSON error record and exits
+    nonzero (without the multiprocessing traceback noise).
+    """
+    try:
+        _run_attempt(spec, store_root, attempt, progress_path=progress_path,
+                     max_cycles=max_cycles, watchdog_cycles=watchdog_cycles,
+                     checkpoint=checkpoint, allow_exit=True)
+    except BaseException as exc:  # noqa: BLE001 - report, then die
+        record = {"type": type(exc).__name__, "message": str(exc),
+                  "transient": getattr(exc, "transient", None)}
+        try:
+            with open(err_path, "w") as f:
+                json.dump(record, f)
+        except OSError:  # pragma: no cover - scratch dir vanished
+            pass
+        raise SystemExit(1)
+
+
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _read_error(err_path: str) -> dict | None:
+    try:
+        with open(err_path) as f:
+            record = json.load(f)
+    except (OSError, ValueError):
+        return None
+    os.unlink(err_path)
+    return record if isinstance(record, dict) else None
+
+
+def _kill(proc) -> None:
+    proc.terminate()
+    proc.join(1.0)
+    if proc.is_alive():  # pragma: no cover - SIGTERM ignored
+        proc.kill()
+        proc.join(5.0)
+
+
+def _noop() -> None:  # pragma: no cover - runs in a probe child
+    pass
+
+
+_PROC_AVAILABLE: bool | None = None
+
+
+def processes_available() -> bool:
+    """Can this host run worker processes?  Cached probe."""
+    global _PROC_AVAILABLE
+    if _PROC_AVAILABLE is None:
+        try:
+            p = multiprocessing.get_context().Process(target=_noop)
+            p.start()
+            p.join(10)
+            _PROC_AVAILABLE = p.exitcode == 0
+        except (OSError, PermissionError, NotImplementedError):
+            _PROC_AVAILABLE = False
+    return _PROC_AVAILABLE
+
+
+# -- the service -----------------------------------------------------------
 
 
 class ServiceError(RuntimeError):
@@ -222,47 +480,53 @@ class _Leg:
 class ReproService:
     """Queue-fed supervised run engine (one incarnation).
 
-    Construction opens (and replays) the durable queue under
-    *store*'s root; :meth:`submit` admits work; :meth:`run` executes
-    until the queue is empty or a drain completes.  Parameters mirror
-    the supervisor where they overlap (*retries*, *timeout*,
-    *isolation*, *backoff_base*, fault-site-aware attempt bodies);
-    *lease_s* bounds how long a claimed worker may go without a
-    heartbeat before its lease is revoked.  *on_complete* is called
-    with each finished :class:`~repro.analysis.queue.Job` (used by
-    chaos scenarios to trigger drains mid-sweep).
+    Construction opens *queue* -- by default the durable queue under
+    *store*'s root, replayed from its journal; :meth:`submit` admits
+    work; :meth:`run` executes until the queue is empty or a drain
+    completes.  *workers* bounds concurrent attempts, *retries* the
+    extra attempts per job, *timeout* each attempt's seconds (None =
+    unlimited); the queue's ``lease_s`` bounds how long a claimed
+    worker may go without a heartbeat before its lease is revoked.
+    *isolation* is ``"auto"`` (worker processes when available),
+    ``"process"``, or ``"inline"``.  *checkpoint* lets tiered specs
+    reuse/save warm-up checkpoints; *max_cycles_per_run* /
+    *watchdog_cycles* arm the simulator guardrails in every attempt.
+    *on_complete* is called with each finished
+    :class:`~repro.analysis.queue.Job` (used by chaos scenarios to
+    trigger drains mid-sweep).
     """
 
-    def __init__(self, store: RunStore | None = None, *,
+    def __init__(self, store: RunStore | None = None,
+                 queue: JobQueue | None = None, *,
                  workers: int = 1, retries: int = DEFAULT_RETRIES,
                  timeout: float | None = None,
-                 lease_s: float = jobqueue.DEFAULT_LEASE_S,
-                 queue_limit: int = jobqueue.DEFAULT_LIMIT,
                  backoff_base: float = DEFAULT_BACKOFF_BASE,
                  poll_interval: float = 0.05, isolation: str = "auto",
                  breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
                  breaker_cooldown: int = DEFAULT_BREAKER_COOLDOWN,
                  events=None, registry=None, on_complete=None,
-                 progress: bool = False,
+                 progress: bool = False, checkpoint: bool = False,
                  max_cycles_per_run: int | None = None,
                  watchdog_cycles: int | None = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
         if isolation not in ("auto", "process", "inline"):
             raise ValueError(f"unknown isolation {isolation!r}")
         self.store = store or RunStore()
-        self.queue = JobQueue(queue_root(self.store.root),
-                              limit=queue_limit, lease_s=lease_s)
+        self.queue = (queue if queue is not None
+                      else JobQueue(queue_root(self.store.root)))
         self.workers = workers
         self.retries = retries
         self.timeout = timeout
-        self.lease_s = lease_s
         self.backoff_base = backoff_base
         self.poll_interval = poll_interval
         self.isolation = isolation
         self.events = events
         self.on_complete = on_complete
         self.progress = progress
+        self.checkpoint = checkpoint
         self.max_cycles_per_run = max_cycles_per_run
         self.watchdog_cycles = watchdog_cycles
         self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown,
@@ -271,13 +535,17 @@ class ReproService:
         self.draining = False
         self.warm_hits = 0
         self.transcript: list = []
+        #: Job id -> that job's own transcript lines (no claim lines:
+        #: which worker slot a job lands on depends on timing).
+        self.job_notes: dict[str, list] = {}
+        #: Job id -> error kind of a quarantined job.
+        self.error_kinds: dict[str, str] = {}
         self._step = 0
         self._started_at = time.monotonic()
         self._submitted_at: dict[str, float] = {}
         self._not_before: dict[str, float] = {}
         self._active: dict[str, _Leg] = {}  # job id -> leg
         self._free_slots = list(range(workers))
-        self._aggregator = None
         self._init_progress_dir()
         if registry is not None:
             self.register_probes(registry)
@@ -296,19 +564,19 @@ class ReproService:
     # -- wiring ------------------------------------------------------------
 
     def _init_progress_dir(self) -> None:
-        """Persistent per-worker heartbeat files under the queue root.
+        """Per-job heartbeat files under the queue root (the sweep's
+        totals are set when :meth:`run` starts).
 
-        Unlike the supervisor's per-sweep temp dir, the service's
-        progress dir survives incarnations -- so stale ``worker-*.json``
-        from a dead service must be pruned at startup or the aggregator
-        would report them as stalled forever.
+        A durable queue's progress dir survives incarnations -- so stale
+        ``worker-*.json`` from a dead service must be pruned at startup
+        or the aggregator would report them as stalled forever.
         """
         from repro.obs.live import ProgressAggregator
 
         directory = self.queue.root / "progress"
         directory.mkdir(parents=True, exist_ok=True)
         self._aggregator = ProgressAggregator(
-            directory, total_runs=self.workers, stale_after=self.lease_s)
+            directory, total_runs=0, stale_after=self.queue.lease_s)
         pruned = self._aggregator.prune()
         if pruned:
             self.transcript.append(
@@ -338,6 +606,12 @@ class ReproService:
         self.events.emit(self._step, ENGINE, name, service=label,
                          args={"detail": detail} if detail else None)
 
+    def _note(self, line: str, job: Job | None = None) -> None:
+        """One transcript line; with *job*, also one of that job's."""
+        self.transcript.append(line)
+        if job is not None:
+            self.job_notes.setdefault(job.id, []).append(line)
+
     def _breaker_moved(self, old: str, new: str, why: str) -> None:
         self.transcript.append(f"breaker {old} -> {new}: {why}")
         if new == OPEN:
@@ -355,10 +629,11 @@ class ReproService:
 
         Returns ``(job, outcome)`` where outcome extends the queue's
         (``queued``/``coalesced``/``done``/``shed``) with ``warm``: the
-        artifact already sits in the store, so the job is journaled and
-        completed immediately without consuming a worker (load-shedding
-        of duplicate work).  Store *reads* stay allowed even when the
-        breaker is open -- degraded mode is read-only, not dead.
+        artifact already sits in the memo or the store, so the job is
+        journaled and completed immediately without consuming a worker
+        (load-shedding of duplicate work); *force* skips that check.
+        Store *reads* stay allowed even when the breaker is open --
+        degraded mode is read-only, not dead.
         """
         job, outcome = self.queue.submit(spec, priority=priority,
                                          deadline_s=deadline_s)
@@ -381,24 +656,33 @@ class ReproService:
         self._submitted_at[job.id] = time.monotonic()
         self._emit("service.submit", job.label, f"priority {priority}")
         if not force:
-            artifact = self._store_get(job.fingerprint)
+            artifact = self._store_get(job, memo=True)
             if artifact is not None:
                 self.queue.complete(job.id, from_store=True)
                 self.warm_hits += 1
                 self.c_warm_hits.add()
                 self._emit("service.complete", job.label, "warm store hit")
-                self.transcript.append(f"warm hit {job.label}")
+                self._note(f"warm hit {job.label}", job)
                 return job, "warm"
         return job, outcome
 
-    def _store_get(self, fingerprint: str):
-        """Breaker-guarded store read (read path never blocks on OPEN,
-        but its failures feed the breaker)."""
+    def _store_get(self, job: Job, memo: bool = False):
+        """Breaker-guarded read of *job*'s artifact (the read path
+        never blocks on OPEN, but its failures feed the breaker).  With
+        *memo*, this process's memo is consulted first; a worker's fresh
+        result must come from the store.  Corrupt files the store
+        quarantines on the way are noted in the job's transcript."""
+        seen = len(self.store.quarantined)
         try:
-            artifact = self.store.get(fingerprint)
+            artifact = (experiments.cached_artifact(job.fingerprint,
+                                                    self.store)
+                        if memo else self.store.get(job.fingerprint))
         except OSError as exc:
             self.breaker.record_failure(f"store read: {exc}")
-            return None
+            artifact = None
+        for name, reason in self.store.quarantined[seen:]:
+            self._emit("store.quarantine", name, reason)
+            self._note(f"store quarantined {name}: {reason}", job)
         return artifact
 
     # -- drain / recovery --------------------------------------------------
@@ -430,32 +714,37 @@ class ReproService:
             if job.state != jobqueue.CLAIMED:
                 continue
             self.c_orphans.add()
-            artifact = self._store_get(job.fingerprint)
+            artifact = self._store_get(job)
             if artifact is not None:
                 experiments.register_artifact(artifact)
                 self.queue.complete(job.id, from_store=True)
                 self._emit("service.complete", job.label,
                            "orphan: artifact already stored")
-                self.transcript.append(
-                    f"orphan {job.label}: dead worker had stored the "
-                    f"artifact; completed")
+                self._note(f"orphan {job.label}: dead worker had stored "
+                           f"the artifact; completed", job)
                 self.c_completed.add()
             else:
                 self.queue.requeue(job.id, "orphan")
                 self.c_requeued.add()
                 self._emit("service.requeue", job.label, "orphaned claim")
-                self.transcript.append(
-                    f"orphan {job.label}: requeued (no artifact stored)")
+                self._note(f"orphan {job.label}: requeued (no artifact "
+                           f"stored)", job)
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> ServiceReport:
         """Execute until the queue is empty or a drain completes."""
         self._reconcile_orphans()
-        use_processes = (self.isolation == "process"
-                         or (self.isolation == "auto"
-                             and processes_available()))
-        if not use_processes and self.timeout is not None:
+        todo = self.queue.pending_jobs()
+        self._aggregator.total_runs = len(todo)
+        self._aggregator.total_instructions = sum(
+            job.spec["instructions"] for job in todo)
+        # Nothing to execute (every job served warm): skip the probe,
+        # which forks a child the first time.
+        use_processes = bool(todo) and (
+            self.isolation == "process"
+            or (self.isolation == "auto" and processes_available()))
+        if todo and not use_processes and self.timeout is not None:
             self.transcript.append(
                 "inline fallback: per-run timeouts and leases are "
                 "best-effort only (no process isolation available)")
@@ -481,9 +770,13 @@ class ReproService:
                     # Breaker open: denials are counted per pass, and
                     # every `cooldown` of them admits a half-open probe.
                     time.sleep(self.poll_interval)
-            if self._aggregator is not None and self.progress:
-                self._aggregator.refresh(
-                    final=not self._active and self.draining)
+            if self.progress:
+                self._aggregator.refresh()
+        if self.progress:
+            self._aggregator.refresh(final=True)
+        # No leg is active: a clean exit leaves no heartbeat files for
+        # the next incarnation to prune.
+        self._aggregator.prune()
         clean_drain = self.draining
         self.queue.mark_shutdown(clean=True, drained=clean_drain)
         if clean_drain:
@@ -563,23 +856,22 @@ class ReproService:
                    f"worker w{slot}, attempt {job.attempts}")
         self.transcript.append(
             f"claim w{slot} {job.label} attempt {job.attempts}")
+        # A previous attempt's heartbeat must not be read as this one's:
+        # the lease starts from this attempt's own first beat.
+        progress_path = self._aggregator.path_for(job.id)
+        _unlink(progress_path)
         if not use_processes:
             self._free_slots.insert(0, slot)
-            self._run_inline(job)
+            self._run_inline(job, progress_path)
             return None
         ctx = multiprocessing.get_context()
         err_path = str(self.queue.root / f"err-{slot}.json")
-        try:
-            os.unlink(err_path)  # a dead incarnation's stale error record
-        except OSError:
-            pass
-        progress_path = (self._aggregator.path_for(slot)
-                         if self._aggregator is not None else None)
+        _unlink(err_path)  # a dead incarnation's stale error record
         proc = ctx.Process(
             target=_supervised_worker,
             args=(job.spec, str(self.store.root), job.attempts, err_path,
                   progress_path, self.max_cycles_per_run,
-                  self.watchdog_cycles),
+                  self.watchdog_cycles, self.checkpoint),
             daemon=True)
         proc.start()
         if faults.fire("service.worker.lost", job.label) is not None:
@@ -622,7 +914,8 @@ class ReproService:
                 self._revoke(leg, error)
             elif self._lease_expired(leg):
                 self._revoke(leg, f"lease expired: no heartbeat for "
-                                  f"{self.lease_s:g}s; worker terminated")
+                                  f"{self.queue.lease_s:g}s; worker "
+                                  f"terminated")
 
     def _lease_expired(self, leg: _Leg) -> bool:
         if leg.progress_path is None:
@@ -635,10 +928,10 @@ class ReproService:
             age = time.time() - os.stat(leg.progress_path).st_mtime
         except OSError:
             return False  # no heartbeat written yet: the timeout governs
-        return age > self.lease_s
+        return age > self.queue.lease_s
 
     def _revoke(self, leg: _Leg, error: str) -> None:
-        Supervisor._kill(leg.proc)
+        _kill(leg.proc)
         self._active.pop(leg.job.id, None)
         self._free_slots.append(leg.slot)
         self._free_slots.sort()
@@ -648,14 +941,14 @@ class ReproService:
     def _settle_exit(self, leg: _Leg) -> None:
         job = leg.job
         if leg.proc.exitcode == 0:
-            artifact = self._store_get(job.fingerprint)
+            artifact = self._store_get(job)
             if artifact is not None:
                 self._complete(job, artifact)
                 return
             error, kind = ("worker exited cleanly but stored no artifact",
                            TRANSIENT)
         else:
-            record = Supervisor._read_error(leg.err_path)
+            record = _read_error(leg.err_path)
             if record is not None:
                 error = f"{record.get('type')}: {record.get('message')}"
                 kind = classify_error(record.get("type", ""),
@@ -667,8 +960,12 @@ class ReproService:
         self._probe_lost(error)
         self._retry_or_quarantine(job, error, kind)
 
-    def _run_inline(self, job: Job) -> None:
+    def _run_inline(self, job: Job, progress_path: str) -> None:
         """Serial in-process attempt (no isolation available)."""
+        beats = {}
+        if self.progress:
+            beats = {"progress_path": progress_path,
+                     "on_beat": self._aggregator.refresh}
         try:
             if faults.fire("service.worker.lost", job.label) is not None:
                 raise faults.InjectedFault(
@@ -677,7 +974,8 @@ class ReproService:
             artifact = _run_attempt(
                 job.spec, str(self.store.root), job.attempts,
                 max_cycles=self.max_cycles_per_run,
-                watchdog_cycles=self.watchdog_cycles)
+                watchdog_cycles=self.watchdog_cycles,
+                checkpoint=self.checkpoint, **beats)
         except Exception as exc:  # noqa: BLE001 - taxonomy below
             error = f"{type(exc).__name__}: {exc}"
             kind = classify_error(type(exc).__name__,
@@ -705,23 +1003,21 @@ class ReproService:
             self.breaker.record_failure(f"probe lost: {why}")
 
     def _note_store_failure(self, error: str) -> None:
+        # Only store-shaped errors accumulate toward the trip threshold.
         lowered = error.lower()
         if any(marker in lowered for marker in _STORE_FAILURE_MARKERS):
             self.breaker.record_failure(error)
-        else:
-            # A healthy store served this failure's bookkeeping; only
-            # store-shaped errors accumulate toward the trip threshold.
-            return
 
     def _complete(self, job: Job, artifact) -> None:
         experiments.register_artifact(artifact)
         self.queue.complete(job.id)
+        if self.progress:
+            self._aggregator.finish(job.id, job.spec["instructions"])
         self.breaker.record_success()
         self.c_completed.add()
         self._emit("service.complete", job.label,
                    f"attempt {job.attempts}")
-        self.transcript.append(f"complete {job.label} "
-                               f"attempt {job.attempts}")
+        self._note(f"complete {job.label} attempt {job.attempts}", job)
         if self.on_complete is not None:
             self.on_complete(job)
 
@@ -732,19 +1028,20 @@ class ReproService:
             self._not_before[job.id] = time.monotonic() + delay
             self.c_requeued.add()
             self._emit("service.requeue", job.label, error)
-            self.transcript.append(
-                f"requeue {job.label} attempt {job.attempts}: "
-                f"[{kind}] {error}; retrying in {delay:g}s")
+            self._note(f"requeue {job.label} attempt {job.attempts}: "
+                       f"[{kind}] {error}; retrying in {delay:g}s", job)
         else:
             self._quarantine(job, error, kind)
 
     def _quarantine(self, job: Job, error: str, kind: str) -> None:
         self.queue.quarantine(job.id, error)
+        # Its partial work will never finish: drop it from the progress.
+        _unlink(self._aggregator.path_for(job.id))
+        self.error_kinds[job.id] = kind
         self.c_quarantined.add()
         self._emit("service.quarantine", job.label, error)
-        self.transcript.append(
-            f"quarantine {job.label} attempt {job.attempts}: "
-            f"[{kind}] {error}")
+        self._note(f"quarantine {job.label} attempt {job.attempts}: "
+                   f"[{kind}] {error}", job)
 
     # -- reporting ---------------------------------------------------------
 
@@ -760,6 +1057,23 @@ class ReproService:
             drained=drained,
             clean=True,
             ledger=self.queue.ledger())
+
+    def result(self, label: str, job: Job) -> RunResult:
+        """*job*'s outcome as a :class:`RunResult` keyed by *label*."""
+        ok = job.state == jobqueue.DONE
+        return RunResult(
+            label, job.spec, ok=ok,
+            artifact=(experiments.cached_artifact(job.fingerprint, self.store)
+                      if ok else None),
+            error=None if ok else job.error or f"job left {job.state}",
+            error_kind=self.error_kinds.get(job.id),
+            attempts=job.attempts,
+            quarantined=job.state == jobqueue.QUARANTINED,
+            from_store=job.from_store,
+            transcript=list(self.job_notes.get(job.id, ())))
+
+
+# -- entry points ----------------------------------------------------------
 
 
 def run_service(specs=None, *, store: RunStore | None = None,
@@ -779,6 +1093,7 @@ def run_service(specs=None, *, store: RunStore | None = None,
                 watchdog_cycles: int | None = None) -> ServiceReport:
     """One ``repro serve`` incarnation: admit *specs*, run to empty/drain.
 
+    The service drains the durable queue under ``<store>/queue``.
     Without *resume*, an existing journal with unfinished jobs is an
     error -- it means a previous incarnation died (or was killed) and
     its work would be silently re-judged; ``--resume`` makes recovery
@@ -788,8 +1103,9 @@ def run_service(specs=None, *, store: RunStore | None = None,
     """
     store = store or RunStore()
     service = ReproService(
-        store, workers=workers, retries=retries, timeout=timeout,
-        lease_s=lease_s, queue_limit=queue_limit,
+        store, JobQueue(queue_root(store.root), limit=queue_limit,
+                        lease_s=lease_s),
+        workers=workers, retries=retries, timeout=timeout,
         backoff_base=backoff_base, isolation=isolation,
         breaker_threshold=breaker_threshold,
         breaker_cooldown=breaker_cooldown, events=events, registry=registry,
@@ -811,6 +1127,54 @@ def run_service(specs=None, *, store: RunStore | None = None,
             pass
     items = list(specs) if specs is not None else list(CANONICAL_SPECS)
     for item in items:
-        service.submit(_resolve_item(item), priority=priority,
+        service.submit(resolve_item(item), priority=priority,
                        deadline_s=deadline_s, force=force)
     return service.run()
+
+
+def run_many(specs=None, *, max_workers: int | None = None,
+             force: bool = False, store: RunStore | None = None,
+             progress: bool = False, **options) -> dict[str, RunResult]:
+    """Run many specs through a service draining a throwaway queue.
+
+    ``specs`` is an iterable of ``(workload, cpu, os_mode)`` triples or
+    dicts carrying ``instructions``/``seed``/tier overrides (the diff
+    engine's seed fan-out uses the dict form); the default is the eight
+    canonical runs.  Returns one :class:`RunResult` per spec in input
+    order, keyed by :func:`labels_for`.  Runs already in the memo or the
+    store are served without executing unless *force* is set; failures
+    come back as quarantined results, never as exceptions.
+    *max_workers* caps the worker slots (default: one per core).
+    With *progress*, executing misses renders a live aggregate line.
+    *options* are :class:`ReproService` keyword arguments (``retries``,
+    ``timeout``, ``isolation``, ``checkpoint``, ``backoff_base``, ...).
+    """
+    items = list(specs) if specs is not None else list(CANONICAL_SPECS)
+    resolved = [resolve_item(item) for item in items]
+    workers = max_workers if max_workers is not None else default_workers()
+    with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
+        service = ReproService(
+            store, JobQueue(scratch, limit=max(1, len(items))),
+            workers=max(1, min(workers, len(items))), progress=progress,
+            **options)
+        jobs = [service.submit(spec, force=force)[0] for spec in resolved]
+        service.run()
+    return {label: service.result(label, job)
+            for label, job in zip(labels_for(items, resolved), jobs)}
+
+
+def prefetch_all(**kwargs) -> dict[str, RunResult]:
+    """Warm the store with all eight canonical runs (the ``repro
+    prefetch`` entry point); *kwargs* as for :func:`run_many`."""
+    return run_many(CANONICAL_SPECS, **kwargs)
+
+
+def run_artifacts(specs, **kwargs) -> list[RunArtifact]:
+    """:func:`run_many`'s artifacts in input order, for fan-outs that
+    need every run; raises :class:`RuntimeError` naming each run that
+    ended quarantined."""
+    results = run_many(specs, **kwargs).values()
+    failed = [f"{r.label}: {r.error}" for r in results if not r.ok]
+    if failed:
+        raise RuntimeError("run(s) failed: " + "; ".join(failed))
+    return [r.artifact for r in results]

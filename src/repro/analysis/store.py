@@ -131,6 +131,9 @@ class RunStore:
 
     def __init__(self, root: str | os.PathLike | None = None) -> None:
         self.root = pathlib.Path(root) if root is not None else store_root()
+        #: (quarantined file name, reason) for each corrupt file this
+        #: handle moved aside, in order.
+        self.quarantined: list[tuple[str, str]] = []
 
     def _path_for(self, artifact: RunArtifact) -> pathlib.Path:
         name = f"{_slug(artifact.spec)}-{artifact.fingerprint[:_NAME_HASH_LEN]}.json"
@@ -287,6 +290,7 @@ class RunStore:
                 n += 1
             os.replace(path, target)
             pathlib.Path(f"{target}.why").write_text(reason + "\n")
+            self.quarantined.append((target.name, reason))
             return target
         except OSError:  # pragma: no cover - quarantine must never raise
             return None

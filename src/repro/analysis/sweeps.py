@@ -12,12 +12,6 @@ one context to the paper's eight).
     sweep = context_sweep("apache", (1, 2, 4, 8), instructions=200_000)
     for point in sweep.points:
         print(point.value, point.metrics["ipc"])
-
-The named sweeps (:func:`context_sweep`, :func:`quantum_sweep`,
-:func:`cache_scale_sweep`) accept ``max_workers`` to evaluate their points
-concurrently through :mod:`repro.analysis.runner` -- their builders live in
-:data:`SWEEP_BUILDERS` as module-level functions so worker processes can
-reconstruct each point from plain arguments.
 """
 
 from __future__ import annotations
@@ -106,7 +100,7 @@ def _workload(name: str):
 
 
 def build_context_sim(workload: str, n, seed: int = 11) -> Simulation:
-    """One context-scaling sweep point (picklable by reference)."""
+    """One context-scaling sweep point."""
     cpu = CPUConfig(
         n_contexts=n,
         fetch_contexts=min(2, n),
@@ -135,51 +129,25 @@ def build_cache_scale_sim(workload: str, scale, seed: int = 11) -> Simulation:
                       machine=MachineConfig(memory=memory), seed=seed)
 
 
-#: Named point builders the parallel runner can ship to worker processes.
-SWEEP_BUILDERS: dict[str, Callable] = {
-    "contexts": build_context_sim,
-    "quantum": build_quantum_sim,
-    "scale": build_cache_scale_sim,
-}
-
-
-def _named_sweep(kind: str, label: str, workload: str, values,
-                 instructions: int, seed: int,
-                 max_workers: int | None) -> Sweep:
-    """Run one of the named sweeps, concurrently when requested."""
-    if max_workers is not None and max_workers > 1:
-        from repro.analysis.runner import run_sweep_points
-
-        sweep = Sweep(label, kind)
-        for value, point_metrics in run_sweep_points(
-                kind, workload, values, instructions, seed,
-                max_workers=max_workers):
-            sweep.points.append(SweepPoint(value, point_metrics))
-        return sweep
-    builder = SWEEP_BUILDERS[kind]
-    return run_sweep(label, kind, values,
-                     lambda v: builder(workload, v, seed), instructions)
-
-
 def context_sweep(workload: str, contexts=(1, 2, 4, 8),
-                  instructions: int = 150_000, seed: int = 11,
-                  max_workers: int | None = None) -> Sweep:
+                  instructions: int = 150_000, seed: int = 11) -> Sweep:
     """Throughput and miss rates vs hardware context count."""
-    return _named_sweep("contexts", f"{workload} context scaling", workload,
-                        contexts, instructions, seed, max_workers)
+    return run_sweep(f"{workload} context scaling", "contexts", contexts,
+                     lambda n: build_context_sim(workload, n, seed),
+                     instructions)
 
 
 def quantum_sweep(workload: str, quanta=(5_000, 20_000, 80_000),
-                  instructions: int = 150_000, seed: int = 11,
-                  max_workers: int | None = None) -> Sweep:
+                  instructions: int = 150_000, seed: int = 11) -> Sweep:
     """Scheduler time-slice sensitivity."""
-    return _named_sweep("quantum", f"{workload} quantum", workload, quanta,
-                        instructions, seed, max_workers)
+    return run_sweep(f"{workload} quantum", "quantum", quanta,
+                     lambda q: build_quantum_sim(workload, q, seed),
+                     instructions)
 
 
 def cache_scale_sweep(workload: str, scales=(0.5, 1.0, 2.0),
-                      instructions: int = 150_000, seed: int = 11,
-                      max_workers: int | None = None) -> Sweep:
+                      instructions: int = 150_000, seed: int = 11) -> Sweep:
     """L1 capacity sensitivity (scales the default scaled geometry)."""
-    return _named_sweep("scale", f"{workload} cache scale", workload, scales,
-                        instructions, seed, max_workers)
+    return run_sweep(f"{workload} cache scale", "scale", scales,
+                     lambda x: build_cache_scale_sim(workload, x, seed),
+                     instructions)

@@ -10,7 +10,7 @@
     python -m repro table 4
     python -m repro figure 6
     python -m repro report --out EXPERIMENTS_GENERATED.md
-    python -m repro prefetch --retries 2 --timeout 600 --keep-going
+    python -m repro prefetch --retries 2 --timeout 600
     python -m repro cache ls
     python -m repro cache ls --verify
     python -m repro cache gc --dry-run
@@ -46,8 +46,11 @@ re-runs a workload with the event bus attached and exports a Chrome
 checks -- determinism, probe hygiene, schema/fingerprint drift -- and
 ``cache ls --verify`` re-fingerprints every stored artifact (see
 ``docs/static-analysis.md``); ``chaos`` runs the deterministic
-fault-injection matrix against the supervised run engine and ``prefetch
---retries/--timeout/--keep-going`` supervise real sweeps; ``serve`` runs
+fault-injection matrix against the run engine.  Every sweep goes through
+one engine (:mod:`repro.analysis.service`): each attempt runs in its own
+worker process with ``--timeout``, transient failures retry up to
+``--retries`` times with backoff, and a run that still fails is
+quarantined while the rest of the sweep finishes.  ``serve`` runs
 sweeps as a resilient service -- every job transition goes through a
 checksummed write-ahead journal under the store, so a killed sweep
 resumes with ``--resume`` instead of restarting, duplicate submits
@@ -59,8 +62,9 @@ on-disk store (default ``.repro_cache/``, override with
 simulation cost; ``REPRO_BUDGET_MULT`` scales the instruction budgets
 (and is part of the store key).  ``prefetch`` executes all eight
 canonical runs concurrently, one process per core (``--progress`` shows
-an aggregate live line); ``report`` regenerates every exhibit and writes
-a combined report.
+an aggregate live line), prints each run's outcome, and exits nonzero
+if any run failed; ``report`` regenerates every exhibit and writes a
+combined report.
 """
 
 from __future__ import annotations
@@ -100,8 +104,7 @@ def _cmd_run(args) -> int:
         if args.progress_out:
             raise SystemExit(
                 "--progress-out cannot be combined with --retries/--timeout")
-        from repro.analysis.supervisor import (DEFAULT_RETRIES,
-                                               run_many_supervised)
+        from repro.analysis.service import DEFAULT_RETRIES, run_many
 
         item = {"workload": args.workload, "cpu": args.cpu,
                 "os_mode": args.os_mode, "seed": args.seed}
@@ -110,10 +113,10 @@ def _cmd_run(args) -> int:
         item.update({k: v for k, v in tier.items()
                      if v not in (None, "full", 0)})
         retries = args.retries if args.retries is not None else DEFAULT_RETRIES
-        results = run_many_supervised(
+        (result,) = run_many(
             [item], retries=retries, timeout=args.timeout,
-            force=args.progress, progress=args.progress)
-        (result,) = results.values()
+            force=args.progress, progress=args.progress,
+            checkpoint=args.checkpoint).values()
         if not result.ok:
             for line in result.transcript:
                 print(f"  {line}")
@@ -249,50 +252,27 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_prefetch(args) -> int:
-    from repro.analysis.runner import prefetch_timed
+    """``repro prefetch``: run the eight canonical runs through the
+    engine and print each one's outcome.  A run that fails for good is
+    quarantined, the others still finish, and the exit code is 1."""
+    from repro.analysis.service import prefetch_all
     from repro.analysis.store import RunStore
 
-    if (args.retries is not None or args.timeout is not None
-            or args.keep_going):
-        return _prefetch_supervised(args)
-    artifacts, elapsed = prefetch_timed(max_workers=args.workers,
-                                        force=args.force,
-                                        progress=args.progress)
-    for label in sorted(artifacts):
-        art = artifacts[label]
-        print(f"  {label:20s} {art.total['retired']:>12,} instructions "
-              f"({art.fingerprint[:12]})")
-    print(f"{len(artifacts)} canonical runs ready in {elapsed:.1f}s "
-          f"(store: {RunStore().root})")
-    return 0
-
-
-def _prefetch_supervised(args) -> int:
-    """``repro prefetch`` with any of --retries/--timeout/--keep-going:
-    route through the supervised engine and report per-run outcomes
-    (partial results exit nonzero instead of raising)."""
-    from repro.analysis.store import RunStore
-    from repro.analysis.supervisor import (DEFAULT_RETRIES,
-                                           prefetch_timed_supervised)
-
-    retries = args.retries if args.retries is not None else DEFAULT_RETRIES
-    results, elapsed = prefetch_timed_supervised(
-        retries=retries, timeout=args.timeout, keep_going=args.keep_going,
-        max_workers=args.workers, force=args.force, progress=args.progress)
+    results = prefetch_all(max_workers=args.workers, force=args.force,
+                           progress=args.progress, retries=args.retries,
+                           timeout=args.timeout)
     failed = 0
     for label in sorted(results):
         r = results[label]
         if r.ok:
-            src = ("store" if r.from_store
-                   else f"{r.attempts} attempt(s)")
+            src = "store" if r.from_store else f"{r.attempts} attempt(s)"
             print(f"  {label:20s} {r.artifact.total['retired']:>12,} "
-                  f"instructions ({src})")
+                  f"instructions ({r.artifact.fingerprint[:12]}, {src})")
         else:
             failed += 1
-            what = "skipped" if r.skipped else f"FAILED [{r.error_kind}]"
-            print(f"  {label:20s} {what}: {r.error}")
+            print(f"  {label:20s} FAILED [{r.error_kind}]: {r.error}")
     print(f"{len(results) - failed}/{len(results)} canonical runs ready "
-          f"in {elapsed:.1f}s (store: {RunStore().root})")
+          f"(store: {RunStore().root})")
     return 1 if failed else 0
 
 
@@ -982,15 +962,11 @@ def main(argv=None) -> int:
                        help="re-run even when the store already has a run")
     p_pre.add_argument("--progress", action="store_true",
                        help="show one aggregate live line while runs execute")
-    p_pre.add_argument("--retries", type=int, default=None,
-                       help="supervised prefetch: retry each failed run up "
-                            "to N times with backoff")
+    p_pre.add_argument("--retries", type=int, default=2,
+                       help="retry each transiently failing run up to N "
+                            "times with backoff (default 2)")
     p_pre.add_argument("--timeout", type=float, default=None, metavar="S",
-                       help="supervised prefetch: terminate a run after "
-                            "S seconds per attempt")
-    p_pre.add_argument("--keep-going", action="store_true", dest="keep_going",
-                       help="supervised prefetch: quarantine failing runs "
-                            "and finish the rest (partial results)")
+                       help="terminate a run after S seconds per attempt")
     p_pre.set_defaults(func=_cmd_prefetch)
 
     p_cache = sub.add_parser(

@@ -7,7 +7,7 @@ default, and the only state production runs ever see) that is a single
 ``REPRO_FAULT_PLAN`` environment variable, which forked/spawned pool
 workers re-parse lazily on their first ``fire`` call.
 
-The supervised runner tells workers which attempt they are via
+The run engine tells workers which attempt they are via
 :func:`set_attempt`, so a :class:`FaultSite` with ``attempt=1`` fires
 on the first try and lets the retry succeed -- the basic shape of every
 recovery scenario in :mod:`repro.faults.chaos`.
@@ -32,7 +32,7 @@ _UNSET = object()
 #: None = explicitly disarmed, else a FaultPlan.
 _PLAN: object = _UNSET
 
-#: Attempt number the current process is executing (supervisor-set).
+#: Attempt number the current process is executing (engine-set).
 _ATTEMPT: int = 1
 
 

@@ -1,26 +1,28 @@
 """Chaos harness: the end-to-end fault matrix behind ``repro chaos``.
 
 Each scenario arms one :class:`~repro.faults.plan.FaultPlan`, runs a
-small real sweep through the supervised engine
-(:mod:`repro.analysis.supervisor`) or the resilient service
-(:mod:`repro.analysis.service` -- torn journals, orphaned claims, lost
-workers, breaker trips, graceful drains, and SIGKILL-then-resume), and
-asserts the recovery contract: the sweep completes (with partial
-results where the scenario demands it), retries are bounded, corrupt
-data lands in quarantine, and -- checked after every scenario -- the
-store still verifies clean, so no injected fault ever corrupts a
-*stored* artifact.
+small real sweep through the run engine (:mod:`repro.analysis.service`:
+a one-shot :func:`~repro.analysis.service.run_many` sweep, or a
+``repro serve`` incarnation on the durable queue -- torn journals,
+orphaned claims, lost workers, breaker trips, graceful drains, and
+SIGKILL-then-resume), and asserts the recovery contract: the sweep
+completes (with partial results where the scenario demands it),
+retries are bounded, corrupt data lands in quarantine, and -- checked
+after every scenario -- the store still verifies clean, so no injected
+fault ever corrupts a *stored* artifact.
 
 Everything here is deterministic: fault plans are seeded and
 counter-driven, run transcripts carry attempt numbers and configured
-backoff delays but no wall-clock readings, and scenarios run in a fixed
-order against per-scenario sub-stores.  Running the matrix twice with
-the same seed produces the same transcript, which is what makes a chaos
-failure in CI reproducible locally.
+backoff delays but no wall-clock readings (and one-shot sweeps record
+each run's own transcript, so parallel workers cannot interleave them),
+and scenarios run in a fixed order against per-scenario sub-stores.
+Running the matrix twice with the same seed produces the same
+transcript, which is what makes a chaos failure in CI reproducible
+locally.
 
 The harness arms and clears the process-wide fault plan (including the
 ``REPRO_FAULT_PLAN`` environment variable), so it should not run
-concurrently with other supervised work in the same process.
+concurrently with other engine work in the same process.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from typing import Any
 
 from repro import faults
 from repro.analysis import experiments
+from repro.analysis.service import RunResult, processes_available, run_many
 from repro.analysis.store import RunStore
-from repro.analysis.supervisor import Supervisor, processes_available
 
 #: Instruction budget per chaos run: big enough to exercise the real
 #: pipeline and windowed execution, small enough that the whole matrix
@@ -100,7 +102,7 @@ class ChaosReport:
 
 class _Ctx:
     """Per-scenario workbench: a private sub-store, a spec factory, and
-    a supervised-sweep helper that arms/clears the fault plan."""
+    sweep helpers that arm/clear the fault plan."""
 
     def __init__(self, root: pathlib.Path, name: str, seed: int,
                  instructions: int, timeout: float, retries: int,
@@ -157,29 +159,26 @@ class _Ctx:
         return faults.FaultPlan(sites=tuple(sites), seed=self.seed)
 
     def supervise(self, specs: list[dict], plan: faults.FaultPlan | None,
-                  **overrides: Any) -> tuple[Supervisor, dict]:
-        """One supervised sweep under *plan* (cleared afterwards)."""
+                  **overrides: Any) -> dict[str, RunResult]:
+        """One :func:`run_many` sweep under *plan* (cleared afterwards);
+        each run's own transcript joins the scenario's, in spec order."""
         experiments.clear_cache()
         if plan is not None:
             faults.install(plan)
         else:
             faults.clear()
-        kwargs = dict(retries=self.retries, timeout=self.timeout,
-                      max_workers=self.max_workers,
-                      backoff_base=self.backoff_base,
-                      isolation=self.isolation)
+        kwargs: dict[str, Any] = dict(
+            retries=self.retries, timeout=self.timeout,
+            max_workers=self.max_workers, backoff_base=self.backoff_base,
+            isolation=self.isolation)
         kwargs.update(overrides)
-        supervisor = Supervisor(**kwargs)
         try:
-            results = supervisor.run_specs(specs, store=self.store)
+            results = run_many(specs, store=self.store, **kwargs)
         finally:
             faults.clear()
-        for label, result in results.items():
-            for line in result.transcript:
-                self.lines.append(f"{label}: {line}")
-        for line in supervisor.transcript:
-            self.lines.append(line)
-        return supervisor, results
+        for result in results.values():
+            self.lines.extend(result.transcript)
+        return results
 
     def check(self, name: str, ok: bool, detail: str = "") -> bool:
         self.checks.append({"name": name, "ok": bool(ok), "detail": detail})
@@ -201,8 +200,7 @@ class _Ctx:
 def _worker_crash(ctx: _Ctx) -> None:
     """A worker dies during startup; the retry succeeds."""
     plan = ctx.plan(faults.FaultSite("worker.crash", attempt=1))
-    _, results = ctx.supervise([ctx.spec()], plan)
-    (r,) = results.values()
+    (r,) = ctx.supervise([ctx.spec()], plan).values()
     ctx.check("run recovered after crash", r.ok and not r.from_store)
     ctx.check("exactly one retry", r.attempts == 2, f"attempts={r.attempts}")
     ctx.check("transcript records backoff",
@@ -212,8 +210,7 @@ def _worker_crash(ctx: _Ctx) -> None:
 def _mid_sim_exception(ctx: _Ctx) -> None:
     """The simulation itself raises partway through; the retry succeeds."""
     plan = ctx.plan(faults.FaultSite("sim.exception", attempt=1, arg=1_000))
-    _, results = ctx.supervise([ctx.spec()], plan)
-    (r,) = results.values()
+    (r,) = ctx.supervise([ctx.spec()], plan).values()
     ctx.check("run recovered after mid-sim exception", r.ok)
     ctx.check("exactly one retry", r.attempts == 2, f"attempts={r.attempts}")
     ctx.check("fault carried the injection site",
@@ -224,8 +221,7 @@ def _watchdog_stall(ctx: _Ctx) -> None:
     """The core stops retiring; the watchdog converts the silent spin
     into a diagnostic error and the retry succeeds."""
     plan = ctx.plan(faults.FaultSite("sim.stall", attempt=1, arg=4_000))
-    _, results = ctx.supervise([ctx.spec()], plan)
-    (r,) = results.values()
+    (r,) = ctx.supervise([ctx.spec()], plan).values()
     ctx.check("run recovered after stall", r.ok)
     ctx.check("watchdog diagnosed the stall",
               any("NoProgressError" in line for line in r.transcript))
@@ -233,16 +229,15 @@ def _watchdog_stall(ctx: _Ctx) -> None:
 
 
 def _hung_run(ctx: _Ctx) -> None:
-    """The worker never returns; the supervisor times it out, terminates
+    """The worker never returns; the engine times it out, terminates
     it, and the retry succeeds.  Needs real process isolation."""
     if not ctx.processes:
         ctx.skip("no process isolation: a hung in-process run "
                  "cannot be preempted")
         return
     plan = ctx.plan(faults.FaultSite("sim.hang", attempt=1))
-    _, results = ctx.supervise([ctx.spec()], plan,
-                               timeout=min(ctx.timeout, HANG_TIMEOUT))
-    (r,) = results.values()
+    (r,) = ctx.supervise([ctx.spec()], plan,
+                         timeout=min(ctx.timeout, HANG_TIMEOUT)).values()
     ctx.check("run recovered after hang", r.ok)
     ctx.check("hang was timed out",
               any("timed out" in line for line in r.transcript))
@@ -254,8 +249,7 @@ def _torn_write(ctx: _Ctx) -> None:
     store never sees a half-written artifact, the retry succeeds, and
     ``cache gc`` reclaims the stranded temp file."""
     plan = ctx.plan(faults.FaultSite("store.put.torn", attempt=1))
-    _, results = ctx.supervise([ctx.spec()], plan)
-    (r,) = results.values()
+    (r,) = ctx.supervise([ctx.spec()], plan).values()
     ctx.check("run recovered after torn write", r.ok and r.attempts == 2,
               f"attempts={r.attempts}")
     # Demonstrate reclamation with a direct torn put: under inline
@@ -279,8 +273,7 @@ def _torn_write(ctx: _Ctx) -> None:
 def _disk_full(ctx: _Ctx) -> None:
     """The store write hits ENOSPC; classified transient and retried."""
     plan = ctx.plan(faults.FaultSite("store.put.disk_full", attempt=1))
-    _, results = ctx.supervise([ctx.spec()], plan)
-    (r,) = results.values()
+    (r,) = ctx.supervise([ctx.spec()], plan).values()
     ctx.check("run recovered after ENOSPC", r.ok and r.attempts == 2,
               f"attempts={r.attempts}")
     ctx.check("error surfaced as ENOSPC",
@@ -291,12 +284,10 @@ def _corrupt_entry(ctx: _Ctx) -> None:
     """A stored artifact rots on disk: the checksum catches it on read,
     the file is quarantined (not served, not crashed on), and the run
     transparently re-executes."""
-    _, warm = ctx.supervise([ctx.spec()], None)
-    (w,) = warm.values()
+    (w,) = ctx.supervise([ctx.spec()], None).values()
     ctx.check("warm run stored", w.ok and w.attempts == 1)
     plan = ctx.plan(faults.FaultSite("store.get.corrupt", times=1))
-    supervisor, results = ctx.supervise([ctx.spec()], plan)
-    (r,) = results.values()
+    (r,) = ctx.supervise([ctx.spec()], plan).values()
     ctx.check("corrupt entry re-executed, not served",
               r.ok and not r.from_store and r.attempts == 1,
               f"from_store={r.from_store} attempts={r.attempts}")
@@ -309,7 +300,7 @@ def _corrupt_entry(ctx: _Ctx) -> None:
               ("unparsable JSON", "content checksum mismatch"),
               entries[0].reason if entries else "no quarantine entry")
     ctx.check("sweep transcript notes the quarantine",
-              any("quarantined" in line for line in supervisor.transcript))
+              any("store quarantined" in line for line in r.transcript))
 
 
 def _quarantine_permanent(ctx: _Ctx) -> None:
@@ -317,7 +308,7 @@ def _quarantine_permanent(ctx: _Ctx) -> None:
     retries while the healthy spec completes -- partial results, not a
     dead sweep."""
     plan = ctx.plan(faults.FaultSite("worker.crash", times=0, match="-ss-"))
-    _, results = ctx.supervise([ctx.spec("smt"), ctx.spec("ss")], plan)
+    results = ctx.supervise([ctx.spec("smt"), ctx.spec("ss")], plan)
     ok = [r for r in results.values() if r.ok]
     bad = [r for r in results.values() if not r.ok]
     ctx.check("healthy spec completed", len(ok) == 1 and "smt" in ok[0].label)
@@ -414,8 +405,7 @@ def _graceful_drain(ctx: _Ctx) -> None:
     """A drain request lands after the first completion: no new claims,
     active legs finish, a clean shutdown marker is journaled, and the
     next incarnation completes the remainder."""
-    from repro.analysis.runner import _resolve_item
-    from repro.analysis.service import ReproService
+    from repro.analysis.service import ReproService, resolve_item
 
     experiments.clear_cache()
     faults.clear()
@@ -427,7 +417,7 @@ def _graceful_drain(ctx: _Ctx) -> None:
     holder["service"] = service
     specs = [ctx.spec(seed=1), ctx.spec(seed=2), ctx.spec(seed=3)]
     for spec in specs:
-        service.submit(_resolve_item(spec))
+        service.submit(resolve_item(spec))
     report = service.run()
     for line in report.transcript:
         ctx.lines.append(line)

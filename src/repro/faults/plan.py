@@ -45,7 +45,7 @@ KNOWN_SITES: tuple[str, ...] = (
 class InjectedFault(RuntimeError):
     """An injected failure, distinguishable from organic bugs.
 
-    ``transient`` feeds the supervisor's error taxonomy (transient
+    ``transient`` feeds the run engine's error taxonomy (transient
     faults are retried, permanent ones are not); ``snapshot`` may carry
     a probe-tree snapshot for diagnostics.
     """

@@ -15,7 +15,7 @@ D101          call into the process-global ``random`` module (unseeded;
 D102          wall-clock read (``time.time``/``perf_counter``/
               ``datetime.now``/...) outside the allowlisted host-side
               modules (profiling, benchmarking, live telemetry, the
-              process-pool runner)
+              run engine)
 D103          iteration over a ``set``/``frozenset`` value (string-hash
               randomization makes the order vary per process)
 D104          iteration over ``os.listdir``/``glob``/``iterdir``
@@ -41,8 +41,6 @@ WALLCLOCK_ALLOWLIST = (
     "obs/profile.py",
     "obs/baseline.py",
     "obs/live.py",
-    "analysis/runner.py",
-    "analysis/supervisor.py",
     # analysis/queue.py is deliberately NOT allowlisted: journal records
     # must stay wall-clock-free so replay is byte-deterministic.
     "analysis/service.py",

@@ -1,7 +1,7 @@
 """F rules: process-boundary and fault-injection discipline.
 
-The run engine crosses a real process boundary (supervised workers,
-sweep pools) and carries a fault-injection plan across it through the
+The run engine crosses a real process boundary (one worker process
+per attempt) and carries a fault-injection plan across it through the
 environment; three conventions keep that machinery honest:
 
 * **F101** -- every fault-site string literal (``faults.fire("...")``
@@ -17,7 +17,7 @@ environment; three conventions keep that machinery honest:
   back through the on-disk RunStore, never through return pipes.
 * **F103** -- worker-side code (the transitive callees of process
   targets) must not read environment variables outside the allowlisted
-  ``REPRO_*`` namespace: the supervisor only forwards that namespace,
+  ``REPRO_*`` namespace: the run engine only forwards that namespace,
   so anything else silently reads the *pool host's* environment.
 """
 

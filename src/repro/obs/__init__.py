@@ -22,7 +22,7 @@ Cooperating pieces, all optional and all cheap when unused:
   --check`` regression gate.
 * :mod:`repro.obs.live` -- heartbeat telemetry for running simulations:
   live progress lines, JSONL heartbeats, and per-worker aggregation in
-  the parallel runner.
+  the run engine.
 
 See ``docs/observability.md`` for the probe naming scheme and worked
 examples.

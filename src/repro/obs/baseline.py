@@ -176,7 +176,7 @@ def _measure_tiered(mode: str, instructions: int) -> dict:
 def _measure_report(instructions: int | None = None) -> dict:
     """Time the full report build from a warm store (prefetch untimed)."""
     from repro.analysis.report import build_report
-    from repro.analysis.runner import prefetch_all
+    from repro.analysis.service import prefetch_all
 
     prefetch_all()  # warm; the gate times only the analysis layer
     t0 = time.perf_counter()

@@ -14,8 +14,8 @@ artifacts (or any two windows of them) into a :class:`DiffReport`:
 * each comparison carries the absolute delta and the relative delta,
   with top-mover ranking by either;
 * optional noise filtering: with ``seeds=N`` each side is re-run under
-  ``N`` consecutive seeds (fanned out through
-  :mod:`repro.analysis.runner`, so repeats execute in parallel and hit
+  ``N`` consecutive seeds (fanned out through the run engine,
+  :mod:`repro.analysis.service`, so repeats execute in parallel and hit
   the store on later calls), sides compare mean-vs-mean, and a delta
   smaller than the combined confidence band (2 standard deviations per
   side) is flagged insignificant;
@@ -306,7 +306,7 @@ def diff_runs(
     max_workers: int | None = None,
 ) -> DiffReport:
     """Diff two run *specs* (``{workload, cpu, os_mode[, instructions,
-    seed]}``), resolving every needed run through the runner fan-out.
+    seed]}``), resolving every needed run through the engine fan-out.
 
     With ``seeds > 1`` each side runs under that many consecutive seeds
     (missing repeats execute in parallel, warm ones load from the
@@ -314,12 +314,12 @@ def diff_runs(
     """
     from repro.analysis import experiments
     from repro.analysis.artifact import run_fingerprint
-    from repro.analysis.runner import run_many
+    from repro.analysis.service import run_artifacts
 
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     fan = seed_specs(spec_a, seeds) + seed_specs(spec_b, seeds)
-    arts = list(run_many(fan, max_workers=max_workers).values())
+    arts = run_artifacts(fan, max_workers=max_workers)
     arts_a, arts_b = arts[:seeds], arts[seeds:]
     mean_a, band_a = mean_and_band(
         [a.window(window) for a in arts_a], per_kilo=per_kilo)

@@ -33,7 +33,7 @@ SCHED = "sched"
 #: Kernel memory-management incursions (page allocation, mmap/unmap,
 #: faults) posted by :class:`repro.os_model.vm.VMSystem`.
 VM = "vm"
-#: Run-engine lifecycle events (supervisor retries, timeouts, faults,
+#: Run-engine lifecycle events (submits, claims, retries, breaker moves,
 #: quarantines); ``ts`` is a monotonically increasing step counter, not
 #: a simulation cycle, since the engine runs outside any simulation.
 ENGINE = "engine"

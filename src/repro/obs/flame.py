@@ -156,12 +156,12 @@ def diff_flame_runs(
     """
     from repro.analysis import experiments
     from repro.analysis.artifact import run_fingerprint
-    from repro.analysis.runner import run_many
+    from repro.analysis.service import run_artifacts
 
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     fan = seed_specs(spec_a, seeds) + seed_specs(spec_b, seeds)
-    arts = list(run_many(fan, max_workers=max_workers).values())
+    arts = run_artifacts(fan, max_workers=max_workers)
     arts_a, arts_b = arts[:seeds], arts[seeds:]
     mean_a, band_a = attribution_mean_and_band(
         [a.window(window) for a in arts_a], per_kilo=per_kilo)

@@ -13,9 +13,10 @@ test, so the 2%-overhead budget holds) and feeds each sample to a sink:
 * :class:`JsonlSink` -- one JSON object per beat, for headless runs and
   offline analysis (``repro run --progress-out beats.jsonl``);
 * :class:`StateFileSink` -- atomically overwrites one small file with
-  the *latest* sample.  The parallel runner gives each worker process a
-  state file and the parent's :class:`ProgressAggregator` folds them
-  into one fleet-wide line (``repro prefetch --progress``).
+  the *latest* sample.  The run engine gives each worker slot a state
+  file and the parent's :class:`ProgressAggregator` folds them into one
+  fleet-wide line (``repro prefetch --progress``); the file's age is
+  also the worker's lease heartbeat.
 
 Samples are plain dicts (JSON-safe) with both cumulative and rolling
 rates; rolling values cover the window since the previous beat, which
@@ -178,10 +179,10 @@ class JsonlSink:
 class StateFileSink:
     """Atomically overwrites one file with the latest sample.
 
-    This is the worker half of pool progress aggregation: readers never
+    This is the worker half of sweep progress aggregation: readers never
     see a torn write (temp file + rename), and the file stays one sample
-    small no matter how long the run is.  *on_write* lets the serial
-    fallback piggyback a refresh after every beat.
+    small no matter how long the run is.  *on_write* lets inline
+    (in-process) attempts piggyback a refresh after every beat.
     """
 
     def __init__(self, path, on_write=None) -> None:
@@ -198,12 +199,16 @@ class StateFileSink:
 
 
 class ProgressAggregator:
-    """Folds per-worker state files into one fleet-wide progress line.
+    """Folds per-run state files into one fleet-wide progress line.
 
     The parent process creates one aggregator over a (temporary)
-    directory, hands ``path_for(i)`` to each worker's
+    directory, hands ``path_for(key)`` to each run's
     :class:`StateFileSink`, and calls :meth:`refresh` while it waits;
-    ``refresh(final=True)`` finishes the line with a newline.
+    ``refresh(final=True)`` finishes the line with a newline.  Every
+    ``worker-*.json`` in the directory is one run; :meth:`finish` marks
+    a run done, so its work keeps counting toward progress after its
+    worker is gone.  *total_runs* and *total_instructions* are the
+    sweep's totals (the line's denominators).
     """
 
     def __init__(self, directory, total_runs: int,
@@ -216,8 +221,22 @@ class ProgressAggregator:
         self._tty = TtyProgressSink(stream)
         self._t0 = time.perf_counter()
 
-    def path_for(self, index: int) -> str:
-        return os.path.join(self.directory, f"worker-{index}.json")
+    def path_for(self, key) -> str:
+        return os.path.join(self.directory, f"worker-{key}.json")
+
+    def finish(self, key, retired: int) -> None:
+        """Record *key*'s run as done with *retired* instructions: no
+        longer active, and never stalled however old its file gets."""
+        StateFileSink(self.path_for(key))({"retired": retired, "done": True})
+
+    def _names(self) -> list[str]:
+        """The directory's ``worker-*.json`` names, sorted."""
+        try:
+            return sorted(name for name in os.listdir(self.directory)
+                          if name.startswith("worker-")
+                          and name.endswith(".json"))
+        except OSError:
+            return []
 
     def prune(self) -> list[str]:
         """Remove leftover ``worker-*.json`` from a previous incarnation.
@@ -230,14 +249,8 @@ class ProgressAggregator:
         writes.  Returns the removed names (sorted, for deterministic
         transcripts).
         """
-        try:
-            names = sorted(name for name in os.listdir(self.directory)
-                           if name.startswith("worker-")
-                           and name.endswith(".json"))
-        except OSError:
-            return []
         removed = []
-        for name in names:
+        for name in self._names():
             try:
                 os.unlink(os.path.join(self.directory, name))
             except OSError:  # pragma: no cover - racing deletion
@@ -246,7 +259,7 @@ class ProgressAggregator:
         return removed
 
     def samples(self) -> list[dict]:
-        """Every worker's latest sample (unreadable/in-flight files skipped).
+        """Every run's latest sample (unreadable/in-flight files skipped).
 
         Each sample gains an ``age_s`` field: seconds since the worker
         last rewrote its state file.  A crashed worker stops rewriting
@@ -255,8 +268,8 @@ class ProgressAggregator:
         """
         out = []
         now = time.time()
-        for index in range(self.total_runs):
-            path = self.path_for(index)
+        for name in self._names():
+            path = os.path.join(self.directory, name)
             try:
                 with open(path) as f:
                     payload = json.load(f)
@@ -275,19 +288,20 @@ class ProgressAggregator:
     def aggregate(self) -> dict:
         """One combined sample: sums of retired/ips, overall percent.
 
-        Workers whose state file has not been rewritten for
+        Running workers whose state file has not been rewritten for
         ``stale_after`` seconds are counted in ``stale`` instead of
         ``active`` and excluded from the rate sum (their last-known
         retired counts still contribute to progress -- that work is
-        done and persisted).
+        done and persisted).  Finished runs count toward progress only.
         """
         samples = self.samples()
-        fresh = [s for s in samples if not self._is_stale(s)]
+        running = [s for s in samples if not s.get("done")]
+        fresh = [s for s in running if not self._is_stale(s)]
         retired = sum(s.get("retired", 0) for s in samples)
         agg = {
             "runs": self.total_runs,
             "active": len(fresh),
-            "stale": len(samples) - len(fresh),
+            "stale": len(running) - len(fresh),
             "retired": retired,
             "ips": round(sum(s.get("ips", 0.0) for s in fresh), 1),
             "elapsed_s": round(time.perf_counter() - self._t0, 3),

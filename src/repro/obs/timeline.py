@@ -444,12 +444,12 @@ def diff_timeline_runs(
     """
     from repro.analysis import experiments
     from repro.analysis.artifact import run_fingerprint
-    from repro.analysis.runner import run_many
+    from repro.analysis.service import run_artifacts
 
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     fan = seed_specs(spec_a, seeds) + seed_specs(spec_b, seeds)
-    arts = list(run_many(fan, max_workers=max_workers).values())
+    arts = run_artifacts(fan, max_workers=max_workers)
     recs_a = [r for r in (timeline_record(a) for a in arts[:seeds]) if r]
     recs_b = [r for r in (timeline_record(b) for b in arts[seeds:]) if r]
     limit = min((r["samples"] for r in recs_a + recs_b), default=0)

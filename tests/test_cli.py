@@ -268,6 +268,31 @@ def test_cli_prefetch_supervised(tmp_path, monkeypatch, capsys):
     assert "attempt(s)" in out or "store" in out
 
 
+def test_cli_prefetch_permanent_failure_keeps_other_results(
+        tmp_path, monkeypatch, capsys):
+    from repro.analysis import service
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_BUDGET_MULT", "0.005")
+    # Inline attempts, so the patched execute_spec is the one that runs.
+    monkeypatch.setattr(service, "_PROC_AVAILABLE", False)
+    original = experiments.execute_spec
+
+    def poisoned(spec, **kwargs):
+        if (spec["workload"], spec["cpu"], spec["os_mode"]) \
+                == ("apache", "ss", "omit"):
+            raise ValueError("poisoned spec")
+        return original(spec, **kwargs)
+
+    monkeypatch.setattr(experiments, "execute_spec", poisoned)
+    assert cli.main(["prefetch"]) == 1
+    out = capsys.readouterr().out
+    assert "apache-ss-omit       FAILED [permanent]: ValueError: " \
+        "poisoned spec" in out
+    assert out.count(" instructions (") == 7
+    assert "7/8 canonical runs ready" in out
+
+
 def test_cli_cache_gc_collects_stranded_tmp(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     stranded = tmp_path / "dead.json.tmp.4242"
@@ -405,12 +430,12 @@ def test_cli_serve_refuses_unfinished_journal_without_resume(
     import json
 
     from repro.analysis.queue import JobQueue, queue_root
-    from repro.analysis.runner import _resolve_item
+    from repro.analysis.service import resolve_item
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
     # A dead incarnation left a pending job in the journal.
     JobQueue(queue_root(tmp_path / "store")).submit(
-        _resolve_item(_serve_specs()[0]))
+        resolve_item(_serve_specs()[0]))
     spec_file = tmp_path / "sweep.json"
     spec_file.write_text(json.dumps(_serve_specs()))
     with pytest.raises(SystemExit, match="--resume"):

@@ -1,12 +1,12 @@
 """Tests for live run telemetry (repro.obs.live): heartbeats, sinks, and
-pool-progress aggregation."""
+sweep-progress aggregation."""
 
 import io
 import json
 
 import pytest
 
-from repro.analysis import experiments, runner
+from repro.analysis import experiments, service
 from repro.analysis.snapshot import capture
 from repro.obs.live import (
     Heartbeat,
@@ -165,7 +165,7 @@ def test_tty_sink_overwrites_with_carriage_returns():
     assert text.endswith("\n")
 
 
-# -- pool aggregation -------------------------------------------------------
+# -- sweep aggregation ------------------------------------------------------
 
 def test_progress_aggregator_folds_worker_states(tmp_path):
     buf = io.StringIO()
@@ -220,13 +220,53 @@ def test_aggregator_staleness_can_be_disabled(tmp_path):
     assert "stalled" not in agg.render()
 
 
+def test_aggregator_finished_runs_count_but_never_stall(tmp_path):
+    import os
+
+    agg = ProgressAggregator(tmp_path, total_runs=2,
+                             total_instructions=2000, stale_after=30.0)
+    agg.finish("a", 1000)
+    StateFileSink(agg.path_for("b"))({"retired": 400, "ips": 50.0})
+    done = agg.path_for("a")
+    os.utime(done, (os.stat(done).st_atime, os.stat(done).st_mtime - 120))
+
+    combined = agg.aggregate()
+    assert combined["active"] == 1 and combined["stale"] == 0
+    assert combined["retired"] == 1400 and combined["pct"] == 70.0
+    assert "1/2 runs" in agg.render() and "stalled" not in agg.render()
+
+
+def _final_line(err: str) -> str:
+    return err.rstrip("\n").split("\r")[-1]
+
+
 def test_run_many_progress_serial_path(capsys):
-    result = runner.run_many([("specint", "smt", "full")], max_workers=1,
-                             progress=True)
+    result = service.run_many([("specint", "smt", "full")], max_workers=1,
+                              isolation="inline", progress=True)
     assert set(result) == {"specint-smt-full"}
-    # The aggregate line went to stderr and was finished with a newline.
+    target = result["specint-smt-full"].spec["instructions"]
+    # The aggregate line went to stderr and was finished with a newline;
+    # its last state shows the sweep's totals, all of them done.
     err = capsys.readouterr().err
-    assert "runs" in err and err.endswith("\n")
+    assert err.endswith("\n")
+    line = _final_line(err)
+    assert line.startswith("0/1 runs | 100.0% | ")
+    assert f"{target:,}/{target:,} instr" in line
+
+
+@pytest.mark.skipif(not service.processes_available(),
+                    reason="no worker processes here")
+def test_run_many_progress_keeps_finished_runs(capsys):
+    # Two runs share one worker slot: the first run's work must still
+    # count once the second one has started.
+    specs = [("specint", "smt", "app"), ("specint", "ss", "app")]
+    result = service.run_many(specs, max_workers=1, isolation="process",
+                              progress=True)
+    assert all(r.ok and r.attempts == 1 for r in result.values())
+    target = sum(r.spec["instructions"] for r in result.values())
+    line = _final_line(capsys.readouterr().err)
+    assert line.startswith("0/2 runs | 100.0% | ")
+    assert f"{target:,}/{target:,} instr" in line
 
 
 def test_aggregator_prune_removes_previous_incarnation_files(tmp_path):

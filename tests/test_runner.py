@@ -1,10 +1,10 @@
-"""Executor-layer tests: run_many/prefetch_all resolution order, store
-population, and parallel-vs-serial sweep equivalence."""
+"""One-shot sweeps through the run engine: run_many/prefetch_all
+resolution order, result labels, store population, and the inline
+fallback."""
 
 import pytest
 
-from repro.analysis import experiments, sweeps
-from repro.analysis import runner
+from repro.analysis import experiments, service
 from repro.analysis.store import RunStore
 
 
@@ -18,22 +18,39 @@ def _tiny_isolated(monkeypatch, tmp_path):
     experiments.clear_cache()
 
 
+def _artifacts(results):
+    assert all(r.ok for r in results.values()), results
+    return {label: r.artifact for label, r in results.items()}
+
+
 def test_canonical_specs_cover_the_paper():
-    assert len(runner.CANONICAL_SPECS) == 8
-    assert len(set(runner.CANONICAL_SPECS)) == 8
-    for wl, cpu, mode in runner.CANONICAL_SPECS:
+    assert len(service.CANONICAL_SPECS) == 8
+    assert len(set(service.CANONICAL_SPECS)) == 8
+    for wl, cpu, mode in service.CANONICAL_SPECS:
         assert wl in ("specint", "apache")
         assert cpu in ("smt", "ss")
         assert mode in ("full", "app", "omit")
 
 
 def test_default_workers_bounds():
-    assert 1 <= runner.default_workers() <= len(runner.CANONICAL_SPECS)
+    assert 1 <= service.default_workers() <= len(service.CANONICAL_SPECS)
+
+
+def test_labels_for_numbers_each_collision():
+    items = [("specint", "smt", "app")] * 3
+    resolved = [service.resolve_item(item) for item in items]
+    assert service.labels_for(items, resolved) == [
+        "specint-smt-app", "specint-smt-app#2", "specint-smt-app#3"]
+    seeded = [{"workload": "specint", "cpu": "smt", "os_mode": "app",
+               "seed": 5}] * 2
+    resolved = [service.resolve_item(item) for item in seeded]
+    assert service.labels_for(seeded, resolved) == [
+        "specint-smt-app-s5", "specint-smt-app-s5#2"]
 
 
 def test_run_many_serial_executes_and_stores():
     triples = [("specint", "smt", "full"), ("specint", "ss", "full")]
-    result = runner.run_many(triples, max_workers=1)
+    result = _artifacts(service.run_many(triples, max_workers=1))
     assert set(result) == {"specint-smt-full", "specint-ss-full"}
     store = RunStore()
     for artifact in result.values():
@@ -42,20 +59,22 @@ def test_run_many_serial_executes_and_stores():
 
 def test_run_many_uses_store_instead_of_rerunning(monkeypatch):
     triples = [("specint", "smt", "full")]
-    first = runner.run_many(triples, max_workers=1)
+    first = _artifacts(service.run_many(triples, max_workers=1))
     experiments.clear_cache()
 
-    def boom(spec):  # pragma: no cover - must never run
+    def boom(spec, **kwargs):  # pragma: no cover - must never run
         raise AssertionError("execute_spec called despite a warm store")
 
     monkeypatch.setattr(experiments, "execute_spec", boom)
-    again = runner.run_many(triples, max_workers=1)
-    assert again == first
+    again = service.run_many(triples, max_workers=1)
+    assert _artifacts(again) == first
+    (hit,) = again.values()
+    assert hit.from_store and hit.attempts == 0
 
 
 def test_run_many_force_reexecutes(monkeypatch):
     triples = [("specint", "smt", "full")]
-    runner.run_many(triples, max_workers=1)
+    service.run_many(triples, max_workers=1)
     calls = []
     original = experiments.execute_spec
 
@@ -64,86 +83,66 @@ def test_run_many_force_reexecutes(monkeypatch):
         return original(spec, **kwargs)
 
     monkeypatch.setattr(experiments, "execute_spec", spy)
-    runner.run_many(triples, max_workers=1, force=True)
+    (rerun,) = service.run_many(triples, max_workers=1, force=True,
+                                isolation="inline").values()
     assert calls == ["specint"]
+    assert rerun.ok and not rerun.from_store and rerun.attempts == 1
+
+
+def test_run_many_coalesces_identical_specs(monkeypatch):
+    calls = []
+    original = experiments.execute_spec
+
+    def spy(spec, **kwargs):
+        calls.append(spec["workload"])
+        return original(spec, **kwargs)
+
+    monkeypatch.setattr(experiments, "execute_spec", spy)
+    results = service.run_many([("specint", "smt", "app")] * 2,
+                               isolation="inline")
+    assert list(results) == ["specint-smt-app", "specint-smt-app#2"]
+    first, second = _artifacts(results).values()
+    assert first == second
+    assert calls == ["specint"]  # one job, two labels
 
 
 def test_prefetch_all_populates_all_eight():
-    artifacts = runner.prefetch_all(max_workers=2)
+    artifacts = _artifacts(service.prefetch_all(max_workers=2))
     assert len(artifacts) == 8
-    labels = {f"{wl}-{cpu}-{mode}" for wl, cpu, mode in runner.CANONICAL_SPECS}
+    labels = {f"{wl}-{cpu}-{mode}" for wl, cpu, mode in service.CANONICAL_SPECS}
     assert set(artifacts) == labels
     assert len(RunStore().entries()) == 8
-    # Parallel-produced artifacts resolve through get_run afterwards.
+    # Worker-produced artifacts resolve through get_run afterwards.
     a = experiments.get_run("apache", "smt", "omit")
     assert a == artifacts["apache-smt-omit"]
 
 
-def test_prefetch_timed_reports_elapsed():
-    artifacts, elapsed = runner.prefetch_timed(max_workers=1)
-    assert len(artifacts) == 8
-    assert elapsed >= 0.0
+def test_run_many_falls_back_to_inline_without_processes(monkeypatch):
+    monkeypatch.setattr(service, "_PROC_AVAILABLE", False)
+    calls = []
+    original = experiments.execute_spec
 
+    def spy(spec, **kwargs):
+        calls.append(spec["cpu"])
+        return original(spec, **kwargs)
 
-def test_parallel_sweep_matches_serial():
-    serial = sweeps.context_sweep("specint", contexts=(1, 2),
-                                  instructions=6_000)
-    parallel = sweeps.context_sweep("specint", contexts=(1, 2),
-                                    instructions=6_000, max_workers=2)
-    assert [p.value for p in parallel.points] == [1, 2]
-    for sp, pp in zip(serial.points, parallel.points):
-        assert sp.value == pp.value
-        assert sp.metrics == pp.metrics
-
-
-def test_run_sweep_points_preserves_order():
-    points = runner.run_sweep_points("quantum", "specint", (30_000, 10_000),
-                                     instructions=6_000, seed=11,
-                                     max_workers=2)
-    assert [v for v, _ in points] == [30_000, 10_000]
-    for _, metrics in points:
-        assert set(metrics) == set(sweeps.DEFAULT_METRICS)
-
-
-class _BrokenPool:
-    """Stands in for ProcessPoolExecutor on hosts where workers die at
-    startup: entering the context manager raises BrokenExecutor."""
-
-    def __init__(self, *args, **kwargs):
-        pass
-
-    def __enter__(self):
-        from concurrent.futures import BrokenExecutor
-
-        raise BrokenExecutor("all workers died")
-
-    def __exit__(self, *exc):  # pragma: no cover - never entered
-        return False
-
-
-def test_run_many_falls_back_to_serial_on_broken_pool(monkeypatch):
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", _BrokenPool)
+    # A spy in this process only sees inline attempts.
+    monkeypatch.setattr(experiments, "execute_spec", spy)
     triples = [("specint", "smt", "full"), ("specint", "ss", "full")]
-    result = runner.run_many(triples, max_workers=4)
+    result = _artifacts(service.run_many(triples, max_workers=4))
     assert set(result) == {"specint-smt-full", "specint-ss-full"}
+    assert calls == ["smt", "ss"]
     store = RunStore()
     for artifact in result.values():
         assert store.get(artifact.fingerprint) == artifact
-
-
-def test_prefetch_all_falls_back_to_serial_on_broken_pool(monkeypatch):
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", _BrokenPool)
-    artifacts = runner.prefetch_all(max_workers=4)
-    assert len(artifacts) == 8
-    assert len(RunStore().entries()) == 8
 
 
 def test_run_many_carries_tier_keys_through_dict_items():
     item = {"workload": "specint", "cpu": "smt", "os_mode": "full",
             "instructions": 12_000, "mode": "sampled", "warmup": 4_000,
             "sample": (4_000, 2_000)}
-    result = runner.run_many([item], max_workers=1, checkpoint=True)
-    (artifact,) = result.values()
+    result = service.run_many([item], max_workers=1, checkpoint=True)
+    (artifact,) = _artifacts(result).values()
     assert artifact.mode == "sampled"
     assert artifact.spec["mode"] == "sampled"
     assert artifact.spec["warmup"] == 4_000
@@ -154,8 +153,8 @@ def test_run_many_carries_tier_keys_through_dict_items():
     kinds = sorted(e.kind for e in store.entries())
     assert kinds == ["checkpoint", "run"]
     # A forced re-run restores it.
-    again = runner.run_many([item], max_workers=1, force=True,
-                            checkpoint=True)
-    (rerun,) = again.values()
+    again = service.run_many([item], max_workers=1, force=True,
+                             checkpoint=True)
+    (rerun,) = _artifacts(again).values()
     assert rerun.sampling["checkpoint"]["restored"] is True
     assert rerun.steady == artifact.steady

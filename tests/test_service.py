@@ -12,12 +12,11 @@ import pytest
 from repro import faults
 from repro.analysis import experiments
 from repro.analysis import queue as jobqueue
-from repro.analysis.runner import _resolve_item
 from repro.analysis.service import (CLOSED, HALF_OPEN, OPEN, CircuitBreaker,
                                     ReproService, ServiceError, _Leg,
+                                    processes_available, resolve_item,
                                     run_service)
 from repro.analysis.store import RunStore
-from repro.analysis.supervisor import processes_available
 
 
 @pytest.fixture(autouse=True)
@@ -180,7 +179,7 @@ def test_drain_stops_claims_and_preserves_backlog(tmp_path):
     service = ReproService(store, isolation="inline", backoff_base=0.01)
     service.on_complete = lambda job: service.request_drain()
     for seed in (1, 2, 3):
-        service.submit(_resolve_item(_spec(seed)))
+        service.submit(resolve_item(_spec(seed)))
     report = service.run()
     assert report.drained
     assert report.counts[jobqueue.DONE] == 1
@@ -229,7 +228,7 @@ def test_breaker_trip_fault_degrades_then_recovers(tmp_path):
 def test_half_open_deadline_expiry_reopens_breaker(tmp_path):
     store = RunStore(tmp_path / "store")
     service = ReproService(store, isolation="inline")
-    job, _ = service.queue.submit(_resolve_item(_spec()), deadline_s=0.0)
+    job, _ = service.queue.submit(resolve_item(_spec()), deadline_s=0.0)
     service.breaker.trip("storm")
     while not service.breaker.allow():
         pass
@@ -244,7 +243,7 @@ def test_half_open_deadline_expiry_reopens_breaker(tmp_path):
 def test_half_open_orphan_claim_reopens_breaker(tmp_path):
     store = RunStore(tmp_path / "store")
     service = ReproService(store, isolation="inline", breaker_cooldown=1)
-    service.queue.submit(_resolve_item(_spec()))
+    service.queue.submit(resolve_item(_spec()))
     service.breaker.trip("storm")
     faults.install(faults.FaultPlan(sites=(
         faults.FaultSite("queue.claim.orphan", times=1),)), env=False)
@@ -322,8 +321,10 @@ def test_lease_age_measured_on_wall_clock(tmp_path):
     # monotonic clock would make every age hugely negative and the
     # lease check permanently false.
     store = RunStore(tmp_path / "store")
-    service = ReproService(store, isolation="inline", lease_s=5.0)
-    job, _ = service.queue.submit(_resolve_item(_spec()))
+    service = ReproService(
+        store, jobqueue.JobQueue(jobqueue.queue_root(store.root), lease_s=5.0),
+        isolation="inline")
+    job, _ = service.queue.submit(resolve_item(_spec()))
     heartbeat = tmp_path / "worker-0.json"
     heartbeat.write_text("{}")
     leg = _Leg(job, 0, progress_path=str(heartbeat))
@@ -340,9 +341,10 @@ def test_lease_age_measured_on_wall_clock(tmp_path):
                     reason="process isolation unavailable")
 def test_stalled_heartbeat_revokes_lease_and_requeues(tmp_path):
     store = RunStore(tmp_path / "store")
-    service = ReproService(store, isolation="process", lease_s=5.0,
-                           backoff_base=0.01)
-    service.queue.submit(_resolve_item(_spec()))
+    service = ReproService(
+        store, jobqueue.JobQueue(jobqueue.queue_root(store.root), lease_s=5.0),
+        isolation="process", backoff_base=0.01)
+    service.queue.submit(resolve_item(_spec()))
     claimed = service.queue.claim("w0")
     heartbeat = tmp_path / "worker-0.json"
     heartbeat.write_text("{}")

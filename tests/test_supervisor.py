@@ -1,10 +1,12 @@
-"""Supervised run engine tests: retry/backoff arithmetic, error taxonomy,
-quarantine and partial results, timeouts, and the simulator watchdog."""
+"""Supervised execution in the run engine: retry/backoff arithmetic,
+error taxonomy, quarantine and partial results, timeouts, worker death,
+and the simulator watchdog."""
 
 import pytest
 
 from repro import faults
-from repro.analysis import experiments, supervisor as sup
+from repro.analysis import experiments
+from repro.analysis import service as sup
 from repro.analysis.store import RunStore
 from repro.core.simulator import NoProgressError
 from repro.obs.events import ENGINE, EventBus
@@ -55,11 +57,12 @@ def test_classify_error_taxonomy():
         == sup.PERMANENT
 
 
-def test_supervisor_rejects_bad_config():
-    with pytest.raises(ValueError):
-        sup.Supervisor(retries=-1)
-    with pytest.raises(ValueError):
-        sup.Supervisor(isolation="magic")
+def test_supervisor_rejects_bad_config(tmp_path):
+    store = RunStore(tmp_path / "s")
+    with pytest.raises(ValueError, match="retries"):
+        sup.ReproService(store, retries=-1)
+    with pytest.raises(ValueError, match="isolation"):
+        sup.ReproService(store, isolation="magic")
 
 
 # -- happy paths (inline isolation: fast, deterministic) -------------------
@@ -67,39 +70,36 @@ def test_supervisor_rejects_bad_config():
 
 def test_clean_run_inline(tmp_path):
     store = RunStore(tmp_path / "s")
-    results = sup.run_many_supervised([_item()], isolation="inline",
-                                      store=store)
-    r = _one(results)
+    r = _one(sup.run_many([_item()], isolation="inline", store=store))
     assert r.ok and r.attempts == 1 and not r.from_store
-    assert r.label == "specint-smt-app-s29"  # same keying as run_many
+    assert r.label == "specint-smt-app-s29"
     assert store.get(r.artifact.fingerprint) == r.artifact
-    assert r.transcript == ["attempt 1: ok"]
+    assert r.transcript == ["complete specint-smt-app-s29 attempt 1"]
 
 
 def test_second_sweep_served_from_store(tmp_path):
     store = RunStore(tmp_path / "s")
-    sup.run_many_supervised([_item()], isolation="inline", store=store)
+    sup.run_many([_item()], isolation="inline", store=store)
     experiments.clear_cache()
-    r = _one(sup.run_many_supervised([_item()], isolation="inline",
-                                     store=store))
+    r = _one(sup.run_many([_item()], isolation="inline", store=store))
     assert r.ok and r.from_store and r.attempts == 0
+    assert r.transcript == ["warm hit specint-smt-app-s29"]
 
 
 def test_retry_then_success_inline(tmp_path):
     registry = ProbeRegistry()
     faults.install(faults.FaultPlan(
         sites=(faults.FaultSite("worker.crash", attempt=1),)), env=False)
-    results = sup.run_many_supervised(
+    r = _one(sup.run_many(
         [_item()], isolation="inline", backoff_base=0.01,
-        store=RunStore(tmp_path / "s"), registry=registry)
-    r = _one(results)
+        store=RunStore(tmp_path / "s"), registry=registry))
     assert r.ok and r.attempts == 2
     assert "retrying in 0.01s" in r.transcript[0]
     snap = registry.snapshot()
-    assert snap["core.engine.retries"] == 1
-    assert snap["core.engine.attempts"] == 2
-    assert snap["core.engine.ok"] == 1
-    assert snap["core.engine.quarantined"] == 0
+    assert snap["core.service.requeued"] == 1
+    assert snap["core.service.claims"] == 2
+    assert snap["core.service.completed"] == 1
+    assert snap["core.service.quarantined"] == 0
 
 
 def test_permanent_error_fails_without_retry(tmp_path, monkeypatch):
@@ -107,8 +107,8 @@ def test_permanent_error_fails_without_retry(tmp_path, monkeypatch):
         raise ValueError("broken spec")
 
     monkeypatch.setattr(experiments, "execute_spec", boom)
-    r = _one(sup.run_many_supervised([_item()], isolation="inline",
-                                     store=RunStore(tmp_path / "s")))
+    r = _one(sup.run_many([_item()], isolation="inline",
+                          store=RunStore(tmp_path / "s")))
     assert not r.ok and r.quarantined
     assert r.attempts == 1
     assert r.error_kind == sup.PERMANENT
@@ -118,36 +118,23 @@ def test_permanent_error_fails_without_retry(tmp_path, monkeypatch):
 def test_transient_exhaustion_quarantines(tmp_path):
     faults.install(faults.FaultPlan(
         sites=(faults.FaultSite("worker.crash", times=0),)), env=False)
-    r = _one(sup.run_many_supervised(
+    r = _one(sup.run_many(
         [_item()], isolation="inline", retries=2, backoff_base=0.01,
         store=RunStore(tmp_path / "s")))
     assert not r.ok and r.quarantined
     assert r.attempts == 3  # 1 + retries
-    assert r.transcript[-1].endswith("quarantined")
-
-
-def test_keep_going_false_skips_rest_inline(tmp_path, monkeypatch):
-    original = experiments.execute_spec
-
-    def selective(spec, **kwargs):
-        if spec["cpu"] == "smt":
-            raise ValueError("poisoned")
-        return original(spec, **kwargs)
-
-    monkeypatch.setattr(experiments, "execute_spec", selective)
-    results = sup.run_many_supervised(
-        [_item("smt"), _item("ss")], isolation="inline", keep_going=False,
-        store=RunStore(tmp_path / "s"))
-    bad, skipped = results.values()
-    assert bad.quarantined and not bad.skipped
-    assert skipped.skipped and not skipped.ok
+    assert r.error_kind == sup.TRANSIENT
+    assert r.transcript[-1].startswith("quarantine specint-smt-app-s29 "
+                                       "attempt 3")
 
 
 def test_partial_results_with_keep_going(tmp_path):
+    # Quarantining the job, never the sweep, is the only policy: the
+    # healthy spec still finishes next to the failing one.
     faults.install(faults.FaultPlan(
         sites=(faults.FaultSite("worker.crash", times=0, match="-ss-"),)),
         env=False)
-    results = sup.run_many_supervised(
+    results = sup.run_many(
         [_item("smt"), _item("ss")], isolation="inline", retries=1,
         backoff_base=0.01, store=RunStore(tmp_path / "s"))
     ok = [r for r in results.values() if r.ok]
@@ -160,12 +147,42 @@ def test_engine_events_emitted(tmp_path):
     bus = EventBus()
     faults.install(faults.FaultPlan(
         sites=(faults.FaultSite("worker.crash", attempt=1),)), env=False)
-    sup.run_many_supervised([_item()], isolation="inline", backoff_base=0.01,
-                            store=RunStore(tmp_path / "s"), events=bus)
+    sup.run_many([_item()], isolation="inline", backoff_base=0.01,
+                 store=RunStore(tmp_path / "s"), events=bus)
     names = [e.name for e in bus.by_kind(ENGINE)]
-    assert names == ["run.start", "run.retry", "run.start", "run.ok"]
+    assert names == ["service.submit", "service.claim", "service.requeue",
+                     "service.claim", "service.complete"]
     steps = [e.ts for e in bus.by_kind(ENGINE)]
     assert steps == sorted(steps)
+
+
+def test_corrupt_store_file_is_quarantined_and_reported(tmp_path):
+    store = RunStore(tmp_path / "s")
+    sup.run_many([_item()], isolation="inline", store=store)
+    (stored,) = store.root.glob("*.json")
+    stored.write_text("{torn")
+    experiments.clear_cache()
+    bus = EventBus()
+    r = _one(sup.run_many([_item()], isolation="inline", store=store,
+                          events=bus))
+    assert r.ok and r.attempts == 1 and not r.from_store
+    assert r.transcript[0].startswith(f"store quarantined {stored.name}: ")
+    (event,) = [e for e in bus.by_kind(ENGINE)
+                if e.name == "store.quarantine"]
+    assert event.service == stored.name
+    assert (store.root / "quarantine" / stored.name).exists()
+
+
+def test_warm_sweep_does_not_probe_for_processes(tmp_path, monkeypatch):
+    store = RunStore(tmp_path / "s")
+    sup.run_many([_item()], isolation="inline", store=store)
+
+    def probe():
+        raise AssertionError("probed for worker processes")
+
+    monkeypatch.setattr(sup, "processes_available", probe)
+    r = _one(sup.run_many([_item()], store=store))
+    assert r.ok and r.from_store and r.attempts == 0
 
 
 # -- process isolation (timeouts, worker death) ----------------------------
@@ -177,8 +194,8 @@ needs_processes = pytest.mark.skipif(not sup.processes_available(),
 @needs_processes
 def test_clean_run_in_processes(tmp_path):
     store = RunStore(tmp_path / "s")
-    r = _one(sup.run_many_supervised([_item()], isolation="process",
-                                     store=store, max_workers=2))
+    r = _one(sup.run_many([_item()], isolation="process", store=store,
+                          max_workers=2))
     assert r.ok and r.attempts == 1
     assert store.get(r.artifact.fingerprint) == r.artifact
 
@@ -187,7 +204,7 @@ def test_clean_run_in_processes(tmp_path):
 def test_worker_hard_exit_is_retried(tmp_path):
     faults.install(faults.FaultPlan(
         sites=(faults.FaultSite("worker.exit", attempt=1),)))
-    r = _one(sup.run_many_supervised(
+    r = _one(sup.run_many(
         [_item()], isolation="process", backoff_base=0.01,
         store=RunStore(tmp_path / "s")))
     assert r.ok and r.attempts == 2
@@ -199,12 +216,12 @@ def test_hung_worker_times_out_and_recovers(tmp_path):
     registry = ProbeRegistry()
     faults.install(faults.FaultPlan(
         sites=(faults.FaultSite("sim.hang", attempt=1),)))
-    r = _one(sup.run_many_supervised(
+    r = _one(sup.run_many(
         [_item()], isolation="process", timeout=2.0, backoff_base=0.01,
         store=RunStore(tmp_path / "s"), registry=registry))
     assert r.ok and r.attempts == 2
     assert "timed out after 2s" in r.transcript[0]
-    assert registry.snapshot()["core.engine.timeouts"] == 1
+    assert registry.snapshot()["core.service.requeued"] == 1
 
 
 # -- simulator guardrails --------------------------------------------------
