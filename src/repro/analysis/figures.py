@@ -13,6 +13,20 @@ from repro.analysis.render import format_bars, format_timeline
 from repro.core.stats import CLASS_NAMES
 
 
+#: Tie-break rank for Figures 2 and 6: the KERNEL_CATEGORIES order, with
+#: any other category (``other``) after them.
+_CATEGORY_RANK = {cat: rank for rank, cat in enumerate(M.KERNEL_CATEGORIES)}
+
+
+def _by_share(share: dict[str, float], names: list[str]) -> list[str]:
+    """*names* by descending *share*.  Equal shares keep the
+    KERNEL_CATEGORIES order and then sort by name, so the row order never
+    depends on set iteration order (``PYTHONHASHSEED``)."""
+    last = len(_CATEGORY_RANK)
+    return sorted(names, key=lambda c: (-share.get(c, 0),
+                                        _CATEGORY_RANK.get(c, last), c))
+
+
 def fig1(specint_smt: RunArtifact) -> dict:
     """SPECInt execution-cycle breakdown over time (Figure 1)."""
     samples = specint_smt.timeline
@@ -39,9 +53,10 @@ def fig2(specint_smt: RunArtifact) -> dict:
     """Kernel-time breakdown for SPECInt, start-up vs steady (Figure 2)."""
     startup = M.kernel_category_shares(specint_smt.startup)
     steady = M.kernel_category_shares(specint_smt.steady)
+    names = sorted(set(startup) | set(steady))
+    both = {c: startup.get(c, 0) + steady.get(c, 0) for c in names}
     items = []
-    for cat in sorted(set(startup) | set(steady),
-                      key=lambda c: -(startup.get(c, 0) + steady.get(c, 0))):
+    for cat in _by_share(both, names):
         items.append((f"start-up  {cat}", startup.get(cat, 0.0) * 100))
         items.append((f"steady    {cat}", steady.get(cat, 0.0) * 100))
     text = format_bars(
@@ -119,8 +134,7 @@ def fig6(apache_smt: RunArtifact, specint_smt: RunArtifact) -> dict:
     spec_start = M.kernel_category_shares(specint_smt.startup)
     spec_steady = M.kernel_category_shares(specint_smt.steady)
     items = []
-    for cat in sorted(set(apache) | set(spec_start),
-                      key=lambda c: -apache.get(c, 0)):
+    for cat in _by_share(apache, sorted(set(apache) | set(spec_start))):
         items.append((f"Apache       {cat}", apache.get(cat, 0.0) * 100))
         items.append((f"SPEC startup {cat}", spec_start.get(cat, 0.0) * 100))
         items.append((f"SPEC steady  {cat}", spec_steady.get(cat, 0.0) * 100))

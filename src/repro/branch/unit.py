@@ -18,27 +18,44 @@ Training happens at branch resolution, on correct-path instructions only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.mcfarling import McFarlingPredictor
 from repro.branch.ras import ReturnAddressStack
 from repro.isa.instruction import Instruction
 from repro.isa.types import InstrType
-from repro.memory.classify import mode_kind
+from repro.memory.classify import MODE_KIND
+
+# Enum members bound once: predict/resolve run per fetched branch.
+_COND_BRANCH = InstrType.COND_BRANCH
+_UNCOND_BRANCH = InstrType.UNCOND_BRANCH
+_CALL = InstrType.CALL
+_RETURN = InstrType.RETURN
+_INDIRECT_JUMP = InstrType.INDIRECT_JUMP
+_BTB_TRAINED = frozenset({_UNCOND_BRANCH, _CALL, _INDIRECT_JUMP})
 
 
-@dataclass(frozen=True)
 class Prediction:
-    """Front-end prediction outcome for one control transfer."""
+    """Front-end prediction outcome for one control transfer (read-only)."""
 
-    taken: bool
-    next_pc: int
-    mispredicted: bool
-    #: True when this was a conditional direction prediction (the population
-    #: the paper's "branch misprediction rate" is computed over).
-    conditional: bool
-    direction_wrong: bool
+    __slots__ = ("taken", "next_pc", "mispredicted", "conditional",
+                 "direction_wrong")
+
+    def __init__(self, taken: bool, next_pc: int, mispredicted: bool,
+                 conditional: bool, direction_wrong: bool) -> None:
+        self.taken = taken
+        self.next_pc = next_pc
+        self.mispredicted = mispredicted
+        #: True when this was a conditional direction prediction (the
+        #: population the paper's "branch misprediction rate" is computed
+        #: over).
+        self.conditional = conditional
+        self.direction_wrong = direction_wrong
+
+    def __repr__(self) -> str:
+        return (f"Prediction(taken={self.taken}, next_pc={self.next_pc:#x}, "
+                f"mispredicted={self.mispredicted}, "
+                f"conditional={self.conditional}, "
+                f"direction_wrong={self.direction_wrong})")
 
 
 class BranchUnit:
@@ -64,11 +81,11 @@ class BranchUnit:
         """
         itype = instr.itype
         pc = instr.pc
-        kind = mode_kind(instr.mode)
+        kind = MODE_KIND[instr.mode]
         fallthrough = pc + 4
         actual_next = instr.target
 
-        if itype is InstrType.COND_BRANCH:
+        if itype is _COND_BRANCH:
             pred_taken = self.predictor.predict(pc, ctx)
             # The BTB is probed for every branch at fetch (it is what
             # identifies the instruction as a branch and supplies the taken
@@ -88,20 +105,20 @@ class BranchUnit:
                     self.cond_mispredicts[kind] += 1
             return Prediction(pred_taken, next_pc, next_pc != actual_next, True, direction_wrong)
 
-        if itype is InstrType.UNCOND_BRANCH or itype is InstrType.CALL:
+        if itype is _UNCOND_BRANCH or itype is _CALL:
             if count:
                 self.btb.lookup(pc, instr.thread_id, kind)
             # Direct targets resolve in decode; no squash either way.
-            if itype is InstrType.CALL:
+            if itype is _CALL:
                 self.ras[ctx].push(fallthrough)
             return Prediction(True, actual_next, False, False, False)
 
-        if itype is InstrType.RETURN:
+        if itype is _RETURN:
             predicted = self.ras[ctx].pop()
             next_pc = predicted if predicted is not None else fallthrough
             return Prediction(True, next_pc, next_pc != actual_next, False, False)
 
-        if itype is InstrType.INDIRECT_JUMP:
+        if itype is _INDIRECT_JUMP:
             if count:
                 target = self.btb.lookup(pc, instr.thread_id, kind)
             else:
@@ -120,12 +137,12 @@ class BranchUnit:
     def resolve(self, instr: Instruction, ctx: int) -> None:
         """Train the predictor and BTB with a resolved, correct-path branch."""
         itype = instr.itype
-        kind = mode_kind(instr.mode)
-        if itype is InstrType.COND_BRANCH:
+        kind = MODE_KIND[instr.mode]
+        if itype is _COND_BRANCH:
             self.predictor.update(instr.pc, instr.taken, ctx, instr.predicted_taken)
             if instr.taken:
                 self.btb.insert(instr.pc, instr.target, instr.thread_id, kind)
-        elif itype in (InstrType.UNCOND_BRANCH, InstrType.CALL, InstrType.INDIRECT_JUMP):
+        elif itype in _BTB_TRAINED:
             self.btb.insert(instr.pc, instr.target, instr.thread_id, kind)
         # Returns train nothing: the RAS was updated speculatively at fetch.
 

@@ -32,10 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.processor import _BRANCH_SET, _TRAINABLE
+from repro.core.processor import _BRANCH_SET, _LOAD, _STORE, _SYNC, _TRAINABLE
 from repro.isa.instruction import ST_RETIRED
-from repro.isa.types import InstrType
-from repro.memory.classify import mode_kind
+from repro.memory.classify import MODE_KIND
 
 #: Execution tiers selectable per run (the ``sampled`` tier is a *plan*
 #: alternating the other two, see :func:`build_plan`).
@@ -157,8 +156,8 @@ def _fast_once(sim, max_instructions: int, max_cycles: int | None,
     n = len(streams)
     stats = sim.stats
     retire_bulk = stats.retire_bulk
-    charge = stats.charge_cycle
-    charge_n = stats.charge_cycles
+    charge = stats.charge_cycles
+    switch = stats.switch
     tier = sim.tier
     unit = sim.processor.branch_unit
     predict = unit.predict
@@ -181,19 +180,13 @@ def _fast_once(sim, max_instructions: int, max_cycles: int | None,
     tl_tick = timeline.tick if timeline is not None else None
     tl_mask = timeline.mask if timeline is not None else (1 << 62) - 1
     attrib = sim.attrib
-    # Interval attribution, detailed-tier style: a stream's call path is
-    # re-derived only when its charged service changes (current_attrib
-    # walks frames; doing it per charge costs ~10% of the fast loop).
-    # None forces a first-charge derivation for every stream, which is
-    # also the alignment sweep after a detailed leg ran in between.
+    # Interval charging, detailed-tier style: a stream's service (and
+    # call path) is settled only when the service it reports changes
+    # (current_attrib walks frames; doing it per charge costs ~10% of
+    # the fast loop).  None forces a first switch for every stream,
+    # which is also the alignment sweep after a detailed leg ran in
+    # between.
     last_svc: list = [None] * n
-    # Reused per-cycle charge buffer: charge_cycle/charge_cycles only
-    # read it, and rebuilding a list every nominal cycle was the fast
-    # loop's largest allocation churn (lint H101/H103).
-    services: list = [""] * n
-    load_t = InstrType.LOAD
-    store_t = InstrType.STORE
-    sync_t = InstrType.SYNC
     skip = stride - 1
 
     now = sim._now
@@ -201,124 +194,102 @@ def _fast_once(sim, max_instructions: int, max_cycles: int | None,
     while stats.retired < max_instructions and now < limit_cycles:
         if now % tick_interval == 0:
             os_tick(now)
-        jump = min(debt) // per_ctx
-        if jump:
-            # Every context's next `jump` cycles are fully consumed by
+        step = min(debt) // per_ctx
+        if step:
+            # Every context's next `step` cycles are fully consumed by
             # width debt: nothing is pulled, so no architectural state
             # changes and the service attribution is constant.  Advance
             # them in one block, stopping at the next OS-tick (and
             # heartbeat) boundary so cadence is unchanged.
             room = tick_interval - now % tick_interval
-            if jump > room:
-                jump = room
-            if now + jump > limit_cycles:
-                jump = limit_cycles - now
+            if step > room:
+                step = room
+            if now + step > limit_cycles:
+                step = limit_cycles - now
             if beat is not None:
                 hb_room = hb_mask + 1 - (now & hb_mask)
-                if jump > hb_room:
-                    jump = hb_room
+                if step > hb_room:
+                    step = hb_room
             if tl_tick is not None:
                 tl_room = tl_mask + 1 - (now & tl_mask)
-                if jump > tl_room:
-                    jump = tl_room
-            if attrib is None:
-                for i in range(n):
-                    services[i] = streams[i].current_service
-                charge_n(services, jump)
-            else:
-                for i in range(n):
-                    s = streams[i]
-                    svc = s.current_service
-                    services[i] = svc
-                    if svc != last_svc[i]:
-                        # os_tick just above may have delivered interrupts
-                        # (new frames + spans): re-derive the path whenever
-                        # the observed service moved, so the settled
-                        # interval matches the cycles charged to it.
-                        last_svc[i] = svc
-                        attrib.switch(s.ctx, s.current_attrib[1])
-                charge_n(services, jump)
-            pay = jump * per_ctx
+                if step > tl_room:
+                    step = tl_room
+            pay = step * per_ctx
             for i in range(n):
                 debt[i] -= pay
-            tier.fast_cycles += jump
-            now += jump
-            if tl_tick is not None and now & tl_mask == 0:
-                tl_tick(now)
-            if beat is not None and now & hb_mask == 0:
-                beat(now, stats)
-            continue
-        delivered = 0
-        materialized = 0
-        budget = width  # weight units left this cycle
-        start = now % n
-        for k in range(n):
-            stream = streams[(start + k) % n]
-            ctx = stream.ctx
-            ctx_budget = per_ctx if per_ctx < budget else budget
-            d = debt[ctx]
-            if d:
-                # A previous pull's weight exceeded its cycle budget:
-                # the excess consumes this cycle's slots without a new
-                # pull, keeping the nominal clock at `width` retires
-                # per cycle whatever the stride.
-                pay = d if d < ctx_budget else ctx_budget
-                debt[ctx] = d - pay
-                ctx_budget -= pay
-                budget -= pay
-            while ctx_budget > 0:
-                instr, weight = stream.next_fast(now, skip)
-                if instr is None:
-                    break
-                itype = instr.itype
-                kind = mode_kind(instr.mode)
-                if itype in _BRANCH_SET:
-                    # Replays (seq != -1: instructions a detailed leg
-                    # flushed back) re-predict without counting, exactly
-                    # like squash recovery in the detailed core.
-                    prediction = predict(instr, ctx, count=instr.seq == -1)
-                    instr.predicted_taken = prediction.taken
-                    instr.predicted_target = prediction.next_pc
-                    if itype in _TRAINABLE:
-                        resolve(instr, ctx)
-                line = instr.pc >> line_shift
-                if line != last_line[ctx]:
-                    last_line[ctx] = line
-                    warm_inst(instr.pc, instr.thread_id, kind)
-                if itype is load_t:
-                    warm_data(instr.addr, instr.thread_id, kind, False)
-                elif itype is store_t or itype is sync_t:
-                    warm_data(instr.addr, instr.thread_id, kind, True)
-                instr.state = ST_RETIRED
-                retire_bulk(instr, weight)
-                delivered += weight
-                materialized += 1
-                if weight > ctx_budget:
-                    debt[ctx] = weight - ctx_budget
-                    budget -= ctx_budget
-                    ctx_budget = 0
-                else:
-                    ctx_budget -= weight
-                    budget -= weight
-            if budget <= 0:
-                break
-        if attrib is None:
-            for i in range(n):
-                services[i] = streams[i].current_service
-            charge(services)
         else:
-            for i in range(n):
-                s = streams[i]
-                svc = s.current_service
-                services[i] = svc
-                if svc != last_svc[i]:
-                    last_svc[i] = svc
-                    attrib.switch(s.ctx, s.current_attrib[1])
-            charge(services)
-        tier.fast_instructions += delivered
-        tier.fast_materialized += materialized
-        tier.fast_cycles += 1
-        now += 1
+            step = 1
+            delivered = 0
+            materialized = 0
+            budget = width  # weight units left this cycle
+            start = now % n
+            for k in range(n):
+                stream = streams[(start + k) % n]
+                ctx = stream.ctx
+                ctx_budget = per_ctx if per_ctx < budget else budget
+                d = debt[ctx]
+                if d:
+                    # A previous pull's weight exceeded its cycle budget:
+                    # the excess consumes this cycle's slots without a
+                    # new pull, keeping the nominal clock at `width`
+                    # retires per cycle whatever the stride.
+                    pay = d if d < ctx_budget else ctx_budget
+                    debt[ctx] = d - pay
+                    ctx_budget -= pay
+                    budget -= pay
+                while ctx_budget > 0:
+                    instr, weight = stream.next_fast(now, skip)
+                    if instr is None:
+                        break
+                    itype = instr.itype
+                    kind = MODE_KIND[instr.mode]
+                    if itype in _BRANCH_SET:
+                        # Replays (seq != -1: instructions a detailed leg
+                        # flushed back) re-predict without counting,
+                        # exactly like squash recovery in the detailed
+                        # core.
+                        prediction = predict(instr, ctx, count=instr.seq == -1)
+                        instr.predicted_taken = prediction.taken
+                        instr.predicted_target = prediction.next_pc
+                        if itype in _TRAINABLE:
+                            resolve(instr, ctx)
+                    line = instr.pc >> line_shift
+                    if line != last_line[ctx]:
+                        last_line[ctx] = line
+                        warm_inst(instr.pc, instr.thread_id, kind)
+                    if itype is _LOAD:
+                        warm_data(instr.addr, instr.thread_id, kind, False)
+                    elif itype is _STORE or itype is _SYNC:
+                        warm_data(instr.addr, instr.thread_id, kind, True)
+                    instr.state = ST_RETIRED
+                    retire_bulk(instr, weight)
+                    delivered += weight
+                    materialized += 1
+                    if weight > ctx_budget:
+                        debt[ctx] = weight - ctx_budget
+                        budget -= ctx_budget
+                        ctx_budget = 0
+                    else:
+                        ctx_budget -= weight
+                        budget -= weight
+                if budget <= 0:
+                    break
+            tier.fast_instructions += delivered
+            tier.fast_materialized += materialized
+        for i in range(n):
+            stream = streams[i]
+            svc = stream.current_service
+            if svc != last_svc[i]:
+                # os_tick above may have delivered interrupts (new
+                # frames + spans): settle whenever the observed service
+                # moved, so each interval matches the cycles charged.
+                last_svc[i] = svc
+                switch(stream.ctx, svc)
+                if attrib is not None:
+                    attrib.switch(stream.ctx, stream.current_attrib[1])
+        charge(step)
+        tier.fast_cycles += step
+        now += step
         if tl_tick is not None and now & tl_mask == 0:
             tl_tick(now)
         if beat is not None and now & hb_mask == 0:

@@ -36,8 +36,15 @@ from repro.isa.instruction import (
     ST_SQUASHED,
 )
 from repro.isa.types import InstrType
-from repro.memory.classify import mode_kind
+from repro.memory.classify import MODE_KIND
 from repro.memory.hierarchy import MemoryHierarchy
+
+# Enum members bound once: looking one up on its class costs several
+# times a module-global read, and the hot path does it per instruction.
+_LOAD = InstrType.LOAD
+_STORE = InstrType.STORE
+_SYNC = InstrType.SYNC
+_FP_ALU = InstrType.FP_ALU
 
 
 class _HWContext:
@@ -91,11 +98,11 @@ class Processor:
                                       config.btb_entries, config.btb_assoc,
                                       config.per_context_history)
         self.contexts = [_HWContext(i, s) for i, s in enumerate(streams)]
-        #: Per-context charged services, kept in sync with
-        #: ``_HWContext.current_service`` by ``_admit`` so the per-cycle
-        #: charge passes one reused list instead of rebuilding it
-        #: (charge_cycle only reads it).
-        self._services = [c.current_service for c in self.contexts]
+        #: Derived config values, computed once (both are properties).
+        self._decode_delay = config.decode_delay
+        self._inflight_limit = config.inflight_limit
+        #: Contexts eligible to fetch this cycle, refilled by _fetch.
+        self._eligible: list[_HWContext] = []
         #: Fetch-priority sort key, bound once (the policy never changes
         #: after construction; a per-cycle lambda showed up in H104).
         self._fetch_key = self._icount_key \
@@ -140,7 +147,7 @@ class Processor:
         self._retire(now)
         self._issue(now)
         self._fetch(now)
-        self.stats.charge_cycle(self._services)
+        self.stats.charge_cycle()
 
     # -- branch resolution / squash --------------------------------------------
 
@@ -163,13 +170,12 @@ class Processor:
             idx -= 1
         if idx < 0:
             return  # branch already retired (resolution raced retirement)
-        victims = rob[idx + 1:]
+        replay = rob[idx + 1:]
         del rob[idx + 1:]
-        replay = []
-        for v in victims:
+        for v in replay:
             if v.state == ST_QUEUED:
                 ctx.queued -= 1
-                if v.itype is InstrType.FP_ALU:
+                if v.itype is _FP_ALU:
                     self.fp_count -= 1
                 else:
                     self.int_count -= 1
@@ -181,7 +187,6 @@ class Processor:
             self.inflight -= 1
             if self.tracer is not None:
                 self.tracer.record(now, "Q", ctx.index, v)
-            replay.append(v)
         # Squash statistics count fetched-then-discarded instructions; a
         # buffered-but-never-admitted instruction is replayed but was never
         # fetched into the pipeline, so it does not count.
@@ -248,116 +253,152 @@ class Processor:
 
     def _retire(self, now: int) -> None:
         budget = self.config.retire_width
-        unit = self.branch_unit
-        stats = self.stats
+        resolve = self.branch_unit.resolve
+        retire = self.stats.retire
+        tracer = self.tracer
         for ctx in self.contexts:
             rob = ctx.rob
             done = 0
-            while done < len(rob) and budget > 0:
-                instr = rob[done]
-                if instr.state != ST_COMPLETED or instr.completion > now:
+            for instr in rob:
+                if budget == 0 or instr.state != ST_COMPLETED \
+                        or instr.completion > now:
                     break
                 instr.state = ST_RETIRED
-                stats.retire(instr)
-                if self.tracer is not None:
-                    self.tracer.record(now, "R", ctx.index, instr)
+                retire(instr)
+                if tracer is not None:
+                    tracer.record(now, "R", ctx.index, instr)
                 if instr.itype in _TRAINABLE:
-                    unit.resolve(instr, ctx.index)
+                    resolve(instr, ctx.index)
                 done += 1
                 budget -= 1
-                self.inflight -= 1
             if done:
                 del rob[:done]
+                self.inflight -= done
             if budget == 0:
                 break
 
     # -- issue ------------------------------------------------------------------
 
     def _issue(self, now: int) -> None:
+        """Issue ready instructions from the integer and FP queues.
+
+        Both queues are in fetch order (``_admit`` appends with
+        ``fetch_cycle = now`` and each scan keeps survivors in order), so
+        a scan stops at the first live entry still in decode -- every
+        later entry is younger -- or once every unit is used, and the
+        unscanned tail carries over unchanged.  Survivors are compacted
+        in place.  Stale entries (squashed, or replayed and re-admitted
+        under a new seq) are dropped when a scan passes them.
+        """
         cfg = self.config
+        int_units = cfg.int_units
+        ls_units = cfg.ls_units
+        ready_by = now - self._decode_delay  # fetched no later than this
         issued_int = issued_ls = issued_sync = issued_fp = 0
         hierarchy = self.hierarchy
-        resolves = self._resolves
+        contexts = self.contexts
 
-        remaining_int: list[tuple[int, Instruction]] = []
-        for entry in self.int_queue:
+        queue = self.int_queue
+        kept = 0
+        scanned = 0
+        for entry in queue:
             tag, instr = entry
             if instr.seq != tag or instr.state != ST_QUEUED:
+                scanned += 1
                 continue  # stale (squashed or replayed-and-readmitted)
-            if issued_int >= cfg.int_units or instr.fetch_cycle + cfg.decode_delay > now:
-                remaining_int.append(entry)
-                continue
+            if instr.fetch_cycle > ready_by:
+                break
+            scanned += 1
             producer = instr.producer
             if producer is not None and (
                 producer.state in (ST_QUEUED, ST_FETCHED, ST_SQUASHED)
                 or (producer.state == ST_COMPLETED and producer.completion > now)
             ):
-                remaining_int.append(entry)
+                queue[kept] = entry
+                kept += 1
                 continue
             itype = instr.itype
-            if itype is InstrType.LOAD:
-                if issued_ls >= cfg.ls_units:
-                    remaining_int.append(entry)
+            if itype is _LOAD:
+                if issued_ls >= ls_units:
+                    queue[kept] = entry
+                    kept += 1
                     continue
-                result = hierarchy.data_access(
-                    now, instr.addr, instr.thread_id, mode_kind(instr.mode), False)
-                instr.completion = now + instr.latency + result.latency
+                latency = hierarchy.data_access(
+                    now, instr.addr, instr.thread_id, MODE_KIND[instr.mode],
+                    False).latency
+                instr.completion = now + instr.latency + latency
                 issued_ls += 1
-            elif itype is InstrType.STORE:
-                if issued_ls >= cfg.ls_units:
-                    remaining_int.append(entry)
+            elif itype is _STORE:
+                if issued_ls >= ls_units:
+                    queue[kept] = entry
+                    kept += 1
                     continue
                 hierarchy.data_access(
-                    now, instr.addr, instr.thread_id, mode_kind(instr.mode), True)
+                    now, instr.addr, instr.thread_id, MODE_KIND[instr.mode],
+                    True)
                 instr.completion = hierarchy.store_complete(now)
                 issued_ls += 1
-            elif itype is InstrType.SYNC:
-                if issued_sync >= cfg.sync_units or issued_ls >= cfg.ls_units:
-                    remaining_int.append(entry)
+            elif itype is _SYNC:
+                if issued_sync >= cfg.sync_units or issued_ls >= ls_units:
+                    queue[kept] = entry
+                    kept += 1
                     continue
-                result = hierarchy.data_access(
-                    now, instr.addr, instr.thread_id, mode_kind(instr.mode), True)
-                instr.completion = now + instr.latency + result.latency
+                latency = hierarchy.data_access(
+                    now, instr.addr, instr.thread_id, MODE_KIND[instr.mode],
+                    True).latency
+                instr.completion = now + instr.latency + latency
                 issued_sync += 1
                 issued_ls += 1
             else:
                 instr.completion = now + instr.latency
             instr.state = ST_COMPLETED
-            issued_int += 1
-            self.contexts[instr.ctx].queued -= 1
+            contexts[instr.ctx].queued -= 1
             self.int_count -= 1
-            if instr.predicted_target != instr.target and instr.itype in _BRANCHES:
+            if instr.predicted_target != instr.target and itype in _BRANCHES:
                 self._event_id += 1
-                heapq.heappush(resolves, (instr.completion, self._event_id, instr))
-        self.int_queue = remaining_int
+                heapq.heappush(self._resolves,
+                               (instr.completion, self._event_id, instr))
+            issued_int += 1
+            if issued_int >= int_units:
+                break
+        if kept < scanned:
+            del queue[kept:scanned]
 
-        if self.fp_queue:
-            remaining_fp: list[tuple[int, Instruction]] = []
-            for entry in self.fp_queue:
+        queue = self.fp_queue
+        if queue:
+            fp_units = cfg.fp_units
+            kept = 0
+            scanned = 0
+            for entry in queue:
                 tag, instr = entry
                 if instr.seq != tag or instr.state != ST_QUEUED:
+                    scanned += 1
                     continue
-                if issued_fp >= cfg.fp_units or instr.fetch_cycle + cfg.decode_delay > now:
-                    remaining_fp.append(entry)
-                    continue
+                if instr.fetch_cycle > ready_by:
+                    break
+                scanned += 1
                 producer = instr.producer
                 if producer is not None and (
                     producer.state in (ST_QUEUED, ST_FETCHED, ST_SQUASHED)
                     or (producer.state == ST_COMPLETED and producer.completion > now)
                 ):
-                    remaining_fp.append(entry)
+                    queue[kept] = entry
+                    kept += 1
                     continue
                 instr.completion = now + instr.latency
                 instr.state = ST_COMPLETED
-                issued_fp += 1
-                self.contexts[instr.ctx].queued -= 1
+                contexts[instr.ctx].queued -= 1
                 self.fp_count -= 1
-            self.fp_queue = remaining_fp
+                issued_fp += 1
+                if issued_fp >= fp_units:
+                    break
+            if kept < scanned:
+                del queue[kept:scanned]
 
         total = issued_int + issued_fp
         if total == 0:
             self.stats.zero_issue_cycles += 1
-        elif total >= cfg.int_units:
+        elif total >= int_units:
             self.stats.max_issue_cycles += 1
 
     # -- fetch ------------------------------------------------------------------
@@ -365,10 +406,14 @@ class Processor:
     def _fetch(self, now: int) -> None:
         cfg = self.config
         stats = self.stats
-        eligible = [c for c in self.contexts if c.blocked_until <= now]
+        eligible = self._eligible
+        eligible.clear()
+        for c in self.contexts:
+            if c.blocked_until <= now:
+                eligible.append(c)
         stats.fetchable_context_sum += len(eligible)
-        if not eligible or self.inflight >= cfg.inflight_limit:
-            if self.inflight >= cfg.inflight_limit:
+        if not eligible or self.inflight >= self._inflight_limit:
+            if self.inflight >= self._inflight_limit:
                 stats.inflight_limit_stalls += 1
             stats.zero_fetch_cycles += 1
             return
@@ -414,11 +459,11 @@ class Processor:
         is raised when the in-flight limit is reached.
         """
         cfg = self.config
-        unit = self.branch_unit
         hierarchy = self.hierarchy
+        inflight_limit = self._inflight_limit
         fetched = 0
         while fetched < slots:
-            if self.inflight >= cfg.inflight_limit:
+            if self.inflight >= inflight_limit:
                 return fetched, True
             instr = ctx.fetch_buffer
             if instr is not None:
@@ -428,7 +473,7 @@ class Processor:
                 if instr is None:
                     break
             # Queue admission check before anything else.
-            if instr.itype is InstrType.FP_ALU:
+            if instr.itype is _FP_ALU:
                 if self.fp_count >= cfg.fp_queue:
                     ctx.fetch_buffer = instr
                     self.stats.queue_full_stalls += 1
@@ -440,11 +485,11 @@ class Processor:
             # Instruction cache access on line crossing.
             line = instr.pc >> self._line_shift
             if line != ctx.last_line:
-                result = hierarchy.inst_access(
-                    now, instr.pc, instr.thread_id, mode_kind(instr.mode))
+                latency = hierarchy.inst_access(
+                    now, instr.pc, instr.thread_id, MODE_KIND[instr.mode]).latency
                 ctx.last_line = line
-                if result.latency > 0:
-                    ctx.blocked_until = now + result.latency
+                if latency > 0:
+                    ctx.blocked_until = now + latency
                     ctx.fetch_buffer = instr
                     break
             self._admit(ctx, instr, now)
@@ -472,7 +517,7 @@ class Processor:
         rob = ctx.rob
         instr.producer = rob[-1] if (instr.dep and rob) else None
         rob.append(instr)
-        if instr.itype is InstrType.FP_ALU:
+        if instr.itype is _FP_ALU:
             self.fp_queue.append((instr.seq, instr))
             self.fp_count += 1
         else:
@@ -490,7 +535,7 @@ class Processor:
                 self.events.emit(now, "pipeline", instr.service, "B",
                                  ctx=ctx.index, service=instr.service)
             ctx.current_service = instr.service
-            self._services[ctx.index] = instr.service
+            self.stats.switch(ctx.index, instr.service)
             attrib = self.attrib
             if attrib is not None:
                 # Re-derive the call path only when the charged service

@@ -336,14 +336,16 @@ class Simulation:
         timeline = self.probe_timeline
         tl_tick = timeline.tick if timeline is not None else None
         tl_mask = timeline.mask if timeline is not None else (1 << 62) - 1
-        # Align attribution with the detailed tier's charging view: the
-        # pipeline charges ctx.current_service until the next _admit, so
-        # any fast-leg cycles still open are settled to the fast path and
-        # charging resumes on the context's stored (service, path) pair.
-        # Idempotent (one string compare per context) when already aligned.
+        # Align cycle charging with the detailed tier's view: the pipeline
+        # charges ctx.current_service until the next _admit, so any
+        # fast-leg intervals still open are settled to the fast tier's
+        # services and charging resumes on the context's stored (service,
+        # path) pair.  Idempotent (one string compare per context) when
+        # already aligned.
         attrib = self.attrib
-        if attrib is not None:
-            for c in self.processor.contexts:
+        for c in self.processor.contexts:
+            stats.switch(c.index, c.current_service)
+            if attrib is not None:
                 attrib.switch(c.index, c.current_path)
         if profiler is not None:
             tick_scope = profiler("os.tick")

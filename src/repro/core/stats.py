@@ -24,6 +24,12 @@ CLASS_IDLE = 3
 
 CLASS_NAMES = ("user", "kernel", "pal", "idle")
 
+# Enum members bound once: retire() tests them per instruction.
+_LOAD = InstrType.LOAD
+_STORE = InstrType.STORE
+_SYNC = InstrType.SYNC
+_COND_BRANCH = InstrType.COND_BRANCH
+
 _SERVICE_CLASS_CACHE: dict[str, int] = {}
 
 
@@ -64,9 +70,15 @@ class SimStats:
         self.cond_by_mode = [0, 0, 0]
         self.retired_by_service: dict[str, int] = {}
 
-        # Cycle attribution: context-cycles charged per service.
-        self.service_cycles: dict[str, int] = {}
-        self.class_cycles = [0, 0, 0, 0]
+        # Cycle attribution: context-cycles charged per service, settled
+        # per interval (see switch); read them through the
+        # service_cycles / class_cycles properties, which settle first.
+        self._service_cycles: dict[str, int] = {}
+        self._class_cycles = [0, 0, 0, 0]
+        #: Per context: the service being charged and the cycle its open
+        #: interval started.  Contexts start idle, like the core's.
+        self._open = ["idle"] * n_contexts
+        self._open_start = [0] * n_contexts
 
         # Fetch/issue utilization.
         self.zero_fetch_cycles = 0
@@ -81,52 +93,89 @@ class SimStats:
         self._window = [0, 0, 0, 0]
         self._next_sample = timeline_interval
 
+    # -- cycle attribution ------------------------------------------------------
+
+    @property
+    def service_cycles(self) -> dict[str, int]:
+        """Context-cycles charged per service, settled to :attr:`cycles`."""
+        self.settle()
+        return self._service_cycles
+
+    @property
+    def class_cycles(self) -> list[int]:
+        """Context-cycles per mode class, settled to :attr:`cycles`."""
+        self.settle()
+        return self._class_cycles
+
+    def switch(self, ctx: int, service: str) -> None:
+        """Settle the open interval of *ctx* and start charging *service*.
+
+        Every charge (:meth:`charge_cycle` / :meth:`charge_cycles`)
+        advances :attr:`cycles` and charges every context its open
+        service, so a context's interval in ``cycles`` units is exactly
+        the context-cycles owed to that service.  The charged service
+        is the one open at the end of a cycle: a switch made during a
+        cycle covers that cycle.  Idempotent when *service* is already
+        open.
+        """
+        cur = self._open[ctx]
+        if service == cur:
+            return
+        cycles = self.cycles
+        elapsed = cycles - self._open_start[ctx]
+        if elapsed:
+            self._charge(cur, elapsed)
+        self._open[ctx] = service
+        self._open_start[ctx] = cycles
+
+    def settle(self) -> None:
+        """Settle every context's open interval at the current cycle."""
+        cycles = self.cycles
+        start = self._open_start
+        for ctx, cur in enumerate(self._open):
+            elapsed = cycles - start[ctx]
+            if elapsed:
+                self._charge(cur, elapsed)
+                start[ctx] = cycles
+
+    def _charge(self, service: str, count: int) -> None:
+        sc = self._service_cycles
+        sc[service] = sc.get(service, 0) + count
+        cls = service_class(service)
+        self._class_cycles[cls] += count
+        self._window[cls] += count
+
     # -- per-cycle hooks ------------------------------------------------------
 
-    def charge_cycle(self, services: list[str]) -> None:
-        """Charge one cycle, attributed per context to *services*."""
+    def charge_cycle(self) -> None:
+        """Charge one cycle to every context's open service."""
         self.cycles += 1
-        sc = self.service_cycles
-        window = self._window
-        classes = self.class_cycles
-        for svc in services:
-            sc[svc] = sc.get(svc, 0) + 1
-            cls = service_class(svc)
-            classes[cls] += 1
-            window[cls] += 1
         if self.cycles >= self._next_sample:
-            total = sum(window) or 1
-            self.timeline.append(
-                (self.cycles, tuple(w / total for w in window))
-            )
-            self._window = [0, 0, 0, 0]
-            self._next_sample = self.cycles + self.timeline_interval
+            self._sample()
 
-    def charge_cycles(self, services: list[str], count: int) -> None:
-        """Charge *count* identical cycles attributed to *services*.
+    def charge_cycles(self, count: int) -> None:
+        """Charge *count* cycles to every context's open service.
 
-        The fast-forward tier's bulk path for width-debt cycles, where
-        no architectural state changes between cycles so the service
-        attribution is constant; equivalent to *count* calls of
+        The fast-forward tier charges each nominal cycle and each block
+        of width-debt cycles (where no architectural state changes)
+        through this; equivalent to *count* calls of
         :meth:`charge_cycle` up to timeline-sample alignment (the sample
         lands at the end of the block instead of mid-block).
         """
         self.cycles += count
-        sc = self.service_cycles
-        window = self._window
-        classes = self.class_cycles
-        for svc in services:
-            sc[svc] = sc.get(svc, 0) + count
-            cls = service_class(svc)
-            classes[cls] += count
-            window[cls] += count
         if self.cycles >= self._next_sample:
-            total = sum(window) or 1
-            self.timeline.append(
-                (self.cycles, tuple(w / total for w in window))
-            )
-            self._window = [0, 0, 0, 0]
-            self._next_sample = self.cycles + self.timeline_interval
+            self._sample()
+
+    def _sample(self) -> None:
+        """Append one mode-class share sample and open the next window."""
+        self.settle()
+        window = self._window
+        total = window[0] + window[1] + window[2] + window[3] or 1
+        self.timeline.append((self.cycles, (
+            window[0] / total, window[1] / total,
+            window[2] / total, window[3] / total)))
+        window[0] = window[1] = window[2] = window[3] = 0
+        self._next_sample = self.cycles + self.timeline_interval
 
     # -- retirement -------------------------------------------------------------
 
@@ -134,17 +183,19 @@ class SimStats:
         """Account one retired instruction."""
         self.retired += 1
         mode = instr.mode
-        self.retired_by_mode[mode] += 1
-        key = (mode, instr.itype)
-        self.itype_by_mode[key] = self.itype_by_mode.get(key, 0) + 1
-        svc = instr.service
-        self.retired_by_service[svc] = self.retired_by_service.get(svc, 0) + 1
         itype = instr.itype
-        if itype is InstrType.LOAD or itype is InstrType.STORE or itype is InstrType.SYNC:
+        self.retired_by_mode[mode] += 1
+        key = (mode, itype)
+        by_type = self.itype_by_mode
+        by_type[key] = by_type.get(key, 0) + 1
+        svc = instr.service
+        by_service = self.retired_by_service
+        by_service[svc] = by_service.get(svc, 0) + 1
+        if itype is _LOAD or itype is _STORE or itype is _SYNC:
             self.mem_by_mode[mode] += 1
             if instr.phys:
                 self.phys_mem_by_mode[mode] += 1
-        elif itype is InstrType.COND_BRANCH:
+        elif itype is _COND_BRANCH:
             self.cond_by_mode[mode] += 1
             if instr.taken:
                 self.cond_taken_by_mode[mode] += 1
@@ -167,11 +218,11 @@ class SimStats:
         svc = instr.service
         self.retired_by_service[svc] = self.retired_by_service.get(svc, 0) + count
         itype = instr.itype
-        if itype is InstrType.LOAD or itype is InstrType.STORE or itype is InstrType.SYNC:
+        if itype is _LOAD or itype is _STORE or itype is _SYNC:
             self.mem_by_mode[mode] += count
             if instr.phys:
                 self.phys_mem_by_mode[mode] += count
-        elif itype is InstrType.COND_BRANCH:
+        elif itype is _COND_BRANCH:
             self.cond_by_mode[mode] += count
             if instr.taken:
                 self.cond_taken_by_mode[mode] += count

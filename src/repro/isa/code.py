@@ -39,13 +39,19 @@ TERM_INDIRECT = 2
 TERM_CALL = 3
 TERM_RETURN = 4
 
-_TERM_ITYPE = {
-    TERM_COND: InstrType.COND_BRANCH,
-    TERM_UNCOND: InstrType.UNCOND_BRANCH,
-    TERM_INDIRECT: InstrType.INDIRECT_JUMP,
-    TERM_CALL: InstrType.CALL,
-    TERM_RETURN: InstrType.RETURN,
-}
+#: Terminator encoding -> instruction category (indexed by TERM_*).
+_TERM_ITYPE = (
+    InstrType.COND_BRANCH,
+    InstrType.UNCOND_BRANCH,
+    InstrType.INDIRECT_JUMP,
+    InstrType.CALL,
+    InstrType.RETURN,
+)
+
+# Enum members bound once: the walker tests them per instruction.
+_LOAD = InstrType.LOAD
+_STORE = InstrType.STORE
+_SYNC = InstrType.SYNC
 
 #: Bimodal conditional-branch bias extremes.  The mixture weight between them
 #: is solved from the mix's target taken rate.
@@ -343,26 +349,20 @@ class CodeWalker:
 
     def next_instruction(self) -> Instruction:
         """Emit the next dynamic instruction of this thread's walk."""
-        m = self.model
-        if self.slot < len(self._body):
-            itype, dep, phys = self._body[self.slot]
-            pc = m.block_pc[self.block] + self.slot * 4
-            self.slot += 1
+        slot = self.slot
+        body = self._body
+        if slot < len(body):
+            itype, dep, phys = body[slot]
+            pc = self.model.block_pc[self.block] + slot * 4
+            self.slot = slot + 1
             addr = None
-            if itype is InstrType.LOAD or itype is InstrType.STORE or itype is InstrType.SYNC:
-                addr, phys = self.data.next(itype is not InstrType.LOAD, phys)
-            return Instruction(
-                itype,
-                self.mode,
-                self.service,
-                pc,
-                addr=addr,
-                phys=phys,
-                dep=dep,
-                latency=BASE_LATENCY[itype],
-                thread_id=self.thread_id,
-                asn=self.asn,
-            )
+            if itype is _LOAD or itype is _STORE or itype is _SYNC:
+                addr, phys = self.data.next(itype is not _LOAD, phys)
+            # Positional arguments, in Instruction's parameter order
+            # (keywords cost more than twice as much per call).
+            return Instruction(itype, self.mode, self.service, pc, addr,
+                               phys, False, 0, dep, BASE_LATENCY[itype],
+                               self.thread_id, self.asn)
         return self._terminator()
 
     def _terminator(self) -> Instruction:
@@ -397,17 +397,10 @@ class CodeWalker:
                 taken = True
         itype = _TERM_ITYPE[term]
         instr = Instruction(
-            itype,
-            self.mode,
-            self.service,
-            pc,
-            taken=taken,
-            target=m.block_pc[nxt],
-            dep=self.rng.random() < self.model.config.mix.dep_prob.get(itype, 0.3),
-            latency=1,
-            thread_id=self.thread_id,
-            asn=self.asn,
-        )
+            itype, self.mode, self.service, pc, None, False, taken,
+            m.block_pc[nxt],
+            self.rng.random() < m.config.mix.dep_prob.get(itype, 0.3),
+            1, self.thread_id, self.asn)
         self.block = nxt
         self.slot = 0
         self._body = m.block_body[nxt]

@@ -18,7 +18,10 @@ through the cache hierarchy.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
+import math
 import random
 import zlib
 from dataclasses import dataclass
@@ -119,6 +122,19 @@ class Region:
         return tuple(addresses)
 
 
+def _cumulative_weights(regions: list[Region]) -> list[float]:
+    """Cumulative region weights, as ``random.choices`` builds them, with
+    its checks: a weighted draw needs a positive, finite total."""
+    cum = list(itertools.accumulate(r.weight for r in regions))
+    if len(cum) > 1:
+        total = cum[-1] + 0.0
+        if not total > 0.0:
+            raise ValueError("Total of weights must be greater than zero")
+        if not math.isfinite(total):
+            raise ValueError("Total of weights must be finite")
+    return cum
+
+
 class DataModel:
     """Per-thread effective-address generator over a set of regions."""
 
@@ -126,8 +142,8 @@ class DataModel:
         "rng",
         "_virt",
         "_phys",
-        "_virt_weights",
-        "_phys_weights",
+        "_virt_cum",
+        "_phys_cum",
         "_cursor",
         "_copy_src",
         "_copy_dst",
@@ -143,8 +159,8 @@ class DataModel:
         self.rng = rng
         self._virt = [r for r in regions if not r.phys]
         self._phys = [r for r in regions if r.phys]
-        self._virt_weights = [r.weight for r in self._virt]
-        self._phys_weights = [r.weight for r in self._phys]
+        self._virt_cum = _cumulative_weights(self._virt)
+        self._phys_cum = _cumulative_weights(self._phys)
         # Per-region sequential cursor, keyed by region identity.
         self._cursor: dict[str, int] = {r.name: r.base for r in regions}
         self._copy_src = 0
@@ -217,9 +233,9 @@ class DataModel:
             self._copy_src_left -= WORD
             return addr, self._copy_src_phys
         if (site_phys or not self._virt) and self._phys:
-            region = self._pick(self._phys, self._phys_weights)
+            region = self._pick(self._phys, self._phys_cum)
         else:
-            region = self._pick(self._virt, self._virt_weights)
+            region = self._pick(self._virt, self._virt_cum)
         return self._region_next(region), region.phys
 
     def next_address(self, is_store: bool, phys: bool) -> int:
@@ -227,10 +243,13 @@ class DataModel:
         addr, _ = self.next(is_store, phys)
         return addr
 
-    def _pick(self, regions: list[Region], weights: list[float]) -> Region:
-        if len(regions) == 1:
+    def _pick(self, regions: list[Region], cum: list[float]) -> Region:
+        """One weighted draw: ``rng.choices(regions, weights)[0]`` with the
+        cumulative weights built once (same single ``random()`` draw)."""
+        n = len(regions)
+        if n == 1:
             return regions[0]
-        return self.rng.choices(regions, weights)[0]
+        return regions[bisect.bisect(cum, self.rng.random() * cum[-1], 0, n - 1)]
 
     def _region_next(self, region: Region) -> int:
         rng = self.rng

@@ -17,7 +17,8 @@ D102          wall-clock read (``time.time``/``perf_counter``/
               modules (profiling, benchmarking, live telemetry, the
               run engine)
 D103          iteration over a ``set``/``frozenset`` value (string-hash
-              randomization makes the order vary per process)
+              randomization makes the order vary per process), including
+              a set passed to ``sorted``/``min``/``max`` with ``key=``
 D104          iteration over ``os.listdir``/``glob``/``iterdir``
               results without sorting (filesystem order is arbitrary)
 D105          ``id()`` used as a sort key (CPython addresses vary
@@ -278,6 +279,23 @@ class SetIterationRule(_IterationRule):
         return ("iterating a set/frozenset value: element order varies "
                 "with hash randomization; wrap in sorted(...)",
                 "set-iteration")
+
+    def visit_file(self, ctx: FileContext) -> None:
+        super().visit_file(ctx)
+        # sorted/min/max shield their argument only without ``key=``:
+        # elements the key ties keep (or pick by) input order, which for
+        # a set is the hash-randomized one.
+        for node in ast.walk(ctx.tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("sorted", "min", "max")
+                    and any(kw.arg == "key" for kw in node.keywords)
+                    and any(_is_set_expr(arg) for arg in node.args)):
+                self.findings.append(self.finding(
+                    ctx, node,
+                    f"{node.func.id}(<set>, key=...): elements with equal "
+                    "keys keep hash-randomized set order; sort the set "
+                    "first or break ties in the key",
+                    "keyed-set-sort"))
 
 
 class FsOrderRule(_IterationRule):

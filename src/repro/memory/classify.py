@@ -39,9 +39,15 @@ class ModeKind(enum.IntEnum):
     KERNEL = 1
 
 
+#: ``MODE_KIND[mode]``: the paper's user/kernel split of the three
+#: execution modes (PAL counts as kernel).  A tuple indexed by the
+#: ``Mode`` value, so hot paths read it without a call or an enum lookup.
+MODE_KIND = (ModeKind.USER, ModeKind.KERNEL, ModeKind.KERNEL)
+
+
 def mode_kind(mode: Mode) -> ModeKind:
     """Collapse the three execution modes into the paper's user/kernel split."""
-    return ModeKind.USER if mode is Mode.USER else ModeKind.KERNEL
+    return MODE_KIND[mode]
 
 
 def classify_conflict(

@@ -65,13 +65,28 @@ class MemoryConfig:
         )
 
 
-@dataclass(frozen=True)
 class AccessResult:
-    """Outcome of one hierarchy access."""
+    """Outcome of one hierarchy access.
 
-    latency: int
-    l1_hit: bool
-    l2_hit: bool
+    Read-only by contract: the hierarchy hands out one shared instance
+    for every L1 hit with the same latency instead of building one per
+    access, so callers must never mutate a result.
+    """
+
+    __slots__ = ("latency", "l1_hit", "l2_hit")
+
+    def __init__(self, latency: int, l1_hit: bool, l2_hit: bool) -> None:
+        self.latency = latency
+        self.l1_hit = l1_hit
+        self.l2_hit = l2_hit
+
+    def __repr__(self) -> str:
+        return (f"AccessResult(latency={self.latency}, "
+                f"l1_hit={self.l1_hit}, l2_hit={self.l2_hit})")
+
+
+#: The instruction side's L1 hit: the line is there, no fill latency.
+_INST_HIT = AccessResult(0, True, True)
 
 
 class MemoryHierarchy:
@@ -98,6 +113,8 @@ class MemoryHierarchy:
         self.store_buffer = StoreBuffer(cfg.store_buffer_entries)
         self.l1l2_bus = Bus("L1-L2", cfg.l1l2_bus_latency)
         self.mem_bus = Bus("MEM", cfg.mem_bus_latency)
+        #: The data side's L1 hit without port queueing.
+        self._data_hit = AccessResult(cfg.l1_hit_latency, True, True)
         # D-cache port gate: at most `dcache_ports` accesses per cycle.
         self._port_cycle = -1
         self._port_used = 0
@@ -145,11 +162,12 @@ class MemoryHierarchy:
         """Access the data side; returns total latency from *now*."""
         cfg = self.config
         if self.omit_kernel_refs and kind:  # ModeKind.KERNEL
-            return AccessResult(cfg.l1_hit_latency, True, True)
+            return self._data_hit
         start = self._port_start(now)
-        queue_delay = start - now
         if self.l1d.access(addr, tid, kind, write):
-            return AccessResult(queue_delay + cfg.l1_hit_latency, True, True)
+            if start == now:
+                return self._data_hit
+            return AccessResult(start - now + cfg.l1_hit_latency, True, True)
         if self.events is not None:
             self.events.emit(now, "cache", "l1d_miss", tid=tid)
         miss_start = self.l1d_mshr.acquire(start, cfg.l2_latency + cfg.l1l2_bus_latency)
@@ -175,9 +193,9 @@ class MemoryHierarchy:
         """Fetch the line containing *addr*; returns fill latency on miss."""
         cfg = self.config
         if self.omit_kernel_refs and kind:
-            return AccessResult(0, True, True)
+            return _INST_HIT
         if self.l1i.access(addr, tid, kind):
-            return AccessResult(0, True, True)
+            return _INST_HIT
         if self.events is not None:
             self.events.emit(now, "cache", "l1i_miss", tid=tid)
         miss_start = self.l1i_mshr.acquire(now, cfg.l2_latency + cfg.l1l2_bus_latency)

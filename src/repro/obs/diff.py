@@ -31,8 +31,8 @@ layers, so diffing two stored artifacts never re-simulates.
 
 from __future__ import annotations
 
+import math
 import re
-import statistics
 from dataclasses import dataclass, field
 
 from repro.obs.registry import snapshot_percentile
@@ -259,21 +259,37 @@ def seed_specs(spec: dict, seeds: int) -> list[dict]:
 def mean_and_band(
     windows: list[dict], per_kilo: bool = False,
 ) -> tuple[dict[str, float], dict[str, float]]:
-    """Per-probe mean and confidence half-width across repeated runs.
+    """Per-probe mean and confidence half-width across repeated runs
+    (see :func:`flat_mean_and_band`)."""
+    return flat_mean_and_band(
+        [_per_kilo(flatten_window(w)) if per_kilo else flatten_window(w)
+         for w in windows])
 
-    The band is a simple 2-standard-deviation half-width (sample stdev
-    across the seed repeats); a single window yields zero bands.
+
+def flat_mean_and_band(
+    flats: list[dict[str, float]],
+) -> tuple[dict[str, float], dict[str, float]]:
+    """Per-name mean and 2-sigma half-width across repeated flat maps.
+
+    A name missing from a map counts as 0.  The band is twice the sample
+    standard deviation; a single map yields zero bands.  Both sums are
+    ``math.fsum`` (the deviations in a second pass), which rounds
+    correctly on every Python version -- the built-in float ``sum``
+    became compensated in 3.12, so ``sum(values) / n`` stored different
+    last digits under different interpreters.
     """
-    flats = [_per_kilo(flatten_window(w)) if per_kilo else flatten_window(w)
-             for w in windows]
     names = sorted(set().union(*flats)) if flats else []
+    n = len(flats)
     mean: dict[str, float] = {}
     band: dict[str, float] = {}
     for name in names:
         values = [f.get(name, 0) for f in flats]
-        mean[name] = sum(values) / len(values)
-        band[name] = (2.0 * statistics.stdev(values)
-                      if len(values) > 1 else 0.0)
+        mu = math.fsum(values) / n
+        mean[name] = mu
+        band[name] = (
+            2.0 * math.sqrt(math.fsum((v - mu) ** 2 for v in values)
+                            / (n - 1))
+            if n > 1 else 0.0)
     return mean, band
 
 

@@ -17,9 +17,13 @@ points; both resolve runs through the normal memo/store layers.
 
 from __future__ import annotations
 
-import statistics
-
-from repro.obs.diff import DiffReport, compile_grep, diff_flat, seed_specs
+from repro.obs.diff import (
+    DiffReport,
+    compile_grep,
+    diff_flat,
+    flat_mean_and_band,
+    seed_specs,
+)
 
 
 def flame_paths(window: dict) -> dict[str, float]:
@@ -106,16 +110,8 @@ def attribution_mean_and_band(
 ) -> tuple[dict[str, float], dict[str, float]]:
     """Per-path mean and 2-sigma half-width across seed repeats (the
     flame analogue of :func:`repro.obs.diff.mean_and_band`)."""
-    flats = [_flat_attribution(w, per_kilo) for w in windows]
-    names = sorted(set().union(*flats)) if flats else []
-    mean: dict[str, float] = {}
-    band: dict[str, float] = {}
-    for name in names:
-        values = [f.get(name, 0) for f in flats]
-        mean[name] = sum(values) / len(values)
-        band[name] = (2.0 * statistics.stdev(values)
-                      if len(values) > 1 else 0.0)
-    return mean, band
+    return flat_mean_and_band(
+        [_flat_attribution(w, per_kilo) for w in windows])
 
 
 # -- diffing call-path trees --------------------------------------------------

@@ -49,10 +49,14 @@ fixed four-share series; this is a general probe time-series layer.
 
 from __future__ import annotations
 
-import statistics
-
 from repro.core.stats import CLASS_NAMES
-from repro.obs.diff import DiffReport, compile_grep, diff_flat, seed_specs
+from repro.obs.diff import (
+    DiffReport,
+    compile_grep,
+    diff_flat,
+    flat_mean_and_band,
+    seed_specs,
+)
 
 #: Default sampling interval in simulated cycles (power of two: the run
 #: loops test ``now & mask == 0``, the same pattern as the heartbeat).
@@ -393,16 +397,8 @@ def timeline_mean_and_band(
 ) -> tuple[dict[str, float], dict[str, float]]:
     """Per-entry mean and 2-sigma half-width across seed repeats (the
     timeline analogue of :func:`repro.obs.diff.mean_and_band`)."""
-    flats = [flatten_timeline(r, limit=limit) for r in records]
-    names = sorted(set().union(*flats)) if flats else []
-    mean: dict[str, float] = {}
-    band: dict[str, float] = {}
-    for name in names:
-        values = [f.get(name, 0) for f in flats]
-        mean[name] = sum(values) / len(values)
-        band[name] = (2.0 * statistics.stdev(values)
-                      if len(values) > 1 else 0.0)
-    return mean, band
+    return flat_mean_and_band(
+        [flatten_timeline(r, limit=limit) for r in records])
 
 
 def diff_timeline_artifacts(art_a, art_b,

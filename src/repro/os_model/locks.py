@@ -21,6 +21,9 @@ class LockTable:
         self._holder: dict[str, int | None] = {n: None for n in names}
         self.acquisitions: dict[str, int] = {n: 0 for n in names}
         self.contentions: dict[str, int] = {n: 0 for n in names}
+        #: Kernel wait-queue name per lock (threads that yield on a held
+        #: lock sleep there until its release).
+        self.wait_queue: dict[str, str] = {n: f"lock:{n}" for n in names}
 
     def acquire(self, name: str, tid: int) -> bool:
         """Try to take *name* for thread *tid*; False when held by another."""

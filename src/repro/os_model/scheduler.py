@@ -16,6 +16,18 @@ from repro.memory.tlb import KERNEL_ASN
 from repro.os_model.thread import SoftwareThread, ThreadState
 
 
+_READY = ThreadState.READY
+_RUNNING = ThreadState.RUNNING
+
+
+def _holds_lock(thread: SoftwareThread) -> bool:
+    """True while any of *thread*'s frames holds a kernel spin lock."""
+    for fr in thread.frames:
+        if fr.lock_held:
+            return True
+    return False
+
+
 class Scheduler:
     """Single-run-queue scheduler over N hardware contexts."""
 
@@ -122,21 +134,24 @@ class Scheduler:
     def should_resched(self, ctx: int, now: int) -> bool:
         """Cheap per-delivery check for whether *ctx* needs a new thread."""
         thread = self.current[ctx]
-        if thread is None or not thread.runnable:
+        if thread is None:
+            return True
+        state = thread.state
+        if state is not _RUNNING and state is not _READY:
             return True
         if thread is self.idle[ctx] and self.run_queue:
             return True
         if (
             self._high_ready > 0
             and thread.priority > 0
-            and not any(fr.lock_held for fr in thread.frames)
+            and not _holds_lock(thread)
         ):
             # A software-interrupt-level thread (netisr) preempts timeshare
             # work immediately, as on Digital Unix.
             return True
         if now >= self.quantum_end[ctx] and self.run_queue:
             # Preempt only outside spinlock-protected frames.
-            return not any(fr.lock_held for fr in thread.frames)
+            return not _holds_lock(thread)
         return False
 
     def pick_next(self, ctx: int) -> SoftwareThread:

@@ -22,10 +22,22 @@ from collections import deque
 from repro.isa.data import PAGE_SHIFT
 from repro.isa.instruction import Instruction
 from repro.isa.types import InstrType, Mode
-from repro.memory.classify import mode_kind
+from repro.memory.classify import MODE_KIND
 from repro.memory.tlb import KERNEL_ASN
 from repro.os_model.address_space import is_kernel_address
-from repro.os_model.thread import SoftwareThread
+from repro.os_model.thread import SoftwareThread, ThreadState
+
+# Enum members bound once (a class lookup costs several module-global
+# reads; the delivery path does them per instruction).
+_KERNEL = Mode.KERNEL
+_PAL = Mode.PAL
+_SYNC = InstrType.SYNC
+_COND_BRANCH = InstrType.COND_BRANCH
+_READY = ThreadState.READY
+_RUNNING = ThreadState.RUNNING
+
+#: What ``next`` returns for a thread whose behavior generator finished.
+_EXHAUSTED = object()
 
 
 class ContextStream:
@@ -35,6 +47,8 @@ class ContextStream:
         self.os = os
         self.ctx = ctx
         self.cpu = os.cpu_threads[ctx]
+        #: The scheduler's per-context current-thread list (never rebound).
+        self._current = os.scheduler.current
         #: Correct-path instructions squashed by the core, awaiting replay.
         self.replay: deque[Instruction] = deque()
         self._spin_toggle = False
@@ -61,7 +75,10 @@ class ContextStream:
                 if instr is not None:
                     return instr
         thread = sched.current[self.ctx]
-        if thread is None or not thread.runnable:
+        if thread is None:
+            return None
+        state = thread.state
+        if state is not _RUNNING and state is not _READY:
             return None
         return self._thread_next(thread, now)
 
@@ -99,13 +116,17 @@ class ContextStream:
                 if instr is not None:
                     return instr, 1
         thread = sched.current[self.ctx]
-        if thread is None or not thread.runnable:
+        if thread is None:
+            return None, 0
+        state = thread.state
+        if state is not _RUNNING and state is not _READY:
             return None, 0
         instr = self._thread_next(thread, now)
         if instr is None:
             return None, 0
-        if skip and instr.mode is not Mode.PAL and not thread.pending:
-            fr = thread.frames[-1] if thread.frames else None
+        if skip and instr.mode is not _PAL and not thread.pending:
+            frames = thread.frames
+            fr = frames[-1] if frames else None
             if fr is not None and fr.started and fr.budget > skip:
                 fr.budget -= skip
                 thread.instructions_generated += skip
@@ -120,14 +141,14 @@ class ContextStream:
     @property
     def current_service(self) -> str:
         """Attribution label for cycle accounting of stalls."""
-        if self.cpu.frames:
-            fr = self.cpu.frames[-1]
-            return fr.service
-        thread = self.os.scheduler.current[self.ctx]
+        frames = self.cpu.frames
+        if frames:
+            return frames[-1].service
+        thread = self._current[self.ctx]
         if thread is None:
             return "idle"
-        fr = thread.current_frame
-        return fr.service if fr is not None else "user"
+        frames = thread.frames
+        return frames[-1].service if frames else "user"
 
     @property
     def current_attrib(self) -> tuple[str, str]:
@@ -152,25 +173,26 @@ class ContextStream:
         os = self.os
         if thread.halt_until > now:
             return None
+        frames = thread.frames
+        pending = thread.pending
         for _ in range(300):
-            if thread.pending:
-                instr = thread.pending.popleft()
+            if pending:
+                instr = pending.popleft()
                 if self._intercept(thread, instr):
                     return instr
                 continue
-            fr = thread.current_frame
-            if fr is None:
+            if not frames:
                 if thread.behavior is None:
                     return None
-                try:
-                    directive = next(thread.behavior)
-                except StopIteration:
+                directive = next(thread.behavior, _EXHAUSTED)
+                if directive is _EXHAUSTED:
                     os.dispatch(thread, ("exit",), now)
                     return None
                 os.dispatch(thread, directive, now)
                 if not thread.runnable:
                     return None
                 continue
+            fr = frames[-1]
             if not fr.started:
                 if fr.lock is not None and not fr.lock_held:
                     if os.locks.acquire(fr.lock, thread.tid):
@@ -180,7 +202,7 @@ class ContextStream:
                         # burning issue slots; the release wakes us.  CPU
                         # pseudo-threads (scheduler/interrupt frames) are
                         # dispatch-level code and must always spin.
-                        os.sleep_on(f"lock:{fr.lock}", thread)
+                        os.sleep_on(os.locks.wait_queue[fr.lock], thread)
                         return None
                     else:
                         instr = self._spin_instruction(thread, fr.lock)
@@ -188,17 +210,24 @@ class ContextStream:
                             return instr
                         continue
                 fr.start()
-            instr = fr.next_instruction()
-            if instr is None:
-                thread.frames.pop()
+            # One instruction of the frame (Frame.next_instruction, inline).
+            if fr.budget <= 0:
+                frames.pop()
                 if fr.lock_held:
                     os.locks.release(fr.lock, thread.tid)
-                    os.wakeup_one(f"lock:{fr.lock}")
+                    os.wakeup_one(os.locks.wait_queue[fr.lock])
                 if fr.on_complete is not None:
                     fr.on_complete()
                 if not thread.runnable:
                     return None
                 continue
+            fr.budget -= 1
+            walker = fr.walker
+            walker.service = fr.service
+            if fr.transfer is None:
+                instr = walker.next_instruction()
+            else:
+                instr = fr.transfer_instruction()
             thread.instructions_generated += 1
             if self._intercept(thread, instr):
                 return instr
@@ -212,20 +241,21 @@ class ContextStream:
     def _intercept(self, thread: SoftwareThread, instr: Instruction) -> bool:
         """Probe the shared TLBs for *instr*; False when it was deferred
         behind a refill handler."""
-        if instr.mode is Mode.PAL:
+        mode = instr.mode
+        if mode is _PAL:
             return True  # PAL runs physically addressed: no TLB involved
         os = self.os
         page = instr.pc >> PAGE_SHIFT
         if page != thread.last_pc_page:
             thread.last_pc_page = page
             asn = KERNEL_ASN if is_kernel_address(instr.pc) else thread.process.asn
-            if not os.hierarchy.itlb.probe(page, asn, thread.tid, mode_kind(instr.mode)):
+            if not os.hierarchy.itlb.probe(page, asn, thread.tid, MODE_KIND[mode]):
                 if os.handle_itlb_miss(thread, instr, page, asn):
                     return False
         if instr.addr is not None and not instr.phys and not instr.tlb_done:
             vpn = instr.addr >> PAGE_SHIFT
             asn = os.asn_for(thread, instr.addr)
-            if not os.hierarchy.dtlb.probe(vpn, asn, thread.tid, mode_kind(instr.mode)):
+            if not os.hierarchy.dtlb.probe(vpn, asn, thread.tid, MODE_KIND[mode]):
                 if os.handle_dtlb_miss(thread, instr, vpn, asn):
                     return False
         return True
@@ -242,14 +272,12 @@ class ContextStream:
         lock_index = os.locks.DEFAULT_LOCKS.index(lock_name)
         pc = os.kernel_text.block_pc[seg.start] + lock_index * 16
         self._spin_toggle = not self._spin_toggle
+        # Positional arguments (see Instruction's parameter order): this
+        # is a per-instruction constructor call.
         if self._spin_toggle:
             return Instruction(
-                InstrType.SYNC, Mode.KERNEL, "spinlock", pc,
-                addr=os.lock_word_address(lock_name), dep=False, latency=2,
-                thread_id=thread.tid, asn=KERNEL_ASN,
-            )
+                _SYNC, _KERNEL, "spinlock", pc, os.lock_word_address(lock_name),
+                False, False, 0, False, 2, thread.tid, KERNEL_ASN)
         return Instruction(
-            InstrType.COND_BRANCH, Mode.KERNEL, "spinlock", pc + 4,
-            taken=True, target=pc, dep=True, latency=1,
-            thread_id=thread.tid, asn=KERNEL_ASN,
-        )
+            _COND_BRANCH, _KERNEL, "spinlock", pc + 4, None,
+            False, True, pc, True, 1, thread.tid, KERNEL_ASN)

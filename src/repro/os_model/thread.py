@@ -38,6 +38,10 @@ class ThreadState(enum.Enum):
     DONE = "done"
 
 
+_READY = ThreadState.READY
+_RUNNING = ThreadState.RUNNING
+
+
 class Frame:
     """A bounded slice of a code-model walk.
 
@@ -110,22 +114,30 @@ class Frame:
             self.on_start()
 
     def next_instruction(self) -> Instruction | None:
-        """Emit one instruction, or None when the budget is exhausted."""
+        """Emit one instruction, or None when the budget is exhausted.
+
+        The delivery loop (``ContextStream._thread_next``) inlines this.
+        """
         if self.budget <= 0:
             return None
         self.budget -= 1
         self.walker.service = self.service
         if self.transfer is not None:
-            itype = self.transfer
-            self.transfer = None
-            walker = self.walker
-            target = walker.model.block_pc[walker.block]
-            return Instruction(
-                itype, walker.mode, self.service, target - 4,
-                taken=True, target=target, latency=1,
-                thread_id=walker.thread_id, asn=walker.asn,
-            )
+            return self.transfer_instruction()
         return self.walker.next_instruction()
+
+    def transfer_instruction(self) -> Instruction:
+        """Consume :attr:`transfer`: the trap entry (or return) that lands
+        on the walker's current block."""
+        itype = self.transfer
+        self.transfer = None
+        walker = self.walker
+        target = walker.model.block_pc[walker.block]
+        return Instruction(
+            itype, walker.mode, self.service, target - 4,
+            taken=True, target=target, latency=1,
+            thread_id=walker.thread_id, asn=walker.asn,
+        )
 
 
 class SoftwareThread:
@@ -249,7 +261,8 @@ class SoftwareThread:
 
     @property
     def runnable(self) -> bool:
-        return self.state in (ThreadState.READY, ThreadState.RUNNING)
+        state = self.state
+        return state is _RUNNING or state is _READY
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Thread {self.tid} {self.name} {self.state.value} frames={len(self.frames)}>"

@@ -1,6 +1,11 @@
 """Tests for the analysis layer: snapshots, windows, metrics, and the
 table/figure builders, on one shared small run."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis import figures, metrics as M, tables
@@ -184,3 +189,42 @@ def test_get_run_memoizes(monkeypatch):
     assert a is b
     assert len(calls) == 1
     experiments.clear_cache()
+
+
+#: Renders Figures 2 and 6 from windows where most kernel categories tie
+#: (at 0%), plus a service outside every category ("other").
+_TIED_FIGURES = """
+from types import SimpleNamespace
+from repro.analysis import figures
+
+def window(cycles):
+    return {"service_cycles": cycles}
+
+spec = SimpleNamespace(startup=window({"user": 90, "tlb:refill": 10}),
+                       steady=window({"user": 98, "weird": 1, "netisr": 1}))
+apache = SimpleNamespace(steady=window(
+    {"user": 50, "syscall:read": 25, "intr:nic": 25}))
+print(figures.fig2(spec)["text"])
+print(figures.fig6(apache, spec)["text"])
+"""
+
+
+def test_fig2_fig6_tied_rows_ignore_hash_seed():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    outputs = set()
+    for seed in ("0", "1", "2", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _TIED_FIGURES], capture_output=True,
+            text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "PYTHONHASHSEED": seed})
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    # Figure 2 rows: by share, then ties in KERNEL_CATEGORIES order (the
+    # 1% netisr/other tie and the 0% rows), then by name ("other").
+    fig2_rows = [line[len("start-up  "):].rsplit("%", 1)[0].rsplit(None, 1)[0]
+                 for line in outputs.pop().splitlines()
+                 if line.startswith("start-up  ")]
+    zero = [cat for cat in M.KERNEL_CATEGORIES
+            if cat not in ("tlb handling", "netisr")]
+    assert fig2_rows == ["tlb handling", "netisr", "other"] + zero

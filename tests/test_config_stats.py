@@ -1,5 +1,7 @@
 """Tests for machine configuration and statistics accounting."""
 
+import random
+
 import pytest
 
 from repro.core.config import CPUConfig, MachineConfig
@@ -65,8 +67,11 @@ def test_service_class_mapping():
 
 def test_charge_cycle_accumulates_classes():
     stats = SimStats(2)
-    stats.charge_cycle(["user", "syscall:read"])
-    stats.charge_cycle(["user", "idle"])
+    stats.switch(0, "user")
+    stats.switch(1, "syscall:read")
+    stats.charge_cycle()
+    stats.switch(1, "idle")
+    stats.charge_cycle()
     assert stats.cycles == 2
     assert stats.class_cycles[CLASS_USER] == 2
     assert stats.class_cycles[CLASS_KERNEL] == 1
@@ -76,11 +81,53 @@ def test_charge_cycle_accumulates_classes():
 
 def test_timeline_sampling():
     stats = SimStats(1, timeline_interval=4)
+    stats.switch(0, "user")
     for _ in range(12):
-        stats.charge_cycle(["user"])
+        stats.charge_cycle()
     assert len(stats.timeline) == 3
     cycle, shares = stats.timeline[0]
     assert shares[CLASS_USER] == pytest.approx(1.0)
+
+
+def test_interval_charging_matches_per_cycle_reference():
+    """Settling per interval charges exactly what charging every context
+    on every cycle would, whenever the counters are read."""
+    rng = random.Random(5)
+    services = ("user", "idle", "syscall:read", "pal:dtlb", "netisr")
+    n, interval = 3, 7
+    stats = SimStats(n, timeline_interval=interval)
+    current = ["idle"] * n
+    ref_services: dict[str, int] = {}
+    ref_classes = [0, 0, 0, 0]
+    ref_timeline = []
+    window = [0, 0, 0, 0]
+    cycles, next_sample = 0, interval
+    for _ in range(400):
+        for ctx in range(n):
+            if rng.random() < 0.3:
+                current[ctx] = rng.choice(services)
+                stats.switch(ctx, current[ctx])
+        count = rng.choice((1, 1, 1, 5))
+        if count == 1:
+            stats.charge_cycle()
+        else:
+            stats.charge_cycles(count)
+        cycles += count
+        for svc in current:
+            ref_services[svc] = ref_services.get(svc, 0) + count
+            ref_classes[service_class(svc)] += count
+            window[service_class(svc)] += count
+        if cycles >= next_sample:
+            total = sum(window) or 1
+            ref_timeline.append((cycles, tuple(w / total for w in window)))
+            window = [0, 0, 0, 0]
+            next_sample = cycles + interval
+        if rng.random() < 0.1:  # reads settle mid-run
+            assert stats.service_cycles == ref_services
+    assert stats.service_cycles == ref_services
+    assert stats.class_cycles == ref_classes
+    assert stats.timeline == ref_timeline
+    assert sum(ref_services.values()) == n * stats.cycles
 
 
 def test_retire_accounting_by_mode_and_type():
@@ -102,8 +149,9 @@ def test_retire_accounting_by_mode_and_type():
 
 def test_ipc_and_squash_fraction():
     stats = SimStats(1)
-    stats.charge_cycle(["user"])
-    stats.charge_cycle(["user"])
+    stats.switch(0, "user")
+    stats.charge_cycle()
+    stats.charge_cycle()
     stats.retired = 5
     stats.fetched = 10
     stats.squashed = 2
@@ -113,9 +161,9 @@ def test_ipc_and_squash_fraction():
 
 def test_cycle_share_prefix_matching():
     stats = SimStats(1)
-    stats.charge_cycle(["syscall:read"])
-    stats.charge_cycle(["syscall:stat"])
-    stats.charge_cycle(["user"])
+    for service in ("syscall:read", "syscall:stat", "user"):
+        stats.switch(0, service)
+        stats.charge_cycle()
     assert stats.cycle_share("syscall:") == pytest.approx(2 / 3)
 
 

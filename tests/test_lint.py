@@ -41,6 +41,13 @@ def test_determinism_fixture_trips_every_d_rule():
     assert len(findings) == 5
 
 
+def test_d103_flags_keyed_sort_of_a_set():
+    _, findings = run_engine(FIXTURES / "keyed_sort")
+    assert rule_ids(findings) == {"D103"}
+    # both keyed sorts of a set in flagged.py; nothing in clean.py
+    assert sorted(f.path for f in findings) == ["flagged.py"] * 2
+
+
 def test_probe_fixture_trips_every_p_rule():
     _, findings = run_engine(FIXTURES / "probes")
     assert rule_ids(findings) == {"P101", "P102", "P103", "P104"}
