@@ -3,8 +3,8 @@
 A :class:`RunArtifact` is the plain-data record of one finished canonical
 run: the full configuration fingerprint of the simulation that produced it,
 the three counter windows (*startup*, *steady*, *total*) from
-:mod:`repro.analysis.snapshot`, the mode-class timeline, and the workload
-phase marks.  It carries everything the table/figure/metric builders
+:mod:`repro.analysis.snapshot`, the interval probe timeline, and the
+workload phase marks.  It carries everything the table/figure/metric builders
 consume and nothing else -- no live handles to the machine -- so it can be
 serialized to JSON, stored on disk (:mod:`repro.analysis.store`), produced
 in a worker process (:mod:`repro.analysis.service`), and compared for
@@ -41,13 +41,15 @@ from dataclasses import dataclass, field
 #: v7: artifacts carry a ``probe_timeline`` record (delta-encoded
 #: per-interval probe columns; see repro.obs.timeline) and the
 #: ``timeline_truncated`` flag when its sample cap was hit.
-SCHEMA_VERSION = 7
+#: v8: the mode-class ``timeline`` is gone; Figures 1/5 draw from the
+#: ``class.*`` columns of ``probe_timeline``.
+SCHEMA_VERSION = 8
 
 #: Coarse code-version tag folded into every fingerprint.  Bump when the
 #: *simulator's* behavior changes (new counters, different scheduling,
 #: recalibrated workloads) so stale artifacts are not mistaken for current
 #: measurements.
-CODE_VERSION = "2026.08"
+CODE_VERSION = "2026.10"
 
 
 class ArtifactError(ValueError):
@@ -81,9 +83,8 @@ class RunArtifact:
 
     ``spec`` is the full run specification (labels plus the simulator's
     config fingerprint params); ``startup``/``steady``/``total`` are the
-    counter windows; ``timeline`` is the mode-class time series behind
-    Figures 1/5; ``marks`` is a list of ``[thread, label, cycle]`` phase
-    marks.  ``flags`` marks degraded provenance (``"truncated"`` when a
+    counter windows; ``marks`` is a list of ``[thread, label, cycle]``
+    phase marks.  ``flags`` marks degraded provenance (``"truncated"`` when a
     max-cycle budget cut the run short of its instruction budget); a
     normal run's flags are empty.  ``mode`` is the execution tier the
     run used (see :mod:`repro.core.engine`) and ``sampling`` records a
@@ -91,19 +92,17 @@ class RunArtifact:
     provenance; plain detailed runs carry ``mode="full"`` and no
     sampling record.
 
-    Two distinct time series live on an artifact.  ``timeline`` (alias
-    :attr:`class_timeline`) is the coarse *mode-class* series behind
-    Figures 1/5 -- per-sample user/kernel/pal/idle context-cycle splits.
-    ``probe_timeline`` is the v7 *interval probe* record: delta-encoded
-    columns of headline probes captured every N simulated cycles by
-    :mod:`repro.obs.timeline` (``repro timeline`` renders it).  ``None``
-    when interval telemetry was disabled for the run.
+    ``probe_timeline`` is the run's one time series: delta-encoded
+    columns of headline probes and of the mode-class and per-service
+    cycle folds, captured every N simulated cycles by
+    :mod:`repro.obs.timeline`.  Figures 1/5 and ``repro timeline``
+    render it.  ``None`` when interval telemetry was disabled for the
+    run.
     """
 
     spec: dict
     n_contexts: int
     cycles: int
-    timeline: list
     marks: list
     startup: dict
     steady: dict
@@ -117,7 +116,6 @@ class RunArtifact:
 
     def __post_init__(self) -> None:
         self.spec = _plain(self.spec)
-        self.timeline = _plain(self.timeline)
         self.marks = _plain(self.marks)
         self.startup = _plain(self.startup)
         self.steady = _plain(self.steady)
@@ -147,15 +145,6 @@ class RunArtifact:
     # -- derived views -----------------------------------------------------
 
     @property
-    def class_timeline(self) -> list:
-        """The mode-class time series (Figures 1/5 data).
-
-        Explicit alias for :attr:`timeline`, named to disambiguate it from
-        the per-interval probe record in :attr:`probe_timeline`.
-        """
-        return self.timeline
-
-    @property
     def steady_boundary(self) -> int | None:
         """Cycle at which the last workload thread reached steady state."""
         cycles = [cycle for _, label, cycle in self.marks if label == "steady"]
@@ -176,7 +165,6 @@ class RunArtifact:
             "spec": self.spec,
             "n_contexts": self.n_contexts,
             "cycles": self.cycles,
-            "timeline": self.timeline,
             "marks": self.marks,
             "startup": self.startup,
             "steady": self.steady,
@@ -200,7 +188,6 @@ class RunArtifact:
                 spec=payload["spec"],
                 n_contexts=payload["n_contexts"],
                 cycles=payload["cycles"],
-                timeline=payload["timeline"],
                 marks=payload["marks"],
                 startup=payload["startup"],
                 steady=payload["steady"],

@@ -7,16 +7,15 @@ across runs:
 ::
 
     from repro.analysis.experiments import get_run
-    from repro.analysis.export import window_to_json, timeline_to_csv
+    from repro.analysis.export import probe_timeline_to_csv, window_to_json
 
     rec = get_run("apache", "smt", "full")
     window_to_json(rec.steady, "apache_steady.json")
-    timeline_to_csv(rec, "apache_timeline.csv")
+    probe_timeline_to_csv(rec, "apache_timeline.csv")
 
-Two timeline exporters exist because artifacts carry two time series:
-:func:`timeline_to_csv` writes the coarse mode-class share series behind
-Figures 1/5, while :func:`probe_timeline_to_csv` writes the v7 interval
-probe record captured by :mod:`repro.obs.timeline`.
+:func:`probe_timeline_to_csv` writes the run's interval probe record
+(:mod:`repro.obs.timeline`), whose ``class.*`` columns are the data
+behind Figures 1/5.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import pathlib
 
 from repro.analysis import metrics as M
 from repro.analysis.artifact import RunArtifact
-from repro.core.stats import CLASS_NAMES
 
 
 def summarize_window(window: dict, n_contexts: int = 8) -> dict:
@@ -85,22 +83,6 @@ def record_to_json(record: RunArtifact, path) -> pathlib.Path:
     }
     path = pathlib.Path(path)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def timeline_to_csv(record: RunArtifact, path) -> pathlib.Path:
-    """Write the run's *mode-class* timeline (Figures 1/5 data) as CSV.
-
-    This is the coarse user/kernel/pal/idle share series
-    (``RunArtifact.class_timeline``), not the per-interval probe record;
-    for the latter use :func:`probe_timeline_to_csv`.
-    """
-    path = pathlib.Path(path)
-    with path.open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["cycle"] + list(CLASS_NAMES))
-        for cycle, shares in record.timeline:
-            writer.writerow([cycle] + [f"{s:.6f}" for s in shares])
     return path
 
 

@@ -1,8 +1,10 @@
 """Builders for the paper's Figures 1-7 (text renderings + data).
 
 Each builder takes the plain-data :class:`~repro.analysis.artifact.RunArtifact`
-objects it needs -- timelines, phase marks, and counter windows all travel
-inside the artifact, so a stored run renders identically to a live one.
+objects it needs -- the probe timeline, phase marks, and counter windows
+all travel inside the artifact, so a stored run renders identically to a
+live one.  Rows that tie on share keep the service-key order a stored
+window has, whatever order a live window was filled in.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from repro.analysis import metrics as M
 from repro.analysis.artifact import RunArtifact
 from repro.analysis.render import format_bars, format_timeline
 from repro.core.stats import CLASS_NAMES
+from repro.obs.timeline import class_share_series
 
 
 #: Tie-break rank for Figures 2 and 6: the KERNEL_CATEGORIES order, with
@@ -29,7 +32,7 @@ def _by_share(share: dict[str, float], names: list[str]) -> list[str]:
 
 def fig1(specint_smt: RunArtifact) -> dict:
     """SPECInt execution-cycle breakdown over time (Figure 1)."""
-    samples = specint_smt.timeline
+    samples = class_share_series(specint_smt.probe_timeline)
     boundary = specint_smt.steady_boundary
     startup_kernel = M.os_cycle_share(specint_smt.startup)
     steady_kernel = M.os_cycle_share(specint_smt.steady)
@@ -74,7 +77,7 @@ def fig3(specint_smt: RunArtifact) -> dict:
     def counts(window):
         inc = window["vm_incursions"]
         total = sum(inc.values()) or 1
-        return {k: v / total for k, v in inc.items() if v}
+        return {k: v / total for k, v in sorted(inc.items()) if v}
 
     startup = counts(specint_smt.startup)
     steady = counts(specint_smt.steady)
@@ -112,7 +115,7 @@ def fig4(specint_smt: RunArtifact) -> dict:
 
 def fig5(apache_smt: RunArtifact) -> dict:
     """Apache kernel/user cycles over time (Figure 5)."""
-    samples = apache_smt.timeline
+    samples = class_share_series(apache_smt.probe_timeline)
     shares = M.class_shares(apache_smt.steady)
     kernel_share = shares["kernel"] + shares["pal"]
     text = format_timeline(

@@ -192,7 +192,7 @@ def syscall_cycle_shares(window: dict) -> dict[str, float]:
     left).  The kernel preamble is reported as its own entry."""
     shares = service_shares(window)
     out: dict[str, float] = {}
-    for service, share in shares.items():
+    for service, share in sorted(shares.items()):
         if not service.startswith("syscall:"):
             continue
         name = service.split(":", 1)[1]
@@ -209,7 +209,7 @@ def syscall_category_shares(window: dict) -> dict[str, float]:
     """Per-resource-category share of all context-cycles (Figure 7 right)."""
     shares = service_shares(window)
     out: dict[str, float] = {}
-    for service, share in shares.items():
+    for service, share in sorted(shares.items()):
         if not service.startswith("syscall:"):
             continue
         name = service.split(":", 1)[1]

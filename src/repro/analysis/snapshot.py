@@ -38,8 +38,9 @@ def capture(sim: Simulation) -> dict:
         "zero_issue_cycles": stats.zero_issue_cycles,
         "max_issue_cycles": stats.max_issue_cycles,
         "fetchable_context_sum": stats.fetchable_context_sum,
-        "class_cycles": list(stats.class_cycles),
-        "service_cycles": dict(stats.service_cycles),
+        # Folds of the call-path account below (sorted by service).
+        "class_cycles": stats.class_cycles,
+        "service_cycles": stats.service_cycles,
         "retired_by_mode": list(stats.retired_by_mode),
         "itype_by_mode": {
             f"{int(mode)}:{int(itype)}": v for (mode, itype), v in stats.itype_by_mode.items()

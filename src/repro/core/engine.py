@@ -122,30 +122,16 @@ def fast_forward(sim, max_instructions: int, max_cycles: int | None = None,
     stride-independent to first order.  Kernel and PAL instructions are
     never subsampled.  ``stride=1`` materializes everything.
 
-    Honors an attached heartbeat (same mask test as the detailed loop)
-    and watchdog (same chunked detection), so supervised fast-forward
-    phases stay observable and self-terminating.
+    Honors attached observers (the detailed loop's mask test) and the
+    watchdog (the detailed loop's chunk loop), so supervised
+    fast-forward phases stay observable and self-terminating.
     """
-    from repro.core.simulator import NoProgressError
-
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    if sim.watchdog_cycles is None:
-        return _fast_once(sim, max_instructions, max_cycles, stride)
-    limit_cycles = max_cycles if max_cycles is not None else (1 << 62)
-    interval = sim.watchdog_cycles
-    while True:
-        before = sim.stats.retired
-        chunk_limit = min(limit_cycles, sim._now + interval)
-        result = _fast_once(sim, max_instructions, chunk_limit, stride)
-        if sim.stats.retired >= max_instructions or sim._now >= limit_cycles:
-            return result
-        if sim.stats.retired == before:
-            raise NoProgressError(
-                f"no instruction retired for {interval:,} fast-forward "
-                f"cycles (cycle {sim._now:,}, retired {sim.stats.retired:,})",
-                cycle=sim._now, retired=sim.stats.retired,
-                snapshot=sim.obs.snapshot())
+    return sim._watched(
+        lambda instructions, cycles: _fast_once(sim, instructions, cycles,
+                                                stride),
+        max_instructions, max_cycles, "fast-forward cycles")
 
 
 def _fast_once(sim, max_instructions: int, max_cycles: int | None,
@@ -157,7 +143,7 @@ def _fast_once(sim, max_instructions: int, max_cycles: int | None,
     stats = sim.stats
     retire_bulk = stats.retire_bulk
     charge = stats.charge_cycles
-    switch = stats.switch
+    switch = sim.attrib.switch
     tier = sim.tier
     unit = sim.processor.branch_unit
     predict = unit.predict
@@ -170,22 +156,16 @@ def _fast_once(sim, max_instructions: int, max_cycles: int | None,
     per_ctx = max(1, width // n)
     last_line = sim._ff_last_line
     debt = sim._ff_debt
-    heartbeat = sim.heartbeat
-    beat = heartbeat.beat if heartbeat is not None else None
-    hb_mask = heartbeat.mask if heartbeat is not None else 0
-    # Interval telemetry: same mask test as the detailed loop, and jump
-    # blocks clip at sample boundaries (like the OS-tick and heartbeat
-    # clips), so samples land on exactly the same cycles in both tiers.
-    timeline = sim.probe_timeline
-    tl_tick = timeline.tick if timeline is not None else None
-    tl_mask = timeline.mask if timeline is not None else (1 << 62) - 1
-    attrib = sim.attrib
-    # Interval charging, detailed-tier style: a stream's service (and
-    # call path) is settled only when the service it reports changes
-    # (current_attrib walks frames; doing it per charge costs ~10% of
-    # the fast loop).  None forces a first switch for every stream,
-    # which is also the alignment sweep after a detailed leg ran in
-    # between.
+    # Observers: same mask test as the detailed loop, and jump blocks
+    # clip at its boundaries (like the OS-tick clip), so telemetry
+    # samples land on exactly the same cycles in both tiers.
+    observe = sim._observe
+    mask = sim._observer_mask()
+    # Interval charging, detailed-tier style: a stream's call path is
+    # settled only when the service it reports changes (current_attrib
+    # walks frames; doing it per charge costs ~10% of the fast loop).
+    # None forces a first switch for every stream, which is also the
+    # alignment sweep after a detailed leg ran in between.
     last_svc: list = [None] * n
     skip = stride - 1
 
@@ -200,20 +180,15 @@ def _fast_once(sim, max_instructions: int, max_cycles: int | None,
             # width debt: nothing is pulled, so no architectural state
             # changes and the service attribution is constant.  Advance
             # them in one block, stopping at the next OS-tick (and
-            # heartbeat) boundary so cadence is unchanged.
+            # observer) boundary so cadence is unchanged.
             room = tick_interval - now % tick_interval
             if step > room:
                 step = room
             if now + step > limit_cycles:
                 step = limit_cycles - now
-            if beat is not None:
-                hb_room = hb_mask + 1 - (now & hb_mask)
-                if step > hb_room:
-                    step = hb_room
-            if tl_tick is not None:
-                tl_room = tl_mask + 1 - (now & tl_mask)
-                if step > tl_room:
-                    step = tl_room
+            room = mask + 1 - (now & mask)
+            if step > room:
+                step = room
             pay = step * per_ctx
             for i in range(n):
                 debt[i] -= pay
@@ -284,16 +259,12 @@ def _fast_once(sim, max_instructions: int, max_cycles: int | None,
                 # frames + spans): settle whenever the observed service
                 # moved, so each interval matches the cycles charged.
                 last_svc[i] = svc
-                switch(stream.ctx, svc)
-                if attrib is not None:
-                    attrib.switch(stream.ctx, stream.current_attrib[1])
+                switch(stream.ctx, stream.current_attrib[1])
         charge(step)
         tier.fast_cycles += step
         now += step
-        if tl_tick is not None and now & tl_mask == 0:
-            tl_tick(now)
-        if beat is not None and now & hb_mask == 0:
-            beat(now, stats)
+        if now & mask == 0:
+            observe(now)
     sim._now = now
     return sim._result()
 

@@ -117,13 +117,10 @@ class Processor:
         self._seq = 0
         self._line_shift = hierarchy.config.line_size.bit_length() - 1
         self._rr_cursor = 0  # round-robin fetch rotation (ablation policy)
-        #: Optional TraceRecorder (see repro.core.trace); None = no tracing.
-        self.tracer = None
         #: Optional EventBus (see repro.obs.events); None = no events.
         self.events = None
-        #: Optional call-path Attribution (see repro.core.stats); wired by
-        #: Simulation.  None = flat service accounting only.
-        self.attrib = None
+        #: The cycle account (see repro.core.stats.Attribution).
+        self.attrib = stats.attrib
         if registry is not None:
             self.register_probes(registry)
 
@@ -185,8 +182,6 @@ class Processor:
             v.state = ST_SQUASHED
             v.completion = -1
             self.inflight -= 1
-            if self.tracer is not None:
-                self.tracer.record(now, "Q", ctx.index, v)
         # Squash statistics count fetched-then-discarded instructions; a
         # buffered-but-never-admitted instruction is replayed but was never
         # fetched into the pipeline, so it does not count.
@@ -199,8 +194,6 @@ class Processor:
             victim = ctx.fetch_buffer
             victim.state = ST_SQUASHED
             victim.completion = -1
-            if self.tracer is not None:
-                self.tracer.record(now, "Q", ctx.index, victim)
             replay.append(victim)
             ctx.fetch_buffer = None
         if replay:
@@ -255,7 +248,6 @@ class Processor:
         budget = self.config.retire_width
         resolve = self.branch_unit.resolve
         retire = self.stats.retire
-        tracer = self.tracer
         for ctx in self.contexts:
             rob = ctx.rob
             done = 0
@@ -265,8 +257,6 @@ class Processor:
                     break
                 instr.state = ST_RETIRED
                 retire(instr)
-                if tracer is not None:
-                    tracer.record(now, "R", ctx.index, instr)
                 if instr.itype in _TRAINABLE:
                     resolve(instr, ctx.index)
                 done += 1
@@ -535,17 +525,13 @@ class Processor:
                 self.events.emit(now, "pipeline", instr.service, "B",
                                  ctx=ctx.index, service=instr.service)
             ctx.current_service = instr.service
-            self.stats.switch(ctx.index, instr.service)
+            # Re-derive the call path only when the charged service
+            # changes; the cycles since the last change all belong to the
+            # previous path, which switch() settles.
             attrib = self.attrib
-            if attrib is not None:
-                # Re-derive the call path only when the charged service
-                # changes; the cycles since the last change all belong to
-                # the previous (service, path) pair, which switch() settles.
-                path = attrib.path_of(instr.thread_id, instr.service)
-                ctx.current_path = path
-                attrib.switch(ctx.index, path)
-        if self.tracer is not None:
-            self.tracer.record(now, "F", ctx.index, instr)
+            path = attrib.path_of(instr.thread_id, instr.service)
+            ctx.current_path = path
+            attrib.switch(ctx.index, path)
 
 
 _BRANCH_SET = frozenset(

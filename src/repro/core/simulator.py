@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from repro.core.config import MachineConfig
 from repro.core.engine import FF_STRIDE_DEFAULT, TierStats, fast_forward
 from repro.core.processor import Processor
-from repro.core.stats import Attribution, SimStats
+from repro.core.stats import SimStats
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.os_model.kernel import MiniDUX, OSMode
 
@@ -28,7 +28,6 @@ SIM_KNOB_DEFAULTS: dict[str, object] = {
     "timer_interval": 100_000,
     "tick_interval": 8,
     "omit_kernel_refs": False,
-    "timeline_interval": 8192,
     "tlb_flush_on_switch": False,
     "spin_policy": "spin",
 }
@@ -108,7 +107,6 @@ class Simulation:
         timer_interval: int = 100_000,
         tick_interval: int = 8,
         omit_kernel_refs: bool = False,
-        timeline_interval: int = 8192,
         tlb_flush_on_switch: bool = False,
         spin_policy: str = "spin",
     ) -> None:
@@ -125,7 +123,6 @@ class Simulation:
             timer_interval=timer_interval,
             tick_interval=tick_interval,
             omit_kernel_refs=omit_kernel_refs,
-            timeline_interval=timeline_interval,
             tlb_flush_on_switch=tlb_flush_on_switch,
             spin_policy=spin_policy,
         )
@@ -151,18 +148,16 @@ class Simulation:
             spin_policy=spin_policy,
             registry=self.obs,
         )
-        self.stats = SimStats(self.machine.cpu.n_contexts, timeline_interval)
+        # The stats own the call-path cycle account; with the kernel's
+        # thread table, paths carry each thread's open span chain.
+        self.stats = SimStats(self.machine.cpu.n_contexts,
+                              threads_by_tid=self.os.threads_by_tid)
+        self.attrib = self.stats.attrib
         self.processor = Processor(
             self.machine.cpu, self.os.streams, self.hierarchy, self.stats,
             rng, registry=self.obs)
         # Context switches invalidate the per-context return stacks.
         self.os.switch_listeners.append(self.processor.branch_unit.clear_context)
-        # Call-path cycle attribution (always on: it adds no RNG draws and
-        # no timing effects, so the simulated trajectory is unchanged; the
-        # cost is one dict probe per *service change*, not per cycle).
-        self.attrib = Attribution(self.stats, self.machine.cpu.n_contexts,
-                                  self.os.threads_by_tid)
-        self.processor.attrib = self.attrib
         # Event-ring truncation is part of the run's provenance: when this
         # probe is nonzero, trace/flame output covers a suffix of the run.
         self.obs.derive(
@@ -223,13 +218,13 @@ class Simulation:
     def attach_heartbeat(self, heartbeat) -> None:
         """Sample live progress every ``2^k`` cycles while running.
 
-        *heartbeat* is a :class:`~repro.obs.live.Heartbeat`; until one is
-        attached (the default) the run loop carries no per-cycle check at
-        all, and with one attached the cost is a single mask test per
-        cycle plus one sample every ``heartbeat.interval`` cycles.  The
-        heartbeat also gets a handle on the interval telemetry sampler,
-        so progress lines show the latest interval's simulated IPC and
-        kernel-cycle share alongside host rates.
+        *heartbeat* is a :class:`~repro.obs.live.Heartbeat`.  It shares
+        the run loops' one per-cycle mask test with the interval
+        telemetry sampler (see :meth:`_observer_mask`), so attaching one
+        adds only a sample every ``heartbeat.interval`` cycles.  The
+        heartbeat also gets a handle on that sampler, so progress lines
+        show the latest interval's simulated IPC and kernel-cycle share
+        alongside host rates.
         """
         heartbeat.timeline = self.probe_timeline
         self.heartbeat = heartbeat
@@ -262,8 +257,9 @@ class Simulation:
         differ.  Checkpoint state digests exclude those probes
         (:func:`repro.core.checkpoint.state_digests`), so a checkpoint
         saved under one telemetry config verify-restores under any
-        other.  ``enabled=False`` removes the sampler entirely,
-        restoring the pre-v7 artifact content.
+        other.  ``enabled=False`` removes the sampler entirely: the
+        artifact carries no ``probe_timeline``, so Figures 1 and 5,
+        which draw from it, render no rows.
         """
         if not enabled:
             self.probe_timeline = None
@@ -286,99 +282,89 @@ class Simulation:
         self,
         max_instructions: int = 300_000,
         max_cycles: int | None = None,
-        profiler=None,
     ) -> SimResult:
         """Run until *max_instructions* retire (or *max_cycles* elapse).
 
-        With *profiler* (a :class:`~repro.obs.profile.ScopeProfiler`),
-        each step is charged to ``os.tick`` / ``core.cycle`` scopes; the
-        unprofiled loop is untouched.  With a heartbeat attached
-        (:meth:`attach_heartbeat`), a mask test per cycle triggers one
-        progress sample every ``heartbeat.interval`` cycles.  With a
+        A mask test per cycle drives the attached observers, interval
+        telemetry and heartbeat (see :meth:`_observer_mask`).  With a
         watchdog attached (:meth:`attach_watchdog`), the run is chunked
         at watchdog granularity -- chunked runs retire exactly the same
         instruction stream -- and raises :class:`NoProgressError` when a
         full chunk retires nothing.
         """
+        return self._watched(self._run_once, max_instructions, max_cycles,
+                             "cycles")
+
+    def _watched(self, run_once, max_instructions: int,
+                 max_cycles: int | None, unit: str) -> SimResult:
+        """Drive ``run_once(max_instructions, max_cycles)`` under the
+        watchdog: both tiers' run loops go through this one chunk loop.
+        *unit* names the stalled cycles in the :class:`NoProgressError`
+        message."""
         if self.watchdog_cycles is None:
-            return self._run_once(max_instructions, max_cycles, profiler)
+            return run_once(max_instructions, max_cycles)
         limit_cycles = max_cycles if max_cycles is not None else (1 << 62)
         interval = self.watchdog_cycles
         while True:
             before = self.stats.retired
             chunk_limit = min(limit_cycles, self._now + interval)
-            result = self._run_once(max_instructions, chunk_limit, profiler)
+            result = run_once(max_instructions, chunk_limit)
             if self.stats.retired >= max_instructions or self._now >= limit_cycles:
                 return result
             if self.stats.retired == before:
                 raise NoProgressError(
-                    f"no instruction retired for {interval:,} cycles "
+                    f"no instruction retired for {interval:,} {unit} "
                     f"(cycle {self._now:,}, retired {self.stats.retired:,})",
                     cycle=self._now, retired=self.stats.retired,
                     snapshot=self.obs.snapshot())
 
-    def _run_once(
-        self,
-        max_instructions: int,
-        max_cycles: int | None,
-        profiler,
-    ) -> SimResult:
+    def _observer_mask(self) -> int:
+        """The mask of the run loops' one per-cycle test.
+
+        Both run loops call :meth:`_observe` when ``now & mask == 0``.
+        The interval telemetry sampler and the heartbeat both sample on
+        power-of-two intervals, so the finer of their masks marks every
+        boundary of either.  With neither attached, the mask has 62 bits
+        set, so the test never fires.
+        """
+        masks = [o.mask for o in (self.probe_timeline, self.heartbeat)
+                 if o is not None]
+        return min(masks, default=(1 << 62) - 1)
+
+    def _observe(self, now: int) -> None:
+        """Sample whichever attached observer is due at cycle *now*."""
+        timeline = self.probe_timeline
+        if timeline is not None and now & timeline.mask == 0:
+            timeline.tick(now)
+        heartbeat = self.heartbeat
+        if heartbeat is not None and now & heartbeat.mask == 0:
+            heartbeat.beat(now, self.stats)
+
+    def _run_once(self, max_instructions: int,
+                  max_cycles: int | None) -> SimResult:
         os_tick = self.os.tick
         cycle = self.processor.cycle
         stats = self.stats
         tick_interval = self.tick_interval
         now = self._now
         limit_cycles = max_cycles if max_cycles is not None else (1 << 62)
-        heartbeat = self.heartbeat
-        # Interval telemetry: one mask test per cycle, like the heartbeat.
-        # With the sampler detached the mask is a huge power of two the
-        # post-increment `now` can never divide, so the branch never takes.
-        timeline = self.probe_timeline
-        tl_tick = timeline.tick if timeline is not None else None
-        tl_mask = timeline.mask if timeline is not None else (1 << 62) - 1
+        observe = self._observe
+        mask = self._observer_mask()
         # Align cycle charging with the detailed tier's view: the pipeline
-        # charges ctx.current_service until the next _admit, so any
-        # fast-leg intervals still open are settled to the fast tier's
-        # services and charging resumes on the context's stored (service,
-        # path) pair.  Idempotent (one string compare per context) when
-        # already aligned.
-        attrib = self.attrib
+        # charges ctx.current_path until the next _admit, so any fast-leg
+        # intervals still open are settled and charging resumes on the
+        # context's stored path.  Idempotent (one string compare per
+        # context) when already aligned.
+        switch = self.attrib.switch
         for c in self.processor.contexts:
-            stats.switch(c.index, c.current_service)
-            if attrib is not None:
-                attrib.switch(c.index, c.current_path)
-        if profiler is not None:
-            tick_scope = profiler("os.tick")
-            cycle_scope = profiler("core.cycle")
-            while stats.retired < max_instructions and now < limit_cycles:
-                if now % tick_interval == 0:
-                    with tick_scope:
-                        os_tick(now)
-                with cycle_scope:
-                    cycle(now)
-                now += 1
-                if now & tl_mask == 0:
-                    tl_tick(now)
-        elif heartbeat is not None:
-            beat = heartbeat.beat
-            hb_mask = heartbeat.mask
-            while stats.retired < max_instructions and now < limit_cycles:
-                if now % tick_interval == 0:
-                    os_tick(now)
-                cycle(now)
-                now += 1
-                if now & tl_mask == 0:
-                    tl_tick(now)
-                if now & hb_mask == 0:
-                    beat(now, stats)
-        else:
-            while stats.retired < max_instructions and now < limit_cycles:
-                if now % tick_interval == 0:
-                    os_tick(now)
-                cycle(now)
-                now += 1
-                if now & tl_mask == 0:
-                    tl_tick(now)
+            switch(c.index, c.current_path)
+        while stats.retired < max_instructions and now < limit_cycles:
+            if now % tick_interval == 0:
+                os_tick(now)
+            cycle(now)
+            now += 1
+            if now & mask == 0:
+                observe(now)
         self._now = now
         return self._result()
 
@@ -443,7 +429,6 @@ class Simulation:
             spec=spec,
             n_contexts=self.machine.cpu.n_contexts,
             cycles=self.stats.cycles,
-            timeline=self.stats.timeline,
             marks=marks,
             startup=startup,
             steady=steady,

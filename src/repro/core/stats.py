@@ -4,12 +4,16 @@ Collects everything the paper's tables and figures need:
 
 * retired-instruction counts by mode, service, category, and addressing
   (Tables 2 and 5);
-* per-service *cycle* attribution: each cycle, each hardware context charges
-  its cycle share to the service it is working on, so slow (stall-heavy)
-  services weigh more than their instruction counts (Figures 1-7);
+* *cycle* attribution: each cycle, each hardware context charges its
+  cycle to the call path it is running (:class:`Attribution`), so slow
+  (stall-heavy) services weigh more than their instruction counts
+  (Figures 1-7); the per-service and per-mode-class totals are folds of
+  that one account;
 * fetch/issue utilization: 0-fetch, 0-issue and max-issue cycles, average
-  fetchable contexts, squash counts (Tables 4 and 6);
-* a timeline of mode-class shares for the time-series figures.
+  fetchable contexts, squash counts (Tables 4 and 6).
+
+The time-series figures (1 and 5) sample the mode-class fold every
+interval through :class:`repro.obs.timeline.ProbeTimeline`.
 """
 
 from __future__ import annotations
@@ -49,12 +53,33 @@ def service_class(service: str) -> int:
     return cls
 
 
-class SimStats:
-    """Mutable statistics accumulator for one simulation."""
+def leaf_totals(paths: dict[str, float]) -> dict[str, float]:
+    """Cycles grouped by each path's leaf frame (its charged service),
+    sorted by service name.
 
-    def __init__(self, n_contexts: int, timeline_interval: int = 8192) -> None:
+    Every path's leaf is the service charged over the same cycles, so
+    this fold of :attr:`Attribution.path_cycles` *is* the per-service
+    cycle account (:attr:`SimStats.service_cycles`).
+    """
+    out: dict[str, float] = {}
+    for path, cycles in paths.items():
+        leaf = path.rsplit(";", 1)[-1]
+        out[leaf] = out.get(leaf, 0) + cycles
+    return dict(sorted(out.items()))
+
+
+class SimStats:
+    """Mutable statistics accumulator for one simulation.
+
+    Cycle attribution lives in :attr:`attrib`, built here so that a
+    processor driven without a :class:`~repro.core.simulator.Simulation`
+    still charges every cycle.  *threads_by_tid* is the kernel's thread
+    table; without one, a call path is just its service.
+    """
+
+    def __init__(self, n_contexts: int,
+                 threads_by_tid: dict | None = None) -> None:
         self.n_contexts = n_contexts
-        self.timeline_interval = timeline_interval
 
         self.cycles = 0
         self.fetched = 0
@@ -70,15 +95,11 @@ class SimStats:
         self.cond_by_mode = [0, 0, 0]
         self.retired_by_service: dict[str, int] = {}
 
-        # Cycle attribution: context-cycles charged per service, settled
-        # per interval (see switch); read them through the
-        # service_cycles / class_cycles properties, which settle first.
-        self._service_cycles: dict[str, int] = {}
-        self._class_cycles = [0, 0, 0, 0]
-        #: Per context: the service being charged and the cycle its open
-        #: interval started.  Contexts start idle, like the core's.
-        self._open = ["idle"] * n_contexts
-        self._open_start = [0] * n_contexts
+        #: The one cycle account: context-cycles per call path.  The
+        #: kernel's table fills as threads spawn, so it is kept, not copied.
+        if threads_by_tid is None:
+            threads_by_tid = {}
+        self.attrib = Attribution(self, n_contexts, threads_by_tid)
 
         # Fetch/issue utilization.
         self.zero_fetch_cycles = 0
@@ -88,94 +109,38 @@ class SimStats:
         self.queue_full_stalls = 0
         self.inflight_limit_stalls = 0
 
-        # Timeline for Figures 1 and 5: (cycle, per-class share) samples.
-        self.timeline: list[tuple[int, tuple[float, float, float, float]]] = []
-        self._window = [0, 0, 0, 0]
-        self._next_sample = timeline_interval
-
     # -- cycle attribution ------------------------------------------------------
 
     @property
     def service_cycles(self) -> dict[str, int]:
-        """Context-cycles charged per service, settled to :attr:`cycles`."""
-        self.settle()
-        return self._service_cycles
+        """Context-cycles per service, settled to :attr:`cycles`: the
+        path account folded by leaf, sorted by service name."""
+        self.attrib.flush()
+        return leaf_totals(self.attrib.path_cycles)
 
     @property
     def class_cycles(self) -> list[int]:
         """Context-cycles per mode class, settled to :attr:`cycles`."""
-        self.settle()
-        return self._class_cycles
-
-    def switch(self, ctx: int, service: str) -> None:
-        """Settle the open interval of *ctx* and start charging *service*.
-
-        Every charge (:meth:`charge_cycle` / :meth:`charge_cycles`)
-        advances :attr:`cycles` and charges every context its open
-        service, so a context's interval in ``cycles`` units is exactly
-        the context-cycles owed to that service.  The charged service
-        is the one open at the end of a cycle: a switch made during a
-        cycle covers that cycle.  Idempotent when *service* is already
-        open.
-        """
-        cur = self._open[ctx]
-        if service == cur:
-            return
-        cycles = self.cycles
-        elapsed = cycles - self._open_start[ctx]
-        if elapsed:
-            self._charge(cur, elapsed)
-        self._open[ctx] = service
-        self._open_start[ctx] = cycles
-
-    def settle(self) -> None:
-        """Settle every context's open interval at the current cycle."""
-        cycles = self.cycles
-        start = self._open_start
-        for ctx, cur in enumerate(self._open):
-            elapsed = cycles - start[ctx]
-            if elapsed:
-                self._charge(cur, elapsed)
-                start[ctx] = cycles
-
-    def _charge(self, service: str, count: int) -> None:
-        sc = self._service_cycles
-        sc[service] = sc.get(service, 0) + count
-        cls = service_class(service)
-        self._class_cycles[cls] += count
-        self._window[cls] += count
+        out = [0, 0, 0, 0]
+        for service, cycles in self.service_cycles.items():
+            out[service_class(service)] += cycles
+        return out
 
     # -- per-cycle hooks ------------------------------------------------------
 
     def charge_cycle(self) -> None:
-        """Charge one cycle to every context's open service."""
+        """Charge one cycle to every context's open call path."""
         self.cycles += 1
-        if self.cycles >= self._next_sample:
-            self._sample()
 
     def charge_cycles(self, count: int) -> None:
-        """Charge *count* cycles to every context's open service.
+        """Charge *count* cycles to every context's open call path.
 
         The fast-forward tier charges each nominal cycle and each block
         of width-debt cycles (where no architectural state changes)
         through this; equivalent to *count* calls of
-        :meth:`charge_cycle` up to timeline-sample alignment (the sample
-        lands at the end of the block instead of mid-block).
+        :meth:`charge_cycle`.
         """
         self.cycles += count
-        if self.cycles >= self._next_sample:
-            self._sample()
-
-    def _sample(self) -> None:
-        """Append one mode-class share sample and open the next window."""
-        self.settle()
-        window = self._window
-        total = window[0] + window[1] + window[2] + window[3] or 1
-        self.timeline.append((self.cycles, (
-            window[0] / total, window[1] / total,
-            window[2] / total, window[3] / total)))
-        window[0] = window[1] = window[2] = window[3] = 0
-        self._next_sample = self.cycles + self.timeline_interval
 
     # -- retirement -------------------------------------------------------------
 
@@ -246,18 +211,20 @@ class SimStats:
 
     def cycle_share(self, service_prefix: str) -> float:
         """Fraction of context-cycles charged to services with a prefix."""
-        total = sum(self.service_cycles.values())
+        services = self.service_cycles
+        total = sum(services.values())
         if not total:
             return 0.0
         matched = sum(
-            v for k, v in self.service_cycles.items() if k.startswith(service_prefix)
+            v for k, v in services.items() if k.startswith(service_prefix)
         )
         return matched / total
 
     def class_share(self, cls: int) -> float:
         """Fraction of context-cycles in a mode class (user/kernel/pal/idle)."""
-        total = sum(self.class_cycles)
-        return self.class_cycles[cls] / total if total else 0.0
+        classes = self.class_cycles
+        total = sum(classes)
+        return classes[cls] / total if total else 0.0
 
     def mode_instruction_mix(self, mode: Mode) -> dict[InstrType, float]:
         """Retired-instruction category shares within one mode."""
@@ -272,10 +239,11 @@ class SimStats:
 
     def service_cycle_shares(self) -> dict[str, float]:
         """Every service's share of total context-cycles."""
-        total = sum(self.service_cycles.values())
+        services = self.service_cycles
+        total = sum(services.values())
         if not total:
             return {}
-        return {k: v / total for k, v in self.service_cycles.items()}
+        return {k: v / total for k, v in services.items()}
 
 
 class Attribution:
@@ -288,19 +256,21 @@ class Attribution:
     ``syscall:read;tlb:refill;pal:dtlb``.  Folding :attr:`path_cycles`
     yields a flamegraph of simulated time (:mod:`repro.obs.flame`).
 
-    Accounting is *interval-based*: a context's current path is only
-    re-derived when its charged service changes (detailed tier) or once
-    per nominal cycle (fast tier), and the cycles in between are charged
-    in one block using :attr:`SimStats.cycles` deltas.  That is exact
-    because every charge call (:meth:`SimStats.charge_cycle` /
+    This is the simulation's only cycle account.  The flat counters
+    are its folds: :attr:`SimStats.service_cycles` groups paths by leaf
+    (:func:`leaf_totals`) and :attr:`SimStats.class_cycles` groups those
+    by :func:`service_class`.  That is exact because a path's leaf is
+    always the service charged over the same cycles.
+
+    Accounting is *interval-based*: a context's path is re-derived only
+    when its charged service changes, at three sites -- the pipeline's
+    admit stage, the fast tier's per-cycle service scan, and the
+    alignment sweep that opens every detailed leg -- and the cycles in
+    between are charged in one block using :attr:`SimStats.cycles`
+    deltas.  Every charge call (:meth:`SimStats.charge_cycle` /
     :meth:`SimStats.charge_cycles`) advances ``cycles`` once and charges
     *every* context, so a per-context interval in ``cycles`` units is
     precisely the number of context-cycles charged to it.
-
-    Invariant (asserted by tests): for every path, the leaf component
-    equals the service charged over the same interval, so summing
-    ``path_cycles`` grouped by leaf reproduces ``service_cycles``
-    exactly.
     """
 
     def __init__(self, stats: SimStats, n_contexts: int,
@@ -322,8 +292,10 @@ class Attribution:
     def switch(self, ctx: int, path: str) -> None:
         """Settle the open interval of *ctx* and start charging *path*.
 
-        Idempotent when the path is unchanged, so alignment sweeps at
-        tier/leg boundaries cost one string compare per context.
+        The charged path is the one open at the end of a cycle: a switch
+        made during a cycle covers that cycle.  Idempotent when the path
+        is unchanged, so alignment sweeps at tier/leg boundaries cost one
+        string compare per context.
         """
         cur = self._cur[ctx]
         if path == cur:

@@ -1,10 +1,9 @@
 """Structured event bus (observability layer 2).
 
 One :class:`EventBus` per simulation collects *typed* events from every
-layer -- pipeline service occupancy, cache misses, TLB fills, syscall
-enter/exit, interrupts, scheduler dispatches -- into a single bounded
-ring buffer, generalizing the pipeline-only
-:class:`~repro.core.trace.TraceRecorder`.
+layer -- pipeline service occupancy and squashes, cache misses, TLB
+fills, syscall enter/exit, interrupts, scheduler dispatches -- into a
+single bounded ring buffer.  It is the simulator's one event path.
 
 Producers hold an ``Optional[EventBus]`` (default ``None``) and guard
 each emission with one ``is not None`` check, so a simulation that never

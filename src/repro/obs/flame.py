@@ -6,10 +6,11 @@ charged service as the leaf -- see
 :class:`repro.core.stats.Attribution`) to the context-cycles charged to
 it.  This module renders that table as folded-stack output (the
 ``stack;frames count`` format flamegraph.pl and speedscope import
-directly), verifies it against the flat per-service cycle counters, and
-diffs two runs' call-path trees through the same noise-band machinery as
-probe diffs -- so "the kernel got slower" decomposes into ranked paths
-like ``syscall:read;tlb:refill;pal:dtlb``.
+directly), folds it by leaf (:func:`~repro.core.stats.leaf_totals`, the
+same fold that yields the flat per-service cycle counters), and diffs
+two runs' call-path trees through the same noise-band machinery as probe
+diffs -- so "the kernel got slower" decomposes into ranked paths like
+``syscall:read;tlb:refill;pal:dtlb``.
 
 ``repro flame <run>`` and ``repro diff --flame`` are the CLI entry
 points; both resolve runs through the normal memo/store layers.
@@ -17,6 +18,7 @@ points; both resolve runs through the normal memo/store layers.
 
 from __future__ import annotations
 
+from repro.core.stats import leaf_totals  # noqa: F401  (re-exported fold)
 from repro.obs.diff import (
     DiffReport,
     compile_grep,
@@ -55,20 +57,6 @@ def fold(paths: dict[str, float], grep: str | None = None) -> str:
         if count > 0:
             lines.append(f"{path} {count}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def leaf_totals(paths: dict[str, float]) -> dict[str, float]:
-    """Cycles grouped by each path's leaf frame (its charged service).
-
-    Because every path's leaf equals the service charged over the same
-    cycles, this reproduces the flat ``service_cycles`` counters exactly
-    -- the reconciliation invariant the tests assert.
-    """
-    out: dict[str, float] = {}
-    for path, cycles in paths.items():
-        leaf = path.rsplit(";", 1)[-1]
-        out[leaf] = out.get(leaf, 0) + cycles
-    return dict(sorted(out.items()))
 
 
 def render_table(paths: dict[str, float], top: int = 30,

@@ -10,12 +10,12 @@ Scopes nest; each records call count, inclusive time, and self time
         ...
 
 :func:`profile_simulation` wires a profiler through one simulation: the
-run loop times ``os.tick`` and ``core.cycle`` (see
-:meth:`repro.core.simulator.Simulation.run`), and the hot component
+per-cycle steps (``os.tick``, ``core.cycle``) and the hot component
 entry points (hierarchy accesses, branch prediction, the four pipeline
 stages) are wrapped so the report attributes Python time per simulated
 component.  Profiling is strictly opt-in -- an unprofiled run executes
-the original unwrapped code paths.
+the original unwrapped code paths, and the run loop has no profiler
+branch.
 """
 
 from __future__ import annotations
@@ -123,6 +123,8 @@ class ScopeProfiler:
 
 #: (attribute path, scope name) pairs instrumented by profile_simulation.
 _COMPONENT_SCOPES = (
+    (("os", "tick"), "os.tick"),
+    (("processor", "cycle"), "core.cycle"),
     (("hierarchy", "data_access"), "mem.data_access"),
     (("hierarchy", "inst_access"), "mem.inst_access"),
     (("processor", "_resolve"), "core.resolve"),
@@ -136,10 +138,11 @@ def profile_simulation(sim, max_instructions: int,
                        profiler: ScopeProfiler | None = None) -> ScopeProfiler:
     """Run *sim* under a scope profiler; returns the filled profiler.
 
-    The run loop charges ``os.tick`` / ``core.cycle``; component entry
-    points are shadowed with timing wrappers on the *instances* (the
-    classes stay untouched) and restored afterwards.  Branch prediction
-    is profiled via the branch unit's ``predict``.
+    The per-cycle steps (``os.tick``, ``core.cycle``) and component
+    entry points are shadowed with timing wrappers on the *instances*
+    (the classes stay untouched; the run loop binds them when it
+    starts) and restored afterwards.  Branch prediction is profiled via
+    the branch unit's ``predict``.
     """
     prof = profiler or ScopeProfiler()
     shadowed: list[tuple[object, str]] = []
@@ -152,7 +155,7 @@ def profile_simulation(sim, max_instructions: int,
         unit.predict = prof.wrap(unit.predict, "branch.predict")
         shadowed.append((unit, "predict"))
         with prof("sim.run"):
-            sim.run(max_instructions=max_instructions, profiler=prof)
+            sim.run(max_instructions=max_instructions)
     finally:
         for owner, attr in shadowed:
             delattr(owner, attr)  # drop the instance shadow

@@ -1,8 +1,8 @@
 """Interval telemetry: per-interval probe time series over simulated time.
 
 The paper's headline numbers are whole-window *averages* (Table 4's
-zero-fetch shares, the kernel/user breakdowns behind Figures 1/5); this
-module records how those quantities *evolve*: a :class:`ProbeTimeline`
+zero-fetch shares, the kernel/user breakdowns); this module records how
+those quantities *evolve*: a :class:`ProbeTimeline`
 attached to a :class:`~repro.core.simulator.Simulation` snapshots a
 configurable probe subset every ``2^k`` simulated cycles -- in both
 execution tiers, with samples landing on exactly the same cycle
@@ -20,11 +20,14 @@ Column ``columns[name][i]`` is the probe's *delta* over sample interval
 ``i``, which covers cycles ``(i*interval, (i+1)*interval]``.  Besides
 the configured registry probes, every record carries the four mode-class
 context-cycle columns (``class.user`` / ``class.kernel`` / ``class.pal``
-/ ``class.idle``) and one ``svc.<leaf>`` column per charged service (the
-per-leaf attribution totals; columns appearing mid-run are back-filled
-with zeros so all columns stay equal-length).
+/ ``class.idle``) and one ``svc.<leaf>`` column per charged service
+(both folds of the call-path cycle account,
+:class:`repro.core.stats.Attribution`; columns appearing mid-run are
+back-filled with zeros so all columns stay equal-length).
 
-On top of the record this module derives headline series at read time
+This is the run's only time series.  On top of the record this module
+derives, at read time, the mode-class share rows behind Figures 1 and 5
+(:func:`class_share_series`), headline series
 (:func:`derived_series`: interval IPC, kernel-cycle share, zero-fetch /
 zero-issue shares, ``mem.*`` miss rates, fast-tier share), detects phase
 changes (:func:`detect_phases`: windowed mean shift on IPC and kernel
@@ -41,10 +44,6 @@ heartbeat and watchdog -- is configured *post-construction*
 (:meth:`~repro.core.simulator.Simulation.configure_timeline`), so it
 never enters the configuration fingerprint: two runs differing only in
 telemetry options share a store key.
-
-Not to be confused with the mode-class ``RunArtifact.timeline`` behind
-Figures 1/5 (:attr:`repro.core.stats.SimStats.timeline`): that is a
-fixed four-share series; this is a general probe time-series layer.
 """
 
 from __future__ import annotations
@@ -214,6 +213,33 @@ def _column(record: dict, name: str) -> list[int] | None:
     return record.get("columns", {}).get(name)
 
 
+def _class_split(record: dict) -> tuple[list[list[int]], list[int]] | None:
+    """The four ``class.*`` columns and their per-interval totals (1 for
+    an empty interval), or None when the record lacks them."""
+    columns = [_column(record, name) for name in _CLASS_COLUMNS]
+    if any(c is None for c in columns):
+        return None
+    totals = [sum(c[i] for c in columns) or 1
+              for i in range(record["samples"])]
+    return columns, totals
+
+
+def class_share_series(record: dict | None) -> list[list]:
+    """Mode-class shares per interval: ``[[cycle, [user, kernel, pal,
+    idle]], ...]``, the rows Figures 1 and 5 plot.
+
+    Each row is one interval's context-cycles split by mode class, with
+    the same arithmetic as :func:`derived_series`' ``kernel_share``.  A
+    run without a probe timeline (telemetry disabled) has no rows.
+    """
+    split = _class_split(record) if record is not None else None
+    if split is None:
+        return []
+    columns, totals = split
+    return [[cycle, [c[i] / totals[i] for c in columns]]
+            for i, cycle in enumerate(sample_cycles(record))]
+
+
 def _share(numer: list[int], denom_total: int) -> list[float]:
     return [v / denom_total for v in numer]
 
@@ -248,10 +274,10 @@ def derived_series(record: dict) -> dict[str, list[float]]:
     retired = _column(record, "core.retired")
     if retired is not None:
         out["ipc"] = [v / interval for v in retired]
-    class_cols = [_column(record, name) for name in _CLASS_COLUMNS]
-    if all(c is not None for c in class_cols):
-        totals = [sum(c[i] for c in class_cols) or 1 for i in range(k)]
-        out["kernel_share"] = [class_cols[1][i] / totals[i] for i in range(k)]
+    split = _class_split(record)
+    if split is not None:
+        columns, totals = split
+        out["kernel_share"] = [columns[1][i] / totals[i] for i in range(k)]
     for key, probe in (("zero_fetch_share", "core.zero_fetch_cycles"),
                        ("zero_issue_share", "core.zero_issue_cycles"),
                        ("fast_share", "core.mode.fast_cycles")):
@@ -268,10 +294,10 @@ def derived_series(record: dict) -> dict[str, list[float]]:
 def service_share_series(record: dict) -> dict[str, list[float]]:
     """Every ``svc.<leaf>`` column as a share of interval context-cycles."""
     k = record["samples"]
-    class_cols = [_column(record, name) for name in _CLASS_COLUMNS]
-    if not all(c is not None for c in class_cols):
+    split = _class_split(record)
+    if split is None:
         return {}
-    totals = [sum(c[i] for c in class_cols) or 1 for i in range(k)]
+    totals = split[1]
     out: dict[str, list[float]] = {}
     for name in sorted(record.get("columns", {})):
         if name.startswith("svc."):

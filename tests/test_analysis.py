@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -228,3 +229,32 @@ def test_fig2_fig6_tied_rows_ignore_hash_seed():
     zero = [cat for cat in M.KERNEL_CATEGORIES
             if cat not in ("tlb handling", "netisr")]
     assert fig2_rows == ["tlb handling", "netisr", "other"] + zero
+
+
+def _tied_record(syscalls, incursions):
+    """A record whose windows tie every syscall (and every VM incursion
+    kind) at one share, with dicts filled in the given orders."""
+    services = {"user": 60}
+    for name in syscalls:
+        services[f"syscall:{name}"] = 5
+    window = {"service_cycles": services,
+              "vm_incursions": {kind: 3 for kind in incursions}}
+    return SimpleNamespace(startup=window, steady=window, total=window)
+
+
+def test_fig3_fig4_fig7_tied_rows_ignore_window_order():
+    # A live window fills its dicts in first-charge order, a stored one
+    # reads back key-sorted: tied rows must print the same either way,
+    # in service-key order.
+    syscalls = ["read", "preamble", "execve", "brk", "stat", "send",
+                "close", "open"]
+    incursions = ["page_alloc", "mmap_unmap", "fault"]
+    texts = []
+    for order in (1, -1):
+        rec = _tied_record(syscalls[::order], incursions[::order])
+        texts.append([build(rec)["text"]
+                      for build in (figures.fig3, figures.fig4, figures.fig7)])
+    assert texts[0] == texts[1]
+    fig4_steady = [line.split()[1] for line in texts[0][1].splitlines()
+                   if line.startswith("steady    ")]
+    assert fig4_steady == ["brk", "close", "execve", "open", "kernel", "read"]

@@ -108,7 +108,6 @@ def test_fingerprint_changes_with_any_sim_knob():
     base_fp = run_fingerprint(base)
     for knob, value in (("quantum", 10_000), ("timer_interval", 50_000),
                         ("tick_interval", 4), ("omit_kernel_refs", True),
-                        ("timeline_interval", 4096),
                         ("tlb_flush_on_switch", True),
                         ("spin_policy", "block")):
         spec = json.loads(json.dumps(base))

@@ -67,10 +67,10 @@ def test_service_class_mapping():
 
 def test_charge_cycle_accumulates_classes():
     stats = SimStats(2)
-    stats.switch(0, "user")
-    stats.switch(1, "syscall:read")
+    stats.attrib.switch(0, "user")
+    stats.attrib.switch(1, "syscall:read")
     stats.charge_cycle()
-    stats.switch(1, "idle")
+    stats.attrib.switch(1, "idle")
     stats.charge_cycle()
     assert stats.cycles == 2
     assert stats.class_cycles[CLASS_USER] == 2
@@ -79,55 +79,61 @@ def test_charge_cycle_accumulates_classes():
     assert stats.class_share(CLASS_USER) == pytest.approx(0.5)
 
 
-def test_timeline_sampling():
-    stats = SimStats(1, timeline_interval=4)
-    stats.switch(0, "user")
-    for _ in range(12):
-        stats.charge_cycle()
-    assert len(stats.timeline) == 3
-    cycle, shares = stats.timeline[0]
-    assert shares[CLASS_USER] == pytest.approx(1.0)
+class _SpanThread:
+    """Stub software thread: a fixed chain of open kernel spans."""
+
+    def __init__(self, *spans):
+        self.spans = spans
+
+    def service_path(self, service):
+        if self.spans and self.spans[-1] == service:
+            return ";".join(self.spans)
+        return ";".join(self.spans + (service,))
 
 
 def test_interval_charging_matches_per_cycle_reference():
     """Settling per interval charges exactly what charging every context
-    on every cycle would, whenever the counters are read."""
+    on every cycle would, whenever the counters are read: the path
+    account itself, and its service and mode-class folds."""
     rng = random.Random(5)
     services = ("user", "idle", "syscall:read", "pal:dtlb", "netisr")
-    n, interval = 3, 7
-    stats = SimStats(n, timeline_interval=interval)
-    current = ["idle"] * n
+    threads = {1: _SpanThread(), 2: _SpanThread("syscall:read"),
+               3: _SpanThread("syscall:read", "tlb:refill"),
+               4: _SpanThread("netisr")}
+    n = 3
+    stats = SimStats(n, threads_by_tid=threads)
+    attrib = stats.attrib
+    current = [("idle", "idle")] * n
+    ref_paths: dict[str, int] = {}
     ref_services: dict[str, int] = {}
     ref_classes = [0, 0, 0, 0]
-    ref_timeline = []
-    window = [0, 0, 0, 0]
-    cycles, next_sample = 0, interval
     for _ in range(400):
         for ctx in range(n):
             if rng.random() < 0.3:
-                current[ctx] = rng.choice(services)
-                stats.switch(ctx, current[ctx])
+                # tid 0 has no thread: its path is just the service.
+                tid = rng.choice((0, 1, 2, 3, 4))
+                service = rng.choice(services)
+                path = attrib.path_of(tid, service)
+                current[ctx] = (service, path)
+                attrib.switch(ctx, path)
         count = rng.choice((1, 1, 1, 5))
         if count == 1:
             stats.charge_cycle()
         else:
             stats.charge_cycles(count)
-        cycles += count
-        for svc in current:
+        for svc, path in current:
+            ref_paths[path] = ref_paths.get(path, 0) + count
             ref_services[svc] = ref_services.get(svc, 0) + count
             ref_classes[service_class(svc)] += count
-            window[service_class(svc)] += count
-        if cycles >= next_sample:
-            total = sum(window) or 1
-            ref_timeline.append((cycles, tuple(w / total for w in window)))
-            window = [0, 0, 0, 0]
-            next_sample = cycles + interval
         if rng.random() < 0.1:  # reads settle mid-run
             assert stats.service_cycles == ref_services
+            assert attrib.snapshot() == ref_paths
+    assert attrib.snapshot() == ref_paths
     assert stats.service_cycles == ref_services
+    assert list(stats.service_cycles) == sorted(ref_services)
     assert stats.class_cycles == ref_classes
-    assert stats.timeline == ref_timeline
     assert sum(ref_services.values()) == n * stats.cycles
+    assert any(";" in path for path in ref_paths)
 
 
 def test_retire_accounting_by_mode_and_type():
@@ -149,7 +155,7 @@ def test_retire_accounting_by_mode_and_type():
 
 def test_ipc_and_squash_fraction():
     stats = SimStats(1)
-    stats.switch(0, "user")
+    stats.attrib.switch(0, "user")
     stats.charge_cycle()
     stats.charge_cycle()
     stats.retired = 5
@@ -162,7 +168,7 @@ def test_ipc_and_squash_fraction():
 def test_cycle_share_prefix_matching():
     stats = SimStats(1)
     for service in ("syscall:read", "syscall:stat", "user"):
-        stats.switch(0, service)
+        stats.attrib.switch(0, service)
         stats.charge_cycle()
     assert stats.cycle_share("syscall:") == pytest.approx(2 / 3)
 

@@ -9,7 +9,6 @@ from repro.analysis.export import (
     record_to_json,
     summarize_window,
     sweep_to_csv,
-    timeline_to_csv,
     window_to_json,
 )
 from repro.analysis.sweeps import Sweep, SweepPoint
@@ -57,13 +56,6 @@ def test_record_to_json(tmp_path, record):
     assert data["fingerprint"] == record.fingerprint
     assert (data["startup"]["instructions"] + data["steady"]["instructions"]
             == data["total"]["instructions"])
-
-
-def test_timeline_to_csv(tmp_path, record):
-    path = timeline_to_csv(record, tmp_path / "t.csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "cycle,user,kernel,pal,idle"
-    assert len(lines) > 1
 
 
 def test_sweep_to_csv(tmp_path):

@@ -28,28 +28,28 @@ GOLDEN = {
     "specint-smt-full": (
         dict(workload="specint", cpu="smt", os_mode="full",
              instructions=20_000),
-        "4fb87759c4bc33c286cb2bb5eed5aa0dfbaee44a0911df25eaf14e928e567c53"),
+        "322fa6caa007948e0b1098a1075849f712e87f2b656b76fdaf7a9a252abe3f51"),
     "apache-smt-full": (
         dict(workload="apache", cpu="smt", os_mode="full",
              instructions=20_000),
-        "0054a09beb168220a53f12347bc45e1e6b1e3ba08c9003519160bf05bddd360e"),
+        "95b8e59ced5dbcea20245c167b4c441a25512e60d7001fe4571ae9e760c7d1c9"),
     "specint-ss-app": (
         dict(workload="specint", cpu="ss", os_mode="app",
              instructions=20_000),
-        "44e7299c9f5e8a1e6c7662cb5a458a6c9ad412f67e8aaa6f5bf3ff814ab49dd6"),
+        "a908e7d35905f06eaec646145fc13c69f7e6eaa9722bfee4a64c21846c3ed008"),
     "apache-smt-omit": (
         dict(workload="apache", cpu="smt", os_mode="omit",
              instructions=20_000),
-        "09b40313e5c62f5e4bc2c9e6dd03332a64e68e91b835ed46628b381329e7652d"),
+        "d5101d9e0c40a90108db9a4733748d9e38f0527ad716606e5b4bf8e2d00984ad"),
     "specint-smt-fast": (
         dict(workload="specint", cpu="smt", os_mode="full",
              instructions=150_000, mode="fast"),
-        "cb554fdd31b85a66d1b2b721764f0ed81c57125f346512d1e29d0a1ca91e1044"),
+        "5526632be7bc1ec0cf75eaedf103aa027749eb10ff5a30f213cc764a6fa2c4bc"),
     "apache-smt-sampled": (
         dict(workload="apache", cpu="smt", os_mode="full",
              instructions=40_000, mode="sampled", warmup=10_000,
              sample=(6_000, 2_000)),
-        "0179ea613e19fb000bdce75dcfbec74dd7a05041130a91cfe4f6aefdd449c436"),
+        "435eddbd3be27f64249d4902f812077b76662aa0de34355ff7ae7cfea490852b"),
 }
 
 

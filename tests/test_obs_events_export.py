@@ -154,6 +154,19 @@ def test_unattached_simulation_has_no_bus():
     assert sim.os.events is None
 
 
+def test_squash_events_count_every_squashed_instruction():
+    # One pipeline/squash instant per squash, carrying the victim count:
+    # over a whole run the counts add up to the squash statistic.
+    sim = Simulation(SpecIntWorkload(), seed=55)
+    bus = EventBus(kinds=("pipeline",))
+    sim.attach_events(bus)
+    sim.run(max_instructions=20_000)
+    assert bus.dropped == 0
+    assert sim.stats.squashed > 0
+    counts = [e.args["count"] for e in bus.events if e.name == "squash"]
+    assert sum(counts) == sim.stats.squashed
+
+
 # -- self-profiler ----------------------------------------------------------
 
 def test_profiler_nesting_charges_self_time():
@@ -172,9 +185,11 @@ def test_profile_simulation_restores_instance_methods():
     sim = Simulation(SpecIntWorkload(), seed=55)
     prof = profile_simulation(sim, max_instructions=5_000)
     scopes = {r["scope"] for r in prof.report()}
-    assert {"sim.run", "core.cycle", "core.fetch",
+    assert {"sim.run", "os.tick", "core.cycle", "core.fetch",
             "mem.data_access"} <= scopes
     # shadowing was per-instance and is fully undone
     assert "data_access" not in vars(sim.hierarchy)
     assert "_fetch" not in vars(sim.processor)
+    assert "cycle" not in vars(sim.processor)
+    assert "tick" not in vars(sim.os)
     assert sim.stats.retired >= 5_000
