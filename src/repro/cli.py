@@ -76,6 +76,12 @@ from repro.analysis import figures, metrics, tables
 from repro.analysis.experiments import get_run
 from repro.analysis.paper import build_comparison, render_markdown
 
+#: Whole-run estimates a sampled run's summary prints, as named in the
+#: extrapolated flat window (:func:`repro.obs.diff.flatten_window`).
+SAMPLED_SUMMARY_PROBES = ("core.retired", "derived.cycles",
+                          "mem.l1d.miss.user", "mem.l1d.miss.kernel",
+                          "mem.l2.miss.kernel")
+
 
 def _parse_sample(text: str | None) -> tuple[int, int] | None:
     """``--sample N:M`` -> (skip, measure) instruction counts."""
@@ -187,8 +193,7 @@ def _print_sampling(rec) -> None:
           f"({measured:,} measured instructions, "
           f"{measured / total * 100:.1f}% of run)")
     probes = extra.get("probes", {})
-    for name in ("core.retired", "core.cycles", "mem.l1d.miss.user",
-                 "mem.l1d.miss.kernel", "mem.l2.miss.kernel"):
+    for name in SAMPLED_SUMMARY_PROBES:
         if name in probes:
             estimate, band = probes[name]
             print(f"  ~{name:<18s} {estimate:>14,.1f} +/- {band:,.1f}")

@@ -1,23 +1,32 @@
 """``repro lint``: AST-based invariant checking for the reproduction.
 
 Generic linters keep Python honest; this package keeps the *simulator*
-honest.  Three rule families guard the guarantees the run engine and the
+honest.  Six rule families guard the guarantees the run engine and the
 observability layer rely on:
 
 * **D-rules** (:mod:`repro.lint.rules_determinism`) -- no host
   nondeterminism in simulation code paths, so the same config+seed keeps
   producing byte-identical probe snapshots.
-* **P-rules** (:mod:`repro.lint.rules_probes`) -- probe-name hygiene for
-  the ~165-probe registry tree, where a typo'd name silently creates a
-  fresh zero counter instead of failing.
+* **E-rules** (:mod:`repro.lint.rules_events`) -- kernel spans pair up
+  on every exit, and emitted event kinds exist in the kind registry.
+* **F-rules** (:mod:`repro.lint.rules_faults`) -- fault-site names,
+  picklable process-boundary callables, and worker-side environment
+  reads.
+* **H-rules** (:mod:`repro.lint.rules_hotpath`) -- no allocation or
+  dispatch churn on the per-cycle hot path.
+* **P-rules** (:mod:`repro.lint.rules_probes`) -- probe-name reads
+  against the committed manifest of the ~170 registered probes, where a
+  typo'd name silently creates a fresh zero counter instead of failing.
 * **S-rules** (:mod:`repro.lint.rules_schema`) -- the artifact
   fingerprint must cover every configuration knob, and snapshot-shaping
   code must not drift without a ``SCHEMA_VERSION`` / ``CODE_VERSION``
   bump (a silent change poisons the content-addressed run store).
 
-Everything is pure :mod:`ast` analysis over the source tree; no
-simulator code is imported or executed.  See ``docs/static-analysis.md``
-for the rule catalogue and workflow.
+Checking is pure :mod:`ast` analysis over the source tree; no simulator
+code is imported or executed.  Only ``repro lint --update`` builds the
+canonical machines, to dump their live probe registries into the
+committed manifest.  See ``docs/static-analysis.md`` for the rule
+catalogue and workflow.
 """
 
 from repro.lint.baseline import Baseline, load_baseline, write_baseline

@@ -17,7 +17,7 @@ from repro.lint.baseline import (DEFAULT_BASELINE, load_baseline,
 from repro.lint.callgraph import CallGraph
 from repro.lint.engine import (FAMILIES, LintEngine, findings_to_json,
                                render_report)
-from repro.lint.rules_probes import ProbeRules, write_manifest
+from repro.lint.rules_probes import write_manifest
 from repro.lint.rules_schema import SchemaRules, write_shapes
 from repro.lint.sarif import write_sarif
 
@@ -46,8 +46,9 @@ def add_parser(sub: Any) -> None:
                    help="rewrite the baseline from the current findings "
                         "and exit 0")
     p.add_argument("--update", action="store_true",
-                   help="regenerate the committed probe manifest and "
-                        "schema shape digests from the current tree")
+                   help="regenerate the committed probe manifest (from the "
+                        "live registries of the imported package) and the "
+                        "schema shape digests (from the scanned tree)")
     p.add_argument("--json", default=None, metavar="FILE",
                    help="write a machine-readable findings report "
                         "('-' for stdout)")
@@ -88,8 +89,6 @@ def run_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         groups: dict[str, list] = {}
         for rule in LintEngine(pathlib.Path(".")).rules:
-            if rule.id.endswith("00"):  # internal collectors
-                continue
             groups.setdefault(rule.id[0], []).append(rule)
         for family in sorted(groups):
             title = FAMILIES.get(family, "other")
@@ -106,9 +105,9 @@ def run_lint(args: argparse.Namespace) -> int:
     findings = engine.run()
 
     if args.update:
+        if any(rule.id.startswith("P") for rule in engine.rules):
+            print(f"wrote {write_manifest()}")
         for rule in engine.rules:
-            if isinstance(rule, ProbeRules):
-                print(f"wrote {write_manifest(root, rule.manifest())}")
             if isinstance(rule, SchemaRules):
                 print(f"wrote {write_shapes(root, rule)}")
         # Re-run: drift findings must now be gone, the rest still count.

@@ -3,8 +3,8 @@
 The engine parses every Python file under the scan roots exactly once
 and hands the trees to a set of *rules*.  A rule sees each file via
 ``visit_file`` (accumulating whatever cross-file state it needs) and
-reports at the end via ``finalize`` -- whole-program rules (the probe
-manifest, the fingerprint-coverage check) fall out naturally, and
+reports at the end via ``finalize`` -- whole-program rules (probe-name
+reads, the fingerprint-coverage check) fall out naturally, and
 per-file rules simply report as they go.
 
 Findings carry a *stable identity key* (rule + path + detail token,
@@ -184,10 +184,37 @@ class LintEngine:
         return None
 
 
+# -- shared AST helpers -------------------------------------------------------
+
+
+def module_str_constants(tree: ast.AST) -> dict[str, str]:
+    """A parsed module's top-level ``NAME = "text"`` bindings."""
+    out: dict[str, str] = {}
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name) \
+                and isinstance(node.value, ast.Constant) \
+                and isinstance(node.value.value, str):
+            out[node.targets[0].id] = node.value.value
+    return out
+
+
+def assigned_value(node: ast.stmt, name: str) -> ast.expr | None:
+    """The value of a module-level ``name = ...`` / ``name: T = ...``."""
+    if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+            and isinstance(node.targets[0], ast.Name) \
+            and node.targets[0].id == name:
+        return node.value
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) \
+            and node.target.id == name:
+        return node.value
+    return None
+
+
 #: Family prefix -> human name, used to group ``--list-rules`` output.
 FAMILIES = {
     "D": "determinism",
-    "E": "span/event/timeline discipline",
+    "E": "span/event discipline",
     "F": "process-boundary / fault discipline",
     "H": "hot-path performance",
     "P": "probe hygiene",

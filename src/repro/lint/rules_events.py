@@ -1,7 +1,7 @@
-"""E rules: span, event-kind, and timeline-column discipline.
+"""E rules: span and event-kind discipline.
 
-The observability layers added in PRs 5-8 rest on three conventions
-that were previously enforced only by runtime asserts:
+The observability layers rest on two conventions that were previously
+enforced only by runtime asserts:
 
 * **E101** -- every ``_span_begin`` must be answered by a matching
   ``_span_end`` on *all* exits.  Two shapes satisfy the contract: a
@@ -15,10 +15,6 @@ that were previously enforced only by runtime asserts:
   must exist in the ``KINDS`` registry of ``obs/events.py``; a literal
   outside the registry would silently vanish from kind filters and
   exported traces.
-* **E103** -- every default :class:`ProbeTimeline` column
-  (``DEFAULT_TIMELINE_PROBES``) must resolve against the static probe
-  manifest the P rules reconstruct; a stale default column would read
-  0.0 forever.
 
 Spans are matched by their constant ``(kind, name)`` prefix: a begin
 and an end agree when their leading string-constant arguments agree
@@ -31,8 +27,8 @@ import ast
 from typing import TYPE_CHECKING
 
 from repro.lint import cfg as cfg_mod
-from repro.lint.engine import Finding, Rule
-from repro.lint.rules_probes import manifest_for
+from repro.lint.engine import (Finding, Rule, assigned_value,
+                               module_str_constants)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lint.engine import FileContext, LintEngine
@@ -204,7 +200,7 @@ class EventKindRule(Rule):
         findings: list[Finding] = []
         for ctx in engine.files:
             local = dict(consts)
-            local.update(_module_str_constants(ctx.tree))
+            local.update(module_str_constants(ctx.tree))
             for node in ast.walk(ctx.tree):
                 if not (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
@@ -244,12 +240,11 @@ class EventKindRule(Rule):
     def _registry(self, engine: LintEngine) \
             -> tuple[set[str] | None, dict[str, str]]:
         """(registered kinds, constant name -> kind) from events.py."""
-        from repro.lint.rules_faults import _assigned_value
         for ctx in engine.files:
             assert isinstance(ctx.tree, ast.Module)
-            consts = _module_str_constants(ctx.tree)
+            consts = module_str_constants(ctx.tree)
             for node in ctx.tree.body:
-                value = _assigned_value(node, "KINDS")
+                value = assigned_value(node, "KINDS")
                 if isinstance(value, (ast.Tuple, ast.List)):
                     kinds: set[str] = set()
                     for elt in value.elts:
@@ -263,52 +258,5 @@ class EventKindRule(Rule):
         return None, {}
 
 
-class TimelineColumnRule(Rule):
-    """E103: default timeline columns must resolve against the probe
-    manifest."""
-
-    id = "E103"
-    title = "default ProbeTimeline columns resolve in the probe manifest"
-
-    def finalize(self, engine: LintEngine) -> list[Finding]:
-        from repro.lint.rules_faults import _assigned_value
-        findings: list[Finding] = []
-        manifest = None
-        for ctx in engine.files:
-            assert isinstance(ctx.tree, ast.Module)
-            for node in ctx.tree.body:
-                value = _assigned_value(node, "DEFAULT_TIMELINE_PROBES")
-                if not isinstance(value, (ast.Tuple, ast.List)):
-                    continue
-                if manifest is None:
-                    manifest = manifest_for(engine)
-                for elt in value.elts:
-                    if not (isinstance(elt, ast.Constant)
-                            and isinstance(elt.value, str)):
-                        continue
-                    if manifest.matches(elt.value):
-                        continue
-                    f = self.finding(
-                        ctx, elt,
-                        f"default timeline column {elt.value!r} does not "
-                        "resolve against the probe manifest (it would "
-                        "read 0.0 forever)",
-                        ident=elt.value)
-                    if f is not None:
-                        findings.append(f)
-        return findings
-
-
-def _module_str_constants(tree: ast.Module) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name) \
-                and isinstance(node.value, ast.Constant) \
-                and isinstance(node.value.value, str):
-            out[node.targets[0].id] = node.value.value
-    return out
-
-
 def rules() -> list[Rule]:
-    return [SpanPairRule(), EventKindRule(), TimelineColumnRule()]
+    return [SpanPairRule(), EventKindRule()]

@@ -27,7 +27,8 @@ import ast
 from typing import TYPE_CHECKING
 
 from repro.lint.callgraph import CallGraph, FuncKey
-from repro.lint.engine import Finding, Rule
+from repro.lint.engine import (Finding, Rule, assigned_value,
+                               module_str_constants)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lint.engine import FileContext, LintEngine
@@ -38,41 +39,18 @@ _FUNC_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 ENV_ALLOWED_PREFIX = "REPRO_"
 
 
-def _module_str_constants(tree: ast.Module) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name) \
-                and isinstance(node.value, ast.Constant) \
-                and isinstance(node.value.value, str):
-            out[node.targets[0].id] = node.value.value
-    return out
-
-
 def _known_sites(engine: LintEngine) -> tuple[set[str], FileContext | None]:
     """The ``KNOWN_SITES`` registry, wherever the scanned tree defines it."""
     for ctx in engine.files:
         assert isinstance(ctx.tree, ast.Module)
         for node in ctx.tree.body:
-            value = _assigned_value(node, "KNOWN_SITES")
+            value = assigned_value(node, "KNOWN_SITES")
             if isinstance(value, (ast.Tuple, ast.List)):
                 sites = {elt.value for elt in value.elts
                          if isinstance(elt, ast.Constant)
                          and isinstance(elt.value, str)}
                 return sites, ctx
     return set(), None
-
-
-def _assigned_value(node: ast.stmt, name: str) -> ast.expr | None:
-    """The value of a module-level ``name = ...`` / ``name: T = ...``."""
-    if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-            and isinstance(node.targets[0], ast.Name) \
-            and node.targets[0].id == name:
-        return node.value
-    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) \
-            and node.target.id == name:
-        return node.value
-    return None
 
 
 def _site_literals(ctx: FileContext) -> list[tuple[ast.AST, str]]:
@@ -232,7 +210,7 @@ class WorkerEnvRule(Rule):
             return []
         findings: list[Finding] = []
         for ctx in engine.files:
-            consts = _module_str_constants(ctx.tree)
+            consts = module_str_constants(ctx.tree)
             for node, name_expr, enclosing in _env_reads(ctx):
                 if enclosing is None or \
                         (ctx.relpath, *enclosing) not in worker_funcs:
@@ -262,8 +240,7 @@ class WorkerEnvRule(Rule):
             # Imported constant: resolve by unique module-level name.
             hits = set()
             for other in engine.files:
-                assert isinstance(other.tree, ast.Module)
-                value = _module_str_constants(other.tree).get(expr.id)
+                value = module_str_constants(other.tree).get(expr.id)
                 if value is not None:
                     hits.add(value)
             if len(hits) == 1:

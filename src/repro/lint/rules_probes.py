@@ -1,31 +1,26 @@
-"""P-rules: probe-name hygiene for the registry tree.
+"""P-rules: probe-name hygiene against the committed probe manifest.
 
 The probe registry (:mod:`repro.obs.registry`) is addressed by string
 literals, and ``registry.counter(name)`` is register-or-fetch: a typo'd
-name does not fail, it silently creates a fresh zero counter.  These
-rules reconstruct the full probe manifest *statically* -- following
-``register_probes`` hooks across files, binding ``prefix`` parameters at
-their call sites, and expanding loop variables over literal tuples -- and
-then check every probe-name literal in the tree against it.
+name does not fail, it silently creates a fresh zero counter.  The
+committed ``lint/probe_manifest.json`` lists every probe name the
+canonical machines and the run service register -- concrete names plus
+the prefixes of derived-probe families -- as a dump of their live
+registries (:func:`live_manifest`, written by ``repro lint --update``).
+The rules check the tree's probe-name literals against that file, so
+checking stays pure :mod:`ast`:
 
 ============  =========================================================
-P101          probe-name literal read somewhere in the tree that no
-              registration site can produce (a typo'd read)
+P101          probe-name literal read somewhere in the tree that the
+              committed manifest does not list (a typo'd read)
 P102          ``counter()``/``histogram()`` registration whose handle is
               discarded: nothing can ever bump it (dead probe)
-P103          registered name outside the ``mem.* / branch.* / os.* /
-              core.*`` dotted hierarchy
-P104          extracted manifest disagrees with the committed
-              ``lint/probe_manifest.json`` (catches typos introduced at
-              any registration call site; regenerate with
-              ``repro lint --update``)
 ============  =========================================================
 
-Name *templates* track what is statically known: a literal f-string part
-stays literal, a ``prefix`` parameter becomes a placeholder bound at the
-call site, a loop variable over a literal tuple is expanded, and
-anything else becomes a ``*`` wildcard that matches one or more dotted
-segments (e.g. ``mem.l1d.miss.*.user``).
+A stale manifest fails ``tests/test_lint.py``, which rebuilds the dump
+and names every ``+added`` / ``-removed`` probe.  Names outside the
+``mem``/``branch``/``os``/``core`` hierarchy never register at all
+(:meth:`repro.obs.registry.ProbeRegistry._check_name`).
 """
 
 from __future__ import annotations
@@ -34,463 +29,127 @@ import ast
 import json
 import pathlib
 import re
+import tempfile
 from typing import TYPE_CHECKING, Any
 
 from repro.lint.engine import FileContext, Finding, Rule
+from repro.obs.registry import HIERARCHY_ROOTS, ProbeRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lint.engine import LintEngine
 
-#: Registry method names that register a probe.
-_REG_METHODS = ("counter", "histogram", "derive", "derive_map")
-
-#: Top-level segments the probe tree allows.
-HIERARCHY_ROOTS = ("mem", "branch", "os", "core")
-
 #: Committed manifest location, relative to the scan root.
 MANIFEST_RELPATH = "lint/probe_manifest.json"
 
-_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_:-]+)*$")
-_READ_RE = re.compile(r"^(mem|branch|os|core)\.[a-z0-9_.:-]+$")
-
-# -- name templates --------------------------------------------------------
-
-LIT, WILD, PREFIX = "lit", "wild", "prefix"
+_READ_RE = re.compile(rf"^({'|'.join(HIERARCHY_ROOTS)})\.[a-z0-9_.:-]+$")
+#: Aggregate suffixes computed from histogram snapshots read the
+#: underlying probe (``os.syscall_latency_cycles.p95``).
+_PERCENTILE_RE = re.compile(r"\.p\d{2}$")
 
 
-def _merge(parts: list) -> tuple:
-    """Normalize a part list: merge adjacent literals, collapse wilds."""
-    out: list = []
-    for part in parts:
-        if part[0] == LIT and out and out[-1][0] == LIT:
-            out[-1] = (LIT, out[-1][1] + part[1])
-        elif part[0] == WILD and out and out[-1][0] == WILD:
-            continue
-        else:
-            out.append(part)
-    return tuple(out)
+def live_manifest() -> dict[str, Any]:
+    """The probe manifest as the live registries define it.
 
-
-def render(template: tuple) -> str:
-    """Template as a manifest string: literals verbatim, ``*`` wildcards."""
-    return "".join("*" if p[0] != LIT else p[1] for p in template)
-
-
-def is_concrete(template: tuple) -> bool:
-    return all(p[0] == LIT for p in template)
-
-
-def substitute(template: tuple, prefix_parts: tuple | None) -> tuple:
-    """Replace PREFIX placeholders with the given bound parts."""
-    out: list = []
-    for part in template:
-        if part[0] == PREFIX:
-            out.extend(prefix_parts if prefix_parts is not None else [(WILD,)])
-        else:
-            out.append(part)
-    return _merge(out)
-
-
-def pattern_to_regex(pattern: str) -> re.Pattern:
-    parts = [re.escape(p) for p in pattern.split("*")]
-    return re.compile("^" + "[a-z0-9_.:-]+".join(parts) + "$")
-
-
-class Manifest:
-    """The statically reconstructed probe name set."""
-
-    def __init__(self, names: set[str], patterns: set[str]) -> None:
-        self.names = names
-        self.patterns = patterns
-        self._regexes = [pattern_to_regex(p) for p in sorted(patterns)]
-
-    def matches(self, name: str) -> bool:
-        if name in self.names:
-            return True
-        return any(r.match(name) for r in self._regexes)
-
-    def to_json_dict(self) -> dict:
-        return {"version": 1, "names": sorted(self.names),
-                "patterns": sorted(self.patterns)}
-
-
-# -- extraction ------------------------------------------------------------
-
-
-def _literal_strings(node: ast.AST) -> tuple[str, ...] | None:
-    """A tuple/list of string constants, or None when not statically known."""
-    if isinstance(node, (ast.Tuple, ast.List)):
-        out = []
-        for elt in node.elts:
-            if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                out.append(elt.value)
-            else:
-                return None
-        return tuple(out)
-    return None
-
-
-def _local_env(func: ast.FunctionDef) -> dict[str, tuple[str, ...]]:
-    """Loop/assignment bindings of names to literal string tuples.
-
-    Understands ``names = ("a", "b")``, ``for n in ("a", "b")``, and
-    ``for i, n in enumerate(names)`` -- the idioms ``register_probes``
-    hooks actually use.  Anything else stays unresolved (-> wildcard).
+    Builds (never runs) the eight canonical simulations and a throwaway
+    run service over a temporary store, and unions their registered
+    names and derived-family prefixes.  Imports the simulator lazily:
+    checking the tree never needs it.
     """
-    env: dict[str, tuple[str, ...]] = {}
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name):
-            values = _literal_strings(node.value)
-            if values is not None:
-                env[node.targets[0].id] = values
-    # Two passes so a loop over an env-bound name resolves regardless of
-    # the order ast.walk discovers nodes in.
-    for _ in range(2):
-        for node in ast.walk(func):
-            if not isinstance(node, ast.For):
-                continue
-            iter_node, target = node.iter, node.target
-            if isinstance(iter_node, ast.Call) \
-                    and isinstance(iter_node.func, ast.Name) \
-                    and iter_node.func.id == "enumerate" and iter_node.args:
-                iter_node = iter_node.args[0]
-                if isinstance(target, ast.Tuple) and len(target.elts) == 2 \
-                        and isinstance(target.elts[1], ast.Name):
-                    target = target.elts[1]
-                else:
-                    continue
-            if not isinstance(target, ast.Name):
-                continue
-            values = _literal_strings(iter_node)
-            if values is None and isinstance(iter_node, ast.Name):
-                values = env.get(iter_node.id)
-            if values is not None:
-                env[target.id] = values
-    return env
+    from repro.analysis.experiments import build_simulation
+    from repro.analysis.service import CANONICAL_SPECS, ReproService
+    from repro.analysis.store import RunStore
+
+    registries = [build_simulation(*spec).obs for spec in CANONICAL_SPECS]
+    service = ProbeRegistry()
+    with tempfile.TemporaryDirectory() as store:
+        ReproService(RunStore(pathlib.Path(store)), registry=service,
+                     isolation="inline")
+    registries.append(service)
+    return {"version": 2,
+            "names": sorted({n for r in registries for n in r.names()}),
+            "families": sorted({f for r in registries for f in r.families()})}
 
 
-def _name_templates(node: ast.AST, prefix_param: str | None,
-                    env: dict[str, tuple[str, ...]]) -> list[tuple]:
-    """Every template a name expression can statically produce."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return [((LIT, node.value),)]
-    if not isinstance(node, ast.JoinedStr):
-        if isinstance(node, ast.Name) and node.id == prefix_param:
-            return [((PREFIX,),)]
-        return [((WILD,),)]
-    variants: list[list] = [[]]
-    for value in node.values:
-        if isinstance(value, ast.Constant):
-            for v in variants:
-                v.append((LIT, str(value.value)))
-        elif isinstance(value, ast.FormattedValue):
-            inner = value.value
-            if isinstance(inner, ast.Name) and inner.id == prefix_param:
-                for v in variants:
-                    v.append((PREFIX,))
-            elif isinstance(inner, ast.Name) and inner.id in env:
-                expansions = env[inner.id]
-                variants = [v + [(LIT, text)]
-                            for v in variants for text in expansions]
-            else:
-                for v in variants:
-                    v.append((WILD,))
-    return [_merge(v) for v in variants]
+def write_manifest() -> pathlib.Path:
+    """Write :func:`live_manifest` into the imported package's tree."""
+    path = pathlib.Path(__file__).parent.parent / MANIFEST_RELPATH
+    path.write_text(json.dumps(live_manifest(), indent=2, sort_keys=True)
+                    + "\n")
+    return path
 
 
-class _Hook:
-    """One function that registers probes (templates + nested hook calls)."""
+def _probe_reads(ctx: FileContext) -> list[tuple[ast.AST, str]]:
+    """Probe-name literals this file reads.
 
-    def __init__(self, key: tuple, prefix_param: str | None) -> None:
-        self.key = key                      # (class_name or None, func_name)
-        self.prefix_param = prefix_param
-        self.templates: list[tuple] = []    # direct registrations
-        self.calls: list[tuple] = []        # (callee_key, binding_template)
+    ``x.get("...")`` / ``x.raw("...")`` arguments, ``x["..."]`` loads,
+    and the string elements of module-level ``*PROBE*`` tuples.
+    """
+    out: list[tuple[ast.AST, str]] = []
 
-
-class _FileScan(ast.NodeVisitor):
-    """Per-file collection pass feeding the whole-program P rules."""
-
-    def __init__(self, ctx: FileContext, collector: "ProbeRules") -> None:
-        self.ctx = ctx
-        self.c = collector
-        self.class_stack: list[str] = []
-        self.func_stack: list[ast.FunctionDef] = []
-
-    # -- structure ---------------------------------------------------------
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.class_stack.append(node.name)
-        self.generic_visit(node)
-        self.class_stack.pop()
-
-    def _visit_func(self, node: Any) -> None:
-        self.func_stack.append(node)
-        self.generic_visit(node)
-        self.func_stack.pop()
-
-    visit_FunctionDef = _visit_func
-    visit_AsyncFunctionDef = _visit_func
-
-    # -- hook identification ----------------------------------------------
-
-    def _current_hook(self) -> _Hook | None:
-        if not self.func_stack:
-            return None
-        func = self.func_stack[0]
-        cls = self.class_stack[-1] if self.class_stack else None
-        if cls == "CounterGroup":
-            return None  # modeled at its call sites instead
-        key = (cls, func.name)
-        hook = self.c.hooks.get(key)
-        if hook is None:
-            params = [a.arg for a in func.args.args]
-            prefix = "prefix" if "prefix" in params else None
-            hook = self.c.hooks[key] = _Hook(key, prefix)
-        return hook
-
-    def _env(self) -> dict:
-        if not self.func_stack:
-            return {}
-        key = id(self.func_stack[0])
-        env = self.c._env_cache.get(key)
-        if env is None:
-            env = self.c._env_cache[key] = _local_env(self.func_stack[0])
-        return env
-
-    # -- assignments: self.attr = ClassName(...) ---------------------------
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if (self.class_stack and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Attribute)
-                and isinstance(node.targets[0].value, ast.Name)
-                and node.targets[0].value.id == "self"
-                and isinstance(node.value, ast.Call)
-                and isinstance(node.value.func, ast.Name)):
-            key = (self.class_stack[-1], node.targets[0].attr)
-            self.c.attr_classes[key] = node.value.func.id
-        self.generic_visit(node)
-
-    # -- calls -------------------------------------------------------------
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in _REG_METHODS:
-            self._registration(node, func.attr)
-        elif isinstance(func, ast.Attribute) and func.attr == "register_probes":
-            self._hook_call(node, func)
-        elif isinstance(func, ast.Name) and func.id == "register_miss_stats":
-            self._miss_stats_call(node)
-        elif isinstance(func, ast.Name) and func.id == "CounterGroup":
-            self._counter_group_call(node)
-        elif isinstance(func, ast.Attribute) and func.attr in ("get", "raw") \
-                and node.args:
-            self._read_literal(node.args[0])
-        self.generic_visit(node)
-
-    def _registration(self, node: ast.Call, method: str) -> None:
-        if not node.args:
-            return
-        hook = self._current_hook()
-        prefix_param = hook.prefix_param if hook else None
-        templates = _name_templates(node.args[0], prefix_param, self._env())
-        if method == "derive_map":
-            templates = [_merge(list(t) + [(LIT, "."), (WILD,)])
-                         for t in templates]
-        record = self.c.registrations
-        for t in templates:
-            record.append((self.ctx, node, method, t,
-                           hook.key if hook else None))
-        if hook is not None:
-            hook.templates.extend(templates)
-
-    def _hook_call(self, node: ast.Call, func: ast.Attribute) -> None:
-        callee = self._resolve_receiver(func.value)
-        hook = self._current_hook()
-        prefix_param = hook.prefix_param if hook else None
-        if len(node.args) >= 2:
-            binding = _name_templates(node.args[1], prefix_param,
-                                      self._env())[0]
-        else:
-            binding = None
-        if hook is not None:
-            hook.calls.append(((callee, "register_probes"), binding))
-        else:
-            self.c.root_calls.append(((callee, "register_probes"), binding))
-
-    def _miss_stats_call(self, node: ast.Call) -> None:
-        if len(node.args) < 2:
-            return
-        hook = self._current_hook()
-        prefix_param = hook.prefix_param if hook else None
-        binding = _name_templates(node.args[1], prefix_param, self._env())[0]
-        edge = ((None, "register_miss_stats"), binding)
-        if hook is not None:
-            hook.calls.append(edge)
-        else:
-            self.c.root_calls.append(edge)
-
-    def _counter_group_call(self, node: ast.Call) -> None:
-        if len(node.args) < 3:
-            return
-        hook = self._current_hook()
-        prefix_param = hook.prefix_param if hook else None
-        prefix = _name_templates(node.args[1], prefix_param, self._env())[0]
-        names = _literal_strings(node.args[2])
-        if names is None:
-            templates = [_merge(list(prefix) + [(LIT, "."), (WILD,)])]
-        else:
-            templates = [_merge(list(prefix) + [(LIT, f".{n}")])
-                         for n in names]
-        for t in templates:
-            self.c.registrations.append((self.ctx, node, "counter", t,
-                                         hook.key if hook else None))
-        if hook is not None:
-            hook.templates.extend(templates)
-        else:
-            self.c.absolute_templates.extend(templates)
-
-    def _resolve_receiver(self, value: ast.AST) -> str | None:
-        """Class owning the called ``register_probes``, when resolvable."""
-        if isinstance(value, ast.Name) and value.id == "self" \
-                and self.class_stack:
-            return self.class_stack[-1]
-        if isinstance(value, ast.Attribute) \
-                and isinstance(value.value, ast.Name) \
-                and value.value.id == "self" and self.class_stack:
-            return self.c.attr_classes.get(
-                (self.class_stack[-1], value.attr))
-        return None
-
-    # -- reads -------------------------------------------------------------
-
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        if isinstance(node.ctx, ast.Load):
-            self._read_literal(node.slice)
-        self.generic_visit(node)
-
-    def _read_literal(self, node: ast.AST) -> None:
+    def read(node: ast.AST) -> None:
         if isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and _READ_RE.match(node.value):
-            self.c.reads.append((self.ctx, node, node.value))
+            out.append((node, node.value))
 
-    def visit_Module(self, node: ast.Module) -> None:
-        for stmt in node.body:
-            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                targets = stmt.targets if isinstance(stmt, ast.Assign) \
-                    else [stmt.target]
-                if any(isinstance(t, ast.Name) and "PROBE" in t.id.upper()
-                       for t in targets):
-                    values = _literal_strings(stmt.value) or ()
-                    for text in values:
-                        if _READ_RE.match(text):
-                            self.c.reads.append((self.ctx, stmt, text))
-        self.generic_visit(node)
-
-
-class ProbeRules(Rule):
-    """Whole-program probe analysis feeding P101-P104.
-
-    One collector instance runs the shared extraction; the public rule
-    objects (below) pull their findings out of it.
-    """
-
-    id = "P100"
-    title = "probe collection (internal)"
-
-    def __init__(self) -> None:
-        self.hooks: dict[tuple, _Hook] = {}
-        self.attr_classes: dict[tuple, str] = {}
-        self.registrations: list[tuple] = []
-        self.reads: list[tuple] = []
-        self.root_calls: list[tuple] = []
-        self.absolute_templates: list[tuple] = []
-        self.discarded: list[tuple] = []
-        self._env_cache: dict = {}
-        self._manifest: Manifest | None = None
-
-    def visit_file(self, ctx: FileContext) -> None:
-        _FileScan(ctx, self).visit(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
-                call = node.value
-                if isinstance(call.func, ast.Attribute) \
-                        and call.func.attr in ("counter", "histogram") \
-                        and call.args:
-                    self.discarded.append((ctx, call))
-
-    # -- manifest assembly -------------------------------------------------
-
-    def _hook_for(self, key: tuple) -> _Hook | None:
-        if key in self.hooks:
-            return self.hooks[key]
-        cls, name = key
-        if cls is None:  # plain function: match any class-less def
-            for (c, n), hook in self.hooks.items():
-                if n == name and c is None:
-                    return hook
-        return None
-
-    def _instantiate(self, key: tuple, prefix: tuple | None,
-                     out: set[tuple], seen: frozenset) -> None:
-        hook = self._hook_for(key)
-        if hook is None or key in seen:
-            return
-        seen = seen | {key}
-        for t in hook.templates:
-            out.add(substitute(t, prefix))
-        for callee_key, binding in hook.calls:
-            bound = substitute(binding, prefix) if binding is not None \
-                else None
-            self._instantiate(callee_key, bound, out, seen)
-
-    def manifest(self) -> Manifest:
-        if self._manifest is not None:
-            return self._manifest
-        out: set[tuple] = set(self.absolute_templates)
-        for key, hook in self.hooks.items():
-            if hook.prefix_param is None:
-                self._instantiate(key, None, out, frozenset())
-        for callee_key, binding in self.root_calls:
-            self._instantiate(callee_key, binding, out, frozenset())
-        # Call edges inside prefix hooks with *literal* bindings also
-        # stand alone (the callee's subtree exists wherever the caller
-        # is mounted, and literal mounts are exact).
-        for hook in self.hooks.values():
-            for callee_key, binding in hook.calls:
-                if binding is not None and is_concrete(binding):
-                    self._instantiate(callee_key, binding, out, frozenset())
-        names = {render(t) for t in out if is_concrete(t)}
-        patterns = {render(t) for t in out if not is_concrete(t)}
-        self._manifest = Manifest(names, patterns)
-        return self._manifest
+    assert isinstance(ctx.tree, ast.Module)
+    for stmt in ctx.tree.body:
+        targets: list[ast.expr] = []
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        value = getattr(stmt, "value", None)
+        if isinstance(value, (ast.Tuple, ast.List)) and any(
+                isinstance(t, ast.Name) and "PROBE" in t.id.upper()
+                for t in targets):
+            for elt in value.elts:
+                read(elt)
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("get", "raw") and node.args:
+            read(node.args[0])
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            read(node.slice)
+    return out
 
 
 class UnknownProbeRule(Rule):
-    """P101: probe-name reads no registration site can produce."""
+    """P101: probe-name reads the committed manifest does not list."""
 
     id = "P101"
     title = "unknown probe name"
 
-    def __init__(self, collector: ProbeRules) -> None:
-        self.c = collector
+    def __init__(self) -> None:
+        self.reads: list[tuple[FileContext, ast.AST, str]] = []
+
+    def visit_file(self, ctx: FileContext) -> None:
+        self.reads.extend((ctx, node, name) for node, name in _probe_reads(ctx))
 
     def finalize(self, engine: LintEngine) -> list[Finding]:
-        manifest = self.c.manifest()
-        out = []
-        for ctx, node, name in self.c.reads:
-            base = name
-            # Aggregate suffixes computed from histogram snapshots
-            # (".p50"/".p95"/".p99") read the underlying probe.
-            if re.search(r"\.p\d{2}$", base):
-                base = base.rsplit(".", 1)[0]
-            if not manifest.matches(base):
-                out.append(self.finding(
-                    ctx, node,
-                    f"probe name {name!r} is read here but no registration "
-                    "site produces it (typo'd reads silently create new "
-                    "counters)", ident=name))
+        path = engine.root / MANIFEST_RELPATH
+        if not path.is_file():
+            return []  # no probe manifest in this tree (e.g. a fixture)
+        try:
+            manifest = json.loads(path.read_text())
+            names = set(manifest["names"])
+            families = tuple(f"{f}." for f in manifest["families"])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            return [Finding(self.id, MANIFEST_RELPATH, 0,
+                            f"committed probe manifest unreadable: {exc!r}",
+                            ident="manifest-unreadable")]
+        out: list[Finding] = []
+        for ctx, node, name in self.reads:
+            base = _PERCENTILE_RE.sub("", name)
+            if base in names or base.startswith(families):
+                continue
+            f = self.finding(
+                ctx, node,
+                f"probe name {name!r} is read here but the probe manifest "
+                "does not list it (typo'd reads silently create new "
+                "counters; after adding a probe, `repro lint --update`)",
+                ident=name)
+            if f is not None:
+                out.append(f)
         return out
 
 
@@ -500,136 +159,39 @@ class DeadProbeRule(Rule):
     id = "P102"
     title = "dead probe"
 
-    def __init__(self, collector: ProbeRules) -> None:
-        self.c = collector
+    def __init__(self) -> None:
+        self.read_names: set[str] = set()
+        #: (file, call, registry method, probe name)
+        self.discarded: list[tuple[FileContext, ast.Call, str, str]] = []
 
-    def finalize(self, engine: LintEngine) -> list[Finding]:
-        read_names = {name for _, _, name in self.c.reads}
-        out = []
-        for ctx, call in self.c.discarded:
-            templates = _name_templates(call.args[0], None, {})
-            for t in templates:
-                if not is_concrete(t):
-                    continue
-                name = render(t)
-                if name in read_names:
-                    continue
-                out.append(self.finding(
-                    ctx, call,
-                    f"{call.func.attr}({name!r}) discards its handle and "
-                    "the name is never read elsewhere: the probe can never "
-                    "be bumped (dead)", ident=name))
-        return out
-
-
-class HierarchyRule(Rule):
-    """P103: registered names must live under the four dotted roots."""
-
-    id = "P103"
-    title = "probe outside the dotted hierarchy"
-
-    def __init__(self, collector: ProbeRules) -> None:
-        self.c = collector
-
-    def finalize(self, engine: LintEngine) -> list[Finding]:
-        out = []
-        seen: set[tuple] = set()
-        for ctx, node, method, template, _hook in self.c.registrations:
-            head = template[0]
-            if head[0] != LIT:
-                continue  # mounted under a prefix checked at its own site
-            text = render(template)
-            site = (ctx.relpath, text)
-            if site in seen:
+    def visit_file(self, ctx: FileContext) -> None:
+        self.read_names.update(name for _, name in _probe_reads(ctx))
+        for node in ast.walk(ctx.tree):
+            if not (isinstance(node, ast.Expr)
+                    and isinstance(node.value, ast.Call)):
                 continue
-            seen.add(site)
-            root = head[1].split(".", 1)[0]
-            concrete = is_concrete(template)
-            bad_root = root not in HIERARCHY_ROOTS
-            bad_name = concrete and not _NAME_RE.match(text)
-            if bad_root or bad_name:
-                why = ("first segment must be one of "
-                       + "/".join(HIERARCHY_ROOTS) if bad_root
-                       else "lowercase dotted segments required")
-                out.append(self.finding(
-                    ctx, node,
-                    f"probe {text!r} violates the naming hierarchy ({why})",
-                    ident=text))
-        return out
-
-
-class ManifestDriftRule(Rule):
-    """P104: extracted manifest vs the committed one."""
-
-    id = "P104"
-    title = "probe manifest drift"
-
-    def __init__(self, collector: ProbeRules) -> None:
-        self.c = collector
+            call = node.value
+            if isinstance(call.func, ast.Attribute) \
+                    and call.func.attr in ("counter", "histogram") \
+                    and call.args and isinstance(call.args[0], ast.Constant) \
+                    and isinstance(call.args[0].value, str):
+                self.discarded.append(
+                    (ctx, call, call.func.attr, call.args[0].value))
 
     def finalize(self, engine: LintEngine) -> list[Finding]:
-        path = engine.root / MANIFEST_RELPATH
-        if not path.is_file():
-            return []
-        ctx = engine.context_for(MANIFEST_RELPATH.replace(".json", ".py"))
-        try:
-            committed = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            return [Finding(self.id, MANIFEST_RELPATH, 0,
-                            f"committed probe manifest unreadable: {exc}",
-                            ident="manifest-unreadable")]
-        manifest = self.c.manifest()
-        current = manifest.to_json_dict()
-        out = []
-        for kind in ("names", "patterns"):
-            have = set(current[kind])
-            want = set(committed.get(kind, []))
-            for name in sorted(have - want):
-                out.append(Finding(
-                    self.id, MANIFEST_RELPATH, 0,
-                    f"registered probe {kind[:-1]} {name!r} missing from the "
-                    "committed manifest (new probe or typo at a registration "
-                    "site; regenerate with `repro lint --update`)",
-                    ident=f"+{name}"))
-            for name in sorted(want - have):
-                out.append(Finding(
-                    self.id, MANIFEST_RELPATH, 0,
-                    f"manifest {kind[:-1]} {name!r} is no longer registered "
-                    "anywhere (removed probe or typo at a registration site; "
-                    "regenerate with `repro lint --update`)",
-                    ident=f"-{name}"))
-        del ctx
+        out: list[Finding] = []
+        for ctx, call, method, name in self.discarded:
+            if name in self.read_names:
+                continue
+            f = self.finding(
+                ctx, call,
+                f"{method}({name!r}) discards its handle and the name is "
+                "never read elsewhere: the probe can never be bumped "
+                "(dead)", ident=name)
+            if f is not None:
+                out.append(f)
         return out
-
-
-def write_manifest(engine_root: pathlib.Path, manifest: Manifest) -> pathlib.Path:
-    path = pathlib.Path(engine_root) / MANIFEST_RELPATH
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest.to_json_dict(), indent=2,
-                               sort_keys=True) + "\n")
-    return path
-
-
-def manifest_for(engine: LintEngine) -> Manifest:
-    """The static probe manifest of an engine's scanned tree.
-
-    Built on demand from the engine's parsed files and memoized on the
-    engine, so rules outside the P family (e.g. the timeline-column
-    check E103) can validate names against the same manifest the
-    P rules reconstruct -- independent of which rules were selected.
-    """
-    cached = getattr(engine, "_probe_manifest_cache", None)
-    if isinstance(cached, Manifest):
-        return cached
-    collector = ProbeRules()
-    for ctx in engine.files:
-        collector.visit_file(ctx)
-    manifest = collector.manifest()
-    engine._probe_manifest_cache = manifest  # type: ignore[attr-defined]
-    return manifest
 
 
 def rules() -> list[Rule]:
-    collector = ProbeRules()
-    return [collector, UnknownProbeRule(collector), DeadProbeRule(collector),
-            HierarchyRule(collector), ManifestDriftRule(collector)]
+    return [UnknownProbeRule(), DeadProbeRule()]

@@ -2,7 +2,8 @@
 
 A :class:`ProbeRegistry` holds every named probe of one simulated machine
 in a single queryable tree.  Probe names are lowercase dotted paths whose
-first segment is the owning layer::
+first segment is the owning layer (one of :data:`HIERARCHY_ROOTS`;
+registration rejects any other)::
 
     mem.l1d.miss.interthread.user      os.syscall.read.count
     branch.btb.accesses.kernel         core.retired
@@ -39,6 +40,9 @@ from collections.abc import MutableMapping
 from typing import Callable
 
 _NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_:-]+)*$")
+
+#: The first segment of every probe name: the owning layer.
+HIERARCHY_ROOTS = ("mem", "branch", "os", "core")
 
 #: Default histogram bucket upper bounds (powers of four; cycles/latency
 #: oriented).  Values above the last bound land in the overflow bucket.
@@ -195,6 +199,9 @@ class ProbeRegistry:
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid probe name {name!r} "
                              "(want lowercase dotted segments)")
+        if name.split(".", 1)[0] not in HIERARCHY_ROOTS:
+            raise ValueError(f"invalid probe name {name!r} (first segment "
+                             f"must be one of {'/'.join(HIERARCHY_ROOTS)})")
 
     def counter(self, name: str) -> Counter:
         """Register (or fetch) the counter *name*.  Idempotent."""
@@ -287,8 +294,13 @@ class ProbeRegistry:
         return self._derived.get(name)
 
     def names(self) -> list[str]:
-        """Every registered probe name (derived families expanded)."""
-        return sorted(self.snapshot())
+        """Every registered probe name, sorted; evaluates nothing, so the
+        members of derived families are left out (see :meth:`families`)."""
+        return sorted([*self._counters, *self._histograms, *self._derived])
+
+    def families(self) -> list[str]:
+        """The prefix of every derived-probe family, sorted."""
+        return sorted(self._derived_maps)
 
     def __len__(self) -> int:
         return len(self.snapshot())

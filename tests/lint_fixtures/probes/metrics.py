@@ -6,9 +6,9 @@ class Metrics:
         self.registry = registry
         self.hits = registry.counter("mem.cache.hits")
         registry.counter("mem.cache.orphan")  # P102: handle discarded
-        self.bad = registry.counter("bogus.cache.hits")  # P103: bad root
 
     def report(self):
         good = self.registry.get("mem.cache.hits")
-        typo = self.registry.get("mem.cache.hit")  # P101: never registered
-        return good, typo
+        way = self.registry.get("mem.cache.way.0")  # member of a family
+        typo = self.registry.get("mem.cache.hit")  # P101: not in manifest
+        return good, way, typo

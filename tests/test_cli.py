@@ -367,6 +367,7 @@ def test_cli_run_sampled_mode_with_checkpoint(tmp_path, monkeypatch, capsys):
     assert "saved to store" in out
     assert "sampled windows" in out
     assert "+/-" in out  # extrapolated estimates carry error bars
+    assert "~derived.cycles" in out
 
     # Same spec again: served from the store (same fingerprint), but a
     # fresh forced execution restores the warm-up checkpoint.

@@ -11,6 +11,7 @@ import pytest
 
 from repro.lint.baseline import load_baseline, write_baseline
 from repro.lint.engine import LintEngine
+from repro.lint.rules_probes import MANIFEST_RELPATH, live_manifest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCAN_ROOT = REPO / "src" / "repro"
@@ -50,13 +51,10 @@ def test_d103_flags_keyed_sort_of_a_set():
 
 def test_probe_fixture_trips_every_p_rule():
     _, findings = run_engine(FIXTURES / "probes")
-    assert rule_ids(findings) == {"P101", "P102", "P103", "P104"}
+    assert rule_ids(findings) == {"P101", "P102"}
+    # a listed name and a member of a listed family both resolve
     assert idents(findings, "P101") == {"mem.cache.hit"}
     assert idents(findings, "P102") == {"mem.cache.orphan"}
-    assert idents(findings, "P103") == {"bogus.cache.hits"}
-    # drift both ways: extra registrations and a removed manifest name
-    assert idents(findings, "P104") == {
-        "+mem.cache.orphan", "+bogus.cache.hits", "-mem.cache.gone"}
 
 
 def test_schema_fixture_flags_unreachable_config_field():
@@ -79,14 +77,13 @@ def test_hotpath_fixture_trips_every_h_rule():
 
 def test_events_fixture_trips_every_e_rule():
     _, findings = run_engine(FIXTURES / "events")
-    assert rule_ids(findings) == {"E101", "E102", "E103"}
+    assert rule_ids(findings) == {"E101", "E102"}
     # lexical try/finally pairing and the completion-closure discipline
     # both pass; only the three seeded shapes fire
     assert idents(findings, "E101") == {
         "missing:os:fault:missing", "escape:os:tick:escape",
         "orphan:os:orphan:orphan"}
     assert idents(findings, "E102") == {"vmx"}
-    assert idents(findings, "E103") == {"bogus.retired"}
 
 
 def test_faults_fixture_trips_every_f_rule():
@@ -186,16 +183,18 @@ def test_cli_list_rules_grouped_by_family():
     proc = lint_cli("--list-rules")
     assert proc.returncode == 0
     out = proc.stdout
-    for header in ("D: determinism", "E: span/event/timeline discipline",
+    for header in ("D: determinism", "E: span/event discipline",
                    "F: process-boundary / fault discipline",
                    "H: hot-path performance", "P: probe hygiene",
                    "S: schema / fingerprint drift"):
         assert header in out, f"missing family header {header!r}"
-    for rule_id in ("D101", "E101", "E102", "E103", "F101", "F102", "F103",
-                    "H101", "H106", "P101", "S101"):
+    for rule_id in ("D101", "E101", "E102", "F101", "F102", "F103",
+                    "H101", "H106", "P101", "P102", "S101"):
         assert rule_id in out
-    # internal collector pseudo-rules stay hidden
-    assert "P100" not in out and "S100" not in out
+    # ProbeRegistry, the manifest test and ProbeTimeline make these checks
+    for rule_id in ("E103", "P100", "P103", "P104", "S100"):
+        assert rule_id not in out
+    assert sum(line.startswith("  ") for line in out.splitlines()) == 19
 
 
 def test_cli_sarif_output(tmp_path):
@@ -234,6 +233,28 @@ def test_cli_dump_callgraph(tmp_path):
     assert "sim.py::_helper" in funcs["sim.py::_fast_once"]["calls"]
 
 
+# -- the probe manifest is a dump of the live registries ---------------------
+
+
+def manifest_drift(live, committed):
+    """``+name`` for each probe only *live* has, ``-name`` for each only
+    *committed* has (names and derived-family prefixes alike)."""
+    drift = []
+    for kind in ("names", "families"):
+        have, want = set(live[kind]), set(committed[kind])
+        drift += [f"+{n}" for n in sorted(have - want)]
+        drift += [f"-{n}" for n in sorted(want - have)]
+    return drift
+
+
+def test_probe_manifest_matches_live_registries():
+    committed = json.loads((SCAN_ROOT / MANIFEST_RELPATH).read_text())
+    live = live_manifest()
+    assert manifest_drift(live, committed) == [], \
+        "probe manifest drifted; regenerate with `repro lint --update`"
+    assert live == committed
+
+
 # -- acceptance scenarios: typo'd probe, omitted config field ---------------
 
 
@@ -243,6 +264,12 @@ def copy_tree(tmp_path):
     return dest
 
 
+def run_p101(root):
+    engine = LintEngine(pathlib.Path(root))
+    engine.select(["P101"])
+    return engine.run()
+
+
 def test_probe_name_typo_is_caught(tmp_path):
     dest = copy_tree(tmp_path)
     kernel = dest / "os_model" / "kernel.py"
@@ -250,12 +277,30 @@ def test_probe_name_typo_is_caught(tmp_path):
     assert "os.syscall_latency_cycles" in text
     kernel.write_text(
         text.replace("os.syscall_latency_cycles", "os.syscal_latency_cycles"))
-    _, findings = run_engine(dest)
-    assert "P104" in rule_ids(findings)
-    assert "+os.syscal_latency_cycles" in idents(findings, "P104")
-    assert "-os.syscall_latency_cycles" in idents(findings, "P104")
-    # the reader of the old name now reads an unknown probe
-    assert "os.syscall_latency_cycles" in idents(findings, "P101")
+    manifest = dest / MANIFEST_RELPATH
+    committed = json.loads(manifest.read_text())
+    # regenerate the copy's manifest from the copy's own registries
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "lint", str(dest), "--rule", "P",
+         "--update"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(tmp_path)})
+    assert f"wrote {manifest}" in proc.stdout, proc.stdout + proc.stderr
+    assert manifest_drift(json.loads(manifest.read_text()), committed) == [
+        "+os.syscal_latency_cycles", "-os.syscall_latency_cycles"]
+    # the reader of the old name (obs/baseline.py) now reads an unknown probe
+    findings = run_p101(dest)
+    assert any(f.rule == "P101" and f.ident == "os.syscall_latency_cycles"
+               and f.path == "obs/baseline.py" for f in findings)
+
+
+def test_typod_miss_cause_read_is_caught(tmp_path):
+    dest = copy_tree(tmp_path)
+    (dest / "analysis" / "typo.py").write_text(
+        "def l1d_interthread(w):\n"
+        "    return w[\"probes\"][\"mem.l1d.miss.interthraed.user\"]\n")
+    findings = run_p101(dest)
+    assert idents(findings, "P101") == {"mem.l1d.miss.interthraed.user"}
 
 
 def test_new_config_field_outside_fingerprint_is_caught(tmp_path):

@@ -35,7 +35,8 @@ def test_counter_registration_is_idempotent():
 
 def test_invalid_names_rejected():
     reg = ProbeRegistry()
-    for bad in ("", "Mem.l1d", "mem..l1d", ".mem", "mem l1d"):
+    for bad in ("", "Mem.l1d", "mem..l1d", ".mem", "mem l1d",
+                "bogus.cache.hits"):
         with pytest.raises(ValueError):
             reg.counter(bad)
 
