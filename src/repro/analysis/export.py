@@ -92,15 +92,19 @@ def probe_timeline_to_csv(record, path) -> pathlib.Path:
     ``record`` is a :class:`RunArtifact` or a raw probe-timeline record
     dict (see :func:`repro.obs.timeline.timeline_record`).  Rows carry the
     end-of-interval cycle stamp plus the raw per-interval delta for every
-    column, in sorted column order.  Raises :class:`ValueError` when the
-    run carries no probe timeline (pre-v7 artifact or telemetry disabled).
+    column, in sorted column order.  Raises :class:`ValueError` naming the
+    cause when there are no samples to write (telemetry was disabled, or
+    the run ended within its first sample interval).
     """
-    from repro.obs.timeline import sample_cycles, timeline_record
+    from repro.obs.timeline import (missing_timeline_cause, sample_cycles,
+                                    timeline_record)
 
     rec = timeline_record(record) if isinstance(record, RunArtifact) else record
     if not rec or not rec.get("columns"):
-        raise ValueError("run has no probe timeline "
-                         "(telemetry disabled or pre-v7 artifact)")
+        cause = (missing_timeline_cause(record)
+                 if isinstance(record, RunArtifact)
+                 else "the record holds no samples")
+        raise ValueError(f"run has no probe timeline: {cause}")
     names = sorted(rec["columns"])
     cycles = sample_cycles(rec)
     path = pathlib.Path(path)

@@ -43,7 +43,7 @@ re-runs a workload with the event bus attached and exports a Chrome
 ``trace_event`` file (open in Perfetto / ``chrome://tracing``);
 ``profile`` times the simulator's own components (see
 ``docs/observability.md``); ``lint`` runs the AST-based invariant
-checks -- determinism, probe hygiene, schema/fingerprint drift -- and
+checks -- determinism, probe hygiene, fingerprint coverage -- and
 ``cache ls --verify`` re-fingerprints every stored artifact (see
 ``docs/static-analysis.md``); ``chaos`` runs the deterministic
 fault-injection matrix against the run engine.  Every sweep goes through
@@ -70,6 +70,7 @@ combined report.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from repro.analysis import figures, metrics, tables
@@ -359,7 +360,7 @@ def _cmd_cache(args) -> int:
 def _cache_verify(store) -> int:
     """``repro cache ls --verify``: re-check every stored entry.
 
-    The runtime companion to the lint S-rules, rendered from
+    The runtime companion to lint rule S101, rendered from
     :meth:`~repro.analysis.store.RunStore.verify`: each current-schema
     artifact is re-loaded, its spec re-fingerprinted (MISMATCH = stored
     identity no longer matches its config), and its whole-payload
@@ -473,7 +474,8 @@ def _cmd_counters(args) -> int:
         probes = {k: v for k, v in probes.items() if pattern.search(k)}
     if not probes:
         print(f"no probes match regex {args.grep!r}" if args.grep
-              else "artifact carries no probe snapshot (pre-v2 schema?)")
+              else f"{rec.label}: the {args.window} window records no "
+                   "probes")
         return 1
     import json as _json
 
@@ -551,10 +553,10 @@ def _resolve_run_arg(text: str, instructions, seed):
 
 
 def _cmd_diff(args) -> int:
-    from repro.obs.diff import diff_artifacts, diff_runs
-    from repro.obs.flame import diff_flame_artifacts, diff_flame_runs
-    from repro.obs.timeline import (diff_timeline_artifacts,
-                                    diff_timeline_runs, timeline_record)
+    from repro.obs.diff import diff_seeds, probe_flat, seed_fanout
+    from repro.obs.flame import flame_flat
+    from repro.obs.timeline import (missing_timeline_cause, timeline_record,
+                                    timeline_view)
 
     if args.timeline and args.flame:
         raise SystemExit("--timeline and --flame are mutually exclusive")
@@ -580,30 +582,24 @@ def _cmd_diff(args) -> int:
                     "os_mode": parts[2], "instructions": args.instructions,
                     "seed": args.seed}
 
-        if args.timeline:
-            report = diff_timeline_runs(
-                _side(args.run_a), _side(args.run_b), grep=args.grep,
-                seeds=args.seeds, max_workers=args.workers)
-        else:
-            fn = diff_flame_runs if args.flame else diff_runs
-            report = fn(_side(args.run_a), _side(args.run_b),
-                        window=args.window, grep=args.grep,
-                        seeds=args.seeds, per_kilo=args.per_kilo,
-                        max_workers=args.workers)
+        arts_a, arts_b = seed_fanout(_side(args.run_a), _side(args.run_b),
+                                     args.seeds, max_workers=args.workers)
     else:
-        art_a = _resolve_run_arg(args.run_a, args.instructions, args.seed)
-        art_b = _resolve_run_arg(args.run_b, args.instructions, args.seed)
-        if args.timeline:
-            report = diff_timeline_artifacts(art_a, art_b, grep=args.grep)
-            if not report.deltas:
-                for art in (art_a, art_b):
-                    if timeline_record(art) is None:
-                        print(f"note: {art.label} carries no probe timeline "
-                              "(pre-v7 artifact or telemetry disabled)")
-        else:
-            fn = diff_flame_artifacts if args.flame else diff_artifacts
-            report = fn(art_a, art_b, window=args.window,
+        arts_a = [_resolve_run_arg(args.run_a, args.instructions, args.seed)]
+        arts_b = [_resolve_run_arg(args.run_b, args.instructions, args.seed)]
+    if args.timeline:
+        flatten, window = timeline_view(arts_a + arts_b), "timeline"
+    else:
+        flatten = functools.partial(flame_flat if args.flame else probe_flat,
+                                    window=args.window, per_kilo=args.per_kilo)
+        window = args.window
+    report = diff_seeds(arts_a, arts_b, flatten, window=window,
                         grep=args.grep, per_kilo=args.per_kilo)
+    if args.timeline and not report.deltas:
+        for art in (arts_a[0], arts_b[0]):
+            if timeline_record(art) is None:
+                print(f"note: {art.label} carries no probe timeline: "
+                      f"{missing_timeline_cause(art)}")
     if args.json:
         import json as _json
 
@@ -631,8 +627,11 @@ def _cmd_flame(args) -> int:
     window = rec.window(args.window)
     paths = flame.flame_paths(window)
     if not paths:
-        print("artifact window carries no attribution table "
-              "(pre-v6 schema? re-run to refresh)")
+        cause = f"it spans {window.get('cycles', 0):,} cycles"
+        if args.window == "startup" and not window.get("cycles"):
+            cause += " (the run had no warm-up)"
+        print(f"{rec.label}: the {args.window} window carries no call "
+              f"paths: {cause}")
         return 1
     folded = flame.fold(paths, grep=args.grep)
     if args.grep and not folded:
@@ -681,8 +680,8 @@ def _cmd_timeline(args) -> int:
     rec = _resolve_run_arg(args.run, args.instructions, args.seed)
     record = tl.timeline_record(rec)
     if record is None:
-        print(f"{rec.label} carries no probe timeline "
-              "(pre-v7 artifact or telemetry disabled; re-run to refresh)")
+        print(f"{rec.label} carries no probe timeline: "
+              f"{tl.missing_timeline_cause(rec)}")
         return 1
     if args.csv:
         _guard_overwrite(args.csv, args.force)

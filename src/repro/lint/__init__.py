@@ -18,9 +18,10 @@ observability layer rely on:
   against the committed manifest of the ~170 registered probes, where a
   typo'd name silently creates a fresh zero counter instead of failing.
 * **S-rules** (:mod:`repro.lint.rules_schema`) -- the artifact
-  fingerprint must cover every configuration knob, and snapshot-shaping
-  code must not drift without a ``SCHEMA_VERSION`` / ``CODE_VERSION``
-  bump (a silent change poisons the content-addressed run store).
+  fingerprint must cover every configuration knob, or runs that differ
+  only in it share one key of the content-addressed run store.  A
+  change to what runs simulate or store is caught by the golden
+  digests of ``tests/test_golden_trajectories.py``, not by a rule.
 
 Checking is pure :mod:`ast` analysis over the source tree; no simulator
 code is imported or executed.  Only ``repro lint --update`` builds the

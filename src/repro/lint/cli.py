@@ -18,7 +18,6 @@ from repro.lint.callgraph import CallGraph
 from repro.lint.engine import (FAMILIES, LintEngine, findings_to_json,
                                render_report)
 from repro.lint.rules_probes import write_manifest
-from repro.lint.rules_schema import SchemaRules, write_shapes
 from repro.lint.sarif import write_sarif
 
 #: Default scan root, relative to the invocation directory.
@@ -29,7 +28,7 @@ def add_parser(sub: Any) -> None:
     p = sub.add_parser(
         "lint",
         help="static invariant checks: determinism, probe hygiene, "
-             "schema/fingerprint drift")
+             "fingerprint coverage")
     p.add_argument("root", nargs="?", default=None,
                    help=f"directory (or file) to scan (default: "
                         f"{DEFAULT_ROOT}, falling back to the package "
@@ -46,9 +45,9 @@ def add_parser(sub: Any) -> None:
                    help="rewrite the baseline from the current findings "
                         "and exit 0")
     p.add_argument("--update", action="store_true",
-                   help="regenerate the committed probe manifest (from the "
-                        "live registries of the imported package) and the "
-                        "schema shape digests (from the scanned tree)")
+                   help="regenerate the committed probe manifest from the "
+                        "live registries of the imported package, then "
+                        "lint")
     p.add_argument("--json", default=None, metavar="FILE",
                    help="write a machine-readable findings report "
                         "('-' for stdout)")
@@ -101,20 +100,16 @@ def run_lint(args: argparse.Namespace) -> int:
     root = _resolve_root(args.root)
     engine = LintEngine(root)
     if selected:
-        engine.select(selected)
-    findings = engine.run()
-
-    if args.update:
-        if any(rule.id.startswith("P") for rule in engine.rules):
-            print(f"wrote {write_manifest()}")
-        for rule in engine.rules:
-            if isinstance(rule, SchemaRules):
-                print(f"wrote {write_shapes(root, rule)}")
-        # Re-run: drift findings must now be gone, the rest still count.
-        engine = LintEngine(root)
-        if selected:
+        try:
             engine.select(selected)
-        findings = engine.run()
+        except ValueError as exc:
+            print(f"repro lint: {exc}", file=sys.stderr)
+            return 2
+    # The P rules read the manifest at finalize, so one pass sees the
+    # fresh dump.
+    if args.update and any(rule.id.startswith("P") for rule in engine.rules):
+        print(f"wrote {write_manifest()}")
+    findings = engine.run()
 
     if args.dump_callgraph:
         graph = CallGraph.for_engine(engine)

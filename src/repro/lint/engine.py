@@ -218,7 +218,7 @@ FAMILIES = {
     "F": "process-boundary / fault discipline",
     "H": "hot-path performance",
     "P": "probe hygiene",
-    "S": "schema / fingerprint drift",
+    "S": "fingerprint coverage",
 }
 
 

@@ -1,84 +1,37 @@
-"""S-rules: schema and fingerprint drift.
+"""S-rules: fingerprint coverage.
 
 The run store is content-addressed: an artifact's identity is a hash
 over ``SCHEMA_VERSION``, ``CODE_VERSION``, and the full simulation
-config.  Two silent failure modes poison it:
-
-* a configuration knob that never reaches the fingerprint -- two runs
-  with different behavior collide on one store key, and stale artifacts
-  masquerade as current measurements;
-* snapshot- or config-shaping code that changes without a version bump
-  -- stored artifacts parse but no longer mean what readers assume.
+config.  A configuration knob that never reaches the fingerprint makes
+two runs with different behavior collide on one store key, so stale
+artifacts masquerade as current measurements.
 
 ============  =========================================================
 S101          a config field / simulator knob is not statically
               reachable from the fingerprint computation
               (``sim_params`` must cover every ``*Config`` dataclass
               field and every ``Simulation.__init__`` knob)
-S102          config shape (dataclass fields, knob defaults) changed
-              while ``CODE_VERSION`` and the committed shape digest
-              stayed put (regenerate with ``repro lint --update``)
-S103          snapshot-producing code changed while ``SCHEMA_VERSION``
-              and the committed shape digest stayed put
 ============  =========================================================
 
-Digests are computed from a version-stable AST dump (docstrings and
-comments excluded), so they are identical across the Python versions CI
-runs, and only *structural* edits trip them.
+The other silent failure mode -- what a run simulates or stores changes
+while both version constants stay put -- is caught at run time, not
+here: ``tests/test_golden_trajectories.py`` pins the digests of six
+stored artifacts, so any such change fails tier-1 until the right
+version is bumped and the digests re-pinned.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-import pathlib
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
-from repro.lint.engine import FileContext, Finding, Rule
+from repro.lint.engine import FileContext, Finding, Rule, assigned_value
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lint.engine import LintEngine
 
-#: Committed shape digest location, relative to the scan root.
-SHAPE_RELPATH = "lint/schema_shape.json"
-
 #: ``Simulation.__init__`` parameters that are identity, not knobs.
 NON_KNOB_PARAMS = frozenset({"self", "workload", "machine", "os_mode", "seed"})
-
-#: AST fields that differ across Python versions (or carry positions).
-_UNSTABLE_FIELDS = frozenset({"type_comment", "type_params", "type_ignores"})
-
-
-def _strip_docstring(body: list) -> list:
-    if (body and isinstance(body[0], ast.Expr)
-            and isinstance(body[0].value, ast.Constant)
-            and isinstance(body[0].value.value, str)):
-        return body[1:]
-    return body
-
-
-def stable_dump(node: Any) -> str:
-    """A Python-version-stable structural dump of an AST subtree."""
-    if isinstance(node, ast.AST):
-        parts = []
-        for name in node._fields:
-            if name in _UNSTABLE_FIELDS:
-                continue
-            value = getattr(node, name, None)
-            if name == "body" and isinstance(value, list):
-                value = _strip_docstring(value)
-            parts.append(f"{name}={stable_dump(value)}")
-        return f"{type(node).__name__}({','.join(parts)})"
-    if isinstance(node, list):
-        return "[" + ",".join(stable_dump(v) for v in node) + "]"
-    return repr(node)
-
-
-def _segment(ctx: FileContext, node: ast.AST) -> str:
-    """Whitespace-normalized source text of one node."""
-    text = ast.get_source_segment(ctx.source, node) or ""
-    return " ".join(text.split())
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -93,102 +46,55 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def _dataclass_fields(ctx: FileContext, node: ast.ClassDef) -> list[list]:
-    """``[name, annotation-text, default-text]`` per declared field."""
-    fields = []
-    for stmt in node.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            annot = _segment(ctx, stmt.annotation)
-            if "ClassVar" in annot:
-                continue
-            default = _segment(ctx, stmt.value) if stmt.value is not None else ""
-            fields.append([stmt.target.id, annot, default])
-    return fields
+def _dataclass_fields(node: ast.ClassDef) -> list[str]:
+    """The declared field names of a dataclass, ``ClassVar``\\ s excluded."""
+    return [stmt.target.id for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and "ClassVar" not in ast.unparse(stmt.annotation)]
 
 
 class SchemaRules(Rule):
-    """Whole-program S-rule analysis (collection + all three checks)."""
+    """Whole-program S101 analysis: collect, then check coverage."""
 
     id = "S101"
-    title = "fingerprint coverage and shape drift"
+    title = "fingerprint coverage"
 
     def __init__(self) -> None:
-        #: class name -> (ctx, node, fields)
-        self.config_classes: dict[str, tuple] = {}
+        #: class name -> declared field names
+        self.config_classes: dict[str, list[str]] = {}
         self.knob_defaults: tuple | None = None   # (ctx, node, keys)
         self.sim_params_fn: tuple | None = None   # (ctx, node)
         self.sim_init: tuple | None = None        # (ctx, node)
-        self.artifact_mod: tuple | None = None    # (ctx, schema, code)
-        self.snapshot_nodes: list[tuple] = []     # (label, ctx, node)
 
     # -- collection --------------------------------------------------------
 
     def visit_file(self, ctx: FileContext) -> None:
         for node in ctx.tree.body:
+            knobs = assigned_value(node, "SIM_KNOB_DEFAULTS")
             if isinstance(node, ast.ClassDef):
                 self._visit_class(ctx, node)
-            elif isinstance(node, ast.FunctionDef):
-                if node.name == "sim_params":
-                    self.sim_params_fn = (ctx, node)
-                if node.name in ("capture", "diff") \
-                        and "snapshot" in ctx.relpath:
-                    self.snapshot_nodes.append((node.name, ctx, node))
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                    and isinstance(node.targets[0], ast.Name):
-                self._visit_assign(ctx, node, node.targets[0].id, node.value)
-            elif isinstance(node, ast.AnnAssign) \
-                    and isinstance(node.target, ast.Name) \
-                    and node.value is not None:
-                self._visit_assign(ctx, node, node.target.id, node.value)
+            elif isinstance(node, ast.FunctionDef) \
+                    and node.name == "sim_params":
+                self.sim_params_fn = (ctx, node)
+            elif isinstance(knobs, ast.Dict):
+                keys = tuple(
+                    k.value for k in knobs.keys
+                    if isinstance(k, ast.Constant) and isinstance(k.value, str))
+                self.knob_defaults = (ctx, node, keys)
 
     def _visit_class(self, ctx: FileContext, node: ast.ClassDef) -> None:
         if node.name.endswith("Config") and _is_dataclass(node):
-            self.config_classes[node.name] = (
-                ctx, node, _dataclass_fields(ctx, node))
+            self.config_classes[node.name] = _dataclass_fields(node)
         if node.name == "Simulation":
             for stmt in node.body:
                 if isinstance(stmt, ast.FunctionDef) \
                         and stmt.name == "__init__":
                     self.sim_init = (ctx, stmt)
-        if node.name == "RunArtifact":
-            self.snapshot_nodes.append(("RunArtifact", ctx, node))
-        if node.name in ("Histogram", "ProbeRegistry"):
-            for stmt in node.body:
-                if isinstance(stmt, ast.FunctionDef) \
-                        and stmt.name == "snapshot":
-                    self.snapshot_nodes.append(
-                        (f"{node.name}.snapshot", ctx, stmt))
-
-    def _visit_assign(self, ctx: FileContext, node: ast.stmt,
-                      name: str, value_node: ast.AST) -> None:
-        if name == "SIM_KNOB_DEFAULTS" and isinstance(value_node, ast.Dict):
-            keys = tuple(
-                k.value for k in value_node.keys
-                if isinstance(k, ast.Constant) and isinstance(k.value, str))
-            self.knob_defaults = (ctx, node, keys)
-        elif name in ("SCHEMA_VERSION", "CODE_VERSION"):
-            if self.artifact_mod is None or self.artifact_mod[0] is not ctx:
-                self.artifact_mod = (ctx, None, None)
-            _, schema, code = self.artifact_mod
-            value = value_node.value if isinstance(value_node, ast.Constant) \
-                else None
-            if name == "SCHEMA_VERSION":
-                schema = value
-            else:
-                code = value
-            self.artifact_mod = (ctx, schema, code)
 
     # -- checks ------------------------------------------------------------
 
     def finalize(self, engine: LintEngine) -> list[Finding]:
-        out: list[Finding] = []
-        out.extend(self._check_coverage())
-        out.extend(self._check_shapes(engine))
-        return out
-
-    # S101 ----------------------------------------------------------------
-
-    def _check_coverage(self) -> list[Finding]:
         out: list[Finding] = []
         if self.sim_params_fn is not None:
             out.extend(self._check_machine_fields())
@@ -213,9 +119,8 @@ class SchemaRules(Rule):
             elif isinstance(n, ast.Constant) and isinstance(n.value, str):
                 mentioned.add(n.value)
         out = []
-        for cls_name, (cctx, cnode, fields) in sorted(
-                self.config_classes.items()):
-            for field_name, _annot, _default in fields:
+        for cls_name, fields in sorted(self.config_classes.items()):
+            for field_name in fields:
                 if field_name not in mentioned:
                     out.append(self.finding(
                         ctx, fn,
@@ -268,104 +173,6 @@ class SchemaRules(Rule):
                         "Simulation.__init__ has no such parameter "
                         "(dead knob)", ident=f"dead-knob.{name}"))
         return out
-
-    # S102 / S103 ----------------------------------------------------------
-
-    def config_digest(self) -> str:
-        payload = {
-            "classes": {
-                name: fields
-                for name, (_ctx, _node, fields)
-                in sorted(self.config_classes.items())
-            },
-            "knobs": (_segment(self.knob_defaults[0], self.knob_defaults[1])
-                      if self.knob_defaults else ""),
-            "init": self._init_signature(),
-        }
-        text = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(text.encode()).hexdigest()
-
-    def _init_signature(self) -> list[list]:
-        if self.sim_init is None:
-            return []
-        ctx, init = self.sim_init
-        args = init.args
-        defaults = [None] * (len(args.args) - len(args.defaults)) \
-            + list(args.defaults)
-        out = []
-        for a, d in zip(args.args, defaults):
-            out.append([a.arg, _segment(ctx, d) if d is not None else ""])
-        return out
-
-    def snapshot_digest(self) -> str:
-        parts = [f"{label}:{stable_dump(node)}"
-                 for label, _ctx, node in sorted(
-                     self.snapshot_nodes, key=lambda item: item[0])]
-        return hashlib.sha256("\n".join(parts).encode()).hexdigest()
-
-    def shape_payload(self) -> dict:
-        schema = code = None
-        if self.artifact_mod is not None:
-            _, schema, code = self.artifact_mod
-        return {
-            "version": 1,
-            "code_version": code,
-            "schema_version": schema,
-            "config_digest": self.config_digest(),
-            "snapshot_digest": self.snapshot_digest(),
-        }
-
-    def _check_shapes(self, engine: LintEngine) -> list[Finding]:
-        path = pathlib.Path(engine.root) / SHAPE_RELPATH
-        if not path.is_file():
-            return []
-        try:
-            committed = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            return [Finding("S102", SHAPE_RELPATH, 0,
-                            f"committed shape file unreadable: {exc}",
-                            ident="shape-unreadable")]
-        current = self.shape_payload()
-        out = []
-        checks = (
-            ("S102", "config_digest", "code_version", "CODE_VERSION",
-             "config shape (dataclass fields / simulator knobs)"),
-            ("S103", "snapshot_digest", "schema_version", "SCHEMA_VERSION",
-             "snapshot-producing code"),
-        )
-        for rule_id, digest_key, version_key, version_name, what in checks:
-            same_digest = current[digest_key] == committed.get(digest_key)
-            same_version = (current[version_key]
-                            == committed.get(version_key))
-            if same_digest and same_version:
-                continue
-            if same_version:
-                message = (
-                    f"{what} changed but {version_name} did not: stored "
-                    "artifacts from before this change are "
-                    "indistinguishable from current ones.  Bump "
-                    f"{version_name}, then regenerate the shape file with "
-                    "`repro lint --update`")
-            elif same_digest:
-                message = (f"{version_name} changed but the committed shape "
-                           "file was not regenerated; run "
-                           "`repro lint --update`")
-            else:
-                message = (f"{version_name} was bumped for this change -- "
-                           "finish the bookkeeping by regenerating the "
-                           "shape file with `repro lint --update`")
-            out.append(Finding(
-                rule_id, SHAPE_RELPATH, 0, message,
-                ident=f"{digest_key}-drift"))
-        return out
-
-
-def write_shapes(engine_root: pathlib.Path, rule: SchemaRules) -> pathlib.Path:
-    path = pathlib.Path(engine_root) / SHAPE_RELPATH
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(rule.shape_payload(), indent=2,
-                               sort_keys=True) + "\n")
-    return path
 
 
 def rules() -> list[Rule]:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.obs.registry import snapshot_percentile
 
@@ -296,20 +297,74 @@ def flat_mean_and_band(
 # -- top-level entry points -------------------------------------------------
 
 
+def probe_flat(art, window: str = "steady",
+               per_kilo: bool = False) -> dict[str, float]:
+    """One artifact's counter window as flat probe scalars: the plain
+    probe view of :func:`diff_seeds`."""
+    flat = flatten_window(art.window(window))
+    return _per_kilo(flat) if per_kilo else flat
+
+
+def diff_seeds(arts_a: list, arts_b: list, flatten, window: str = "steady",
+               grep: str | None = None, per_kilo: bool = False) -> DiffReport:
+    """Diff two sides, each a list of seed repeats of one run.
+
+    *flatten* is the view: it maps one artifact to the flat
+    ``{name: value}`` map compared, or to None when the artifact has
+    nothing to compare (a run without a probe timeline).  Such artifacts
+    are left out, and a side left with none yields an empty report.  One
+    repeat per side compares the two maps as they are; more compare
+    mean against mean, and a delta inside the sum of the two sides'
+    2-sigma bands is marked insignificant.  Each side is labelled by its
+    first repeat.
+    """
+    flats_a = [f for f in map(flatten, arts_a) if f is not None]
+    flats_b = [f for f in map(flatten, arts_b) if f is not None]
+    seeds = len(arts_a)
+    if not (flats_a and flats_b):
+        deltas: list[ProbeDelta] = []
+    elif seeds == 1:
+        deltas = diff_flat(flats_a[0], flats_b[0], grep=grep)
+    else:
+        mean_a, band_a = flat_mean_and_band(flats_a)
+        mean_b, band_b = flat_mean_and_band(flats_b)
+        bands = {name: band_a.get(name, 0.0) + band_b.get(name, 0.0)
+                 for name in sorted(set(band_a) | set(band_b))}
+        deltas = diff_flat(mean_a, mean_b, grep=grep, bands=bands)
+    art_a, art_b = arts_a[0], arts_b[0]
+    return DiffReport(
+        a_label=art_a.label, b_label=art_b.label,
+        a_fingerprint=art_a.fingerprint, b_fingerprint=art_b.fingerprint,
+        window=window, grep=grep, seeds=seeds, per_kilo=per_kilo,
+        deltas=deltas)
+
+
+def seed_fanout(spec_a: dict, spec_b: dict, seeds: int,
+                max_workers: int | None = None) -> tuple[list, list]:
+    """Both sides' artifacts under *seeds* consecutive seeds each, for
+    :func:`diff_seeds`.
+
+    *spec_a* and *spec_b* are ``{workload, cpu, os_mode[, instructions,
+    seed]}``; every run resolves through the run engine, so missing
+    repeats execute in parallel and warm ones load from the store.
+    """
+    from repro.analysis.service import run_artifacts
+
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    fan = seed_specs(spec_a, seeds) + seed_specs(spec_b, seeds)
+    arts = run_artifacts(fan, max_workers=max_workers)
+    return arts[:seeds], arts[seeds:]
+
+
 def diff_artifacts(
     art_a, art_b, window: str = "steady", grep: str | None = None,
     per_kilo: bool = False,
 ) -> DiffReport:
     """Diff one window of two already-resolved artifacts (no noise model)."""
-    flat_a = flatten_window(art_a.window(window))
-    flat_b = flatten_window(art_b.window(window))
-    if per_kilo:
-        flat_a, flat_b = _per_kilo(flat_a), _per_kilo(flat_b)
-    return DiffReport(
-        a_label=art_a.label, b_label=art_b.label,
-        a_fingerprint=art_a.fingerprint, b_fingerprint=art_b.fingerprint,
-        window=window, grep=grep, per_kilo=per_kilo,
-        deltas=diff_flat(flat_a, flat_b, grep=grep))
+    return diff_seeds([art_a], [art_b],
+                      partial(probe_flat, window=window, per_kilo=per_kilo),
+                      window=window, grep=grep, per_kilo=per_kilo)
 
 
 def diff_runs(
@@ -321,40 +376,9 @@ def diff_runs(
     per_kilo: bool = False,
     max_workers: int | None = None,
 ) -> DiffReport:
-    """Diff two run *specs* (``{workload, cpu, os_mode[, instructions,
-    seed]}``), resolving every needed run through the engine fan-out.
-
-    With ``seeds > 1`` each side runs under that many consecutive seeds
-    (missing repeats execute in parallel, warm ones load from the
-    store); sides then compare mean-vs-mean with per-probe noise bands.
-    """
-    from repro.analysis import experiments
-    from repro.analysis.artifact import run_fingerprint
-    from repro.analysis.service import run_artifacts
-
-    if seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {seeds}")
-    fan = seed_specs(spec_a, seeds) + seed_specs(spec_b, seeds)
-    arts = run_artifacts(fan, max_workers=max_workers)
-    arts_a, arts_b = arts[:seeds], arts[seeds:]
-    mean_a, band_a = mean_and_band(
-        [a.window(window) for a in arts_a], per_kilo=per_kilo)
-    mean_b, band_b = mean_and_band(
-        [b.window(window) for b in arts_b], per_kilo=per_kilo)
-    bands = {name: band_a.get(name, 0.0) + band_b.get(name, 0.0)
-             for name in sorted(set(band_a) | set(band_b))}
-
-    def _identity(spec: dict) -> tuple[str, str]:
-        label = "-".join((spec["workload"], spec["cpu"],
-                          spec.get("os_mode", "full")))
-        resolved = experiments.run_spec(
-            spec["workload"], spec["cpu"], spec.get("os_mode", "full"),
-            spec.get("instructions"), spec.get("seed", 11))
-        return label, run_fingerprint(resolved)
-
-    (label_a, fp_a), (label_b, fp_b) = _identity(spec_a), _identity(spec_b)
-    return DiffReport(
-        a_label=label_a, b_label=label_b,
-        a_fingerprint=fp_a, b_fingerprint=fp_b,
-        window=window, grep=grep, seeds=seeds, per_kilo=per_kilo,
-        deltas=diff_flat(mean_a, mean_b, grep=grep, bands=bands))
+    """Diff one window of two run *specs* across *seeds* repeats each
+    (see :func:`seed_fanout` and :func:`diff_seeds`)."""
+    arts_a, arts_b = seed_fanout(spec_a, spec_b, seeds, max_workers)
+    return diff_seeds(arts_a, arts_b,
+                      partial(probe_flat, window=window, per_kilo=per_kilo),
+                      window=window, grep=grep, per_kilo=per_kilo)

@@ -1,6 +1,6 @@
 """Simulated-cycle flamegraphs: folding and diffing call-path attribution.
 
-Schema-v6 counter windows carry an ``attribution`` section mapping each
+Every counter window carries an ``attribution`` section mapping each
 ``;``-joined call path (the chain of open kernel-service spans with the
 charged service as the leaf -- see
 :class:`repro.core.stats.Attribution`) to the context-cycles charged to
@@ -19,20 +19,15 @@ points; both resolve runs through the normal memo/store layers.
 from __future__ import annotations
 
 from repro.core.stats import leaf_totals  # noqa: F401  (re-exported fold)
-from repro.obs.diff import (
-    DiffReport,
-    compile_grep,
-    diff_flat,
-    flat_mean_and_band,
-    seed_specs,
-)
+from repro.obs.diff import compile_grep
 
 
 def flame_paths(window: dict) -> dict[str, float]:
     """The attribution table of one counter window.
 
-    Pre-v6 windows (no ``attribution`` section) yield an empty table
-    rather than failing, so tooling degrades gracefully on old stores.
+    A window that spans no cycles (the startup window of a run without
+    warm-up) charges no paths, so its table is empty; so is a window
+    without an ``attribution`` section.
     """
     paths = window.get("attribution")
     return dict(paths) if isinstance(paths, dict) else {}
@@ -79,92 +74,18 @@ def render_table(paths: dict[str, float], top: int = 30,
     return "\n".join(lines)
 
 
-# -- seed fan-out statistics --------------------------------------------------
-
-
-def _flat_attribution(window: dict, per_kilo: bool = False) -> dict[str, float]:
-    """One window's path table, optionally per-1,000-retired normalized."""
-    flat = flame_paths(window)
-    if per_kilo:
-        retired = window.get("retired", 0)
-        if retired:
-            scale = 1000.0 / retired
-            flat = {path: value * scale for path, value in flat.items()}
-    return flat
-
-
-def attribution_mean_and_band(
-    windows: list[dict], per_kilo: bool = False,
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Per-path mean and 2-sigma half-width across seed repeats (the
-    flame analogue of :func:`repro.obs.diff.mean_and_band`)."""
-    return flat_mean_and_band(
-        [_flat_attribution(w, per_kilo) for w in windows])
-
-
 # -- diffing call-path trees --------------------------------------------------
 
 
-def diff_flame_artifacts(
-    art_a, art_b, window: str = "steady", grep: str | None = None,
-    per_kilo: bool = False,
-) -> DiffReport:
-    """Diff the call-path tables of two resolved artifacts (no noise
-    model); each delta's ``name`` is a whole ``;``-joined path."""
-    flat_a = _flat_attribution(art_a.window(window), per_kilo)
-    flat_b = _flat_attribution(art_b.window(window), per_kilo)
-    return DiffReport(
-        a_label=art_a.label, b_label=art_b.label,
-        a_fingerprint=art_a.fingerprint, b_fingerprint=art_b.fingerprint,
-        window=window, grep=grep, per_kilo=per_kilo,
-        deltas=diff_flat(flat_a, flat_b, grep=grep))
-
-
-def diff_flame_runs(
-    spec_a: dict,
-    spec_b: dict,
-    window: str = "steady",
-    grep: str | None = None,
-    seeds: int = 1,
-    per_kilo: bool = False,
-    max_workers: int | None = None,
-) -> DiffReport:
-    """Diff two run specs' call-path trees with seed-repeat noise bands.
-
-    The flame twin of :func:`repro.obs.diff.diff_runs`: each side runs
-    under ``seeds`` consecutive seeds (parallel fan-out, store-warm on
-    repeat), sides compare mean-vs-mean per path, and deltas inside the
-    combined 2-sigma band are marked insignificant -- so a ranked
-    top-movers listing attributes a cycle delta to call paths that move
-    beyond seed noise.
-    """
-    from repro.analysis import experiments
-    from repro.analysis.artifact import run_fingerprint
-    from repro.analysis.service import run_artifacts
-
-    if seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {seeds}")
-    fan = seed_specs(spec_a, seeds) + seed_specs(spec_b, seeds)
-    arts = run_artifacts(fan, max_workers=max_workers)
-    arts_a, arts_b = arts[:seeds], arts[seeds:]
-    mean_a, band_a = attribution_mean_and_band(
-        [a.window(window) for a in arts_a], per_kilo=per_kilo)
-    mean_b, band_b = attribution_mean_and_band(
-        [b.window(window) for b in arts_b], per_kilo=per_kilo)
-    bands = {name: band_a.get(name, 0.0) + band_b.get(name, 0.0)
-             for name in sorted(set(band_a) | set(band_b))}
-
-    def _identity(spec: dict) -> tuple[str, str]:
-        label = "-".join((spec["workload"], spec["cpu"],
-                          spec.get("os_mode", "full")))
-        resolved = experiments.run_spec(
-            spec["workload"], spec["cpu"], spec.get("os_mode", "full"),
-            spec.get("instructions"), spec.get("seed", 11))
-        return label, run_fingerprint(resolved)
-
-    (label_a, fp_a), (label_b, fp_b) = _identity(spec_a), _identity(spec_b)
-    return DiffReport(
-        a_label=label_a, b_label=label_b,
-        a_fingerprint=fp_a, b_fingerprint=fp_b,
-        window=window, grep=grep, seeds=seeds, per_kilo=per_kilo,
-        deltas=diff_flat(mean_a, mean_b, grep=grep, bands=bands))
+def flame_flat(art, window: str = "steady",
+               per_kilo: bool = False) -> dict[str, float]:
+    """One artifact's call-path table, optionally per-1,000-retired
+    normalized: the flame view of :func:`repro.obs.diff.diff_seeds`,
+    whose deltas are then named by whole ``;``-joined paths."""
+    counters = art.window(window)
+    flat = flame_paths(counters)
+    retired = counters.get("retired", 0)
+    if per_kilo and retired:
+        scale = 1000.0 / retired
+        flat = {path: value * scale for path, value in flat.items()}
+    return flat

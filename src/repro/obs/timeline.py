@@ -34,8 +34,8 @@ changes (:func:`detect_phases`: windowed mean shift on IPC and kernel
 share, emitted as ``marks``-style boundaries sampled-mode window
 placement can consume -- see :func:`suggest_warmup`), and diffs two
 runs' timelines interval by interval through the same
-:class:`~repro.obs.diff.DiffReport` machinery as probe diffs
-(:func:`diff_timeline_artifacts` / :func:`diff_timeline_runs`).
+:func:`~repro.obs.diff.diff_seeds` machinery as probe diffs
+(:func:`timeline_view`).
 
 ``repro timeline <run>`` and ``repro diff --timeline`` are the CLI entry
 points.  Telemetry is default-on (the per-cycle cost is one mask test;
@@ -49,13 +49,7 @@ telemetry options share a store key.
 from __future__ import annotations
 
 from repro.core.stats import CLASS_NAMES
-from repro.obs.diff import (
-    DiffReport,
-    compile_grep,
-    diff_flat,
-    flat_mean_and_band,
-    seed_specs,
-)
+from repro.obs.diff import DiffReport, compile_grep, diff_seeds
 
 #: Default sampling interval in simulated cycles (power of two: the run
 #: loops test ``now & mask == 0``, the same pattern as the heartbeat).
@@ -388,12 +382,21 @@ def suggest_warmup(record: dict, **kwargs) -> int | None:
 
 
 def timeline_record(artifact) -> dict | None:
-    """The probe-timeline record of an artifact, or None (pre-v7 /
-    telemetry disabled), so tooling degrades gracefully on old stores."""
+    """The probe-timeline record of an artifact, or None when it has no
+    samples (see :func:`missing_timeline_cause`)."""
     record = getattr(artifact, "probe_timeline", None)
     if not isinstance(record, dict) or not record.get("samples"):
         return None
     return record
+
+
+def missing_timeline_cause(artifact) -> str:
+    """Why :func:`timeline_record` returns None for *artifact*."""
+    record = getattr(artifact, "probe_timeline", None)
+    if not isinstance(record, dict):
+        return "interval telemetry was disabled for this run"
+    return (f"the run lasted {artifact.cycles:,} cycles, less than one "
+            f"{record['interval']:,}-cycle sample interval")
 
 
 def flatten_timeline(record: dict, limit: int | None = None) -> dict[str, float]:
@@ -418,82 +421,31 @@ def flatten_timeline(record: dict, limit: int | None = None) -> dict[str, float]
     return flat
 
 
-def timeline_mean_and_band(
-    records: list[dict], limit: int | None = None,
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Per-entry mean and 2-sigma half-width across seed repeats (the
-    timeline analogue of :func:`repro.obs.diff.mean_and_band`)."""
-    return flat_mean_and_band(
-        [flatten_timeline(r, limit=limit) for r in records])
+def timeline_view(arts: list):
+    """The timeline view of :func:`repro.obs.diff.diff_seeds` over the
+    artifacts *arts* of both sides.
+
+    Each artifact flattens to ``series@cycle`` entries, truncated to the
+    sample prefix every record in *arts* shares, so each compared entry
+    describes the same slice of simulated time on both machines; an
+    artifact without a timeline flattens to None.
+    """
+    limit = min((r["samples"] for r in map(timeline_record, arts) if r),
+                default=0)
+
+    def flatten(art) -> dict[str, float] | None:
+        record = timeline_record(art)
+        return None if record is None else flatten_timeline(record, limit)
+    return flatten
 
 
 def diff_timeline_artifacts(art_a, art_b,
                             grep: str | None = None) -> DiffReport:
-    """Diff two artifacts' probe timelines interval by interval.
-
-    Each delta's ``name`` is ``series@cycle``; both sides are truncated
-    to the shared sample prefix so every compared entry describes the
-    same slice of simulated time on both machines.  Artifacts without a
-    timeline yield an empty report (pre-v7 stores).
-    """
-    rec_a, rec_b = timeline_record(art_a), timeline_record(art_b)
-    deltas = []
-    if rec_a is not None and rec_b is not None:
-        limit = min(rec_a["samples"], rec_b["samples"])
-        deltas = diff_flat(flatten_timeline(rec_a, limit=limit),
-                           flatten_timeline(rec_b, limit=limit), grep=grep)
-    return DiffReport(
-        a_label=art_a.label, b_label=art_b.label,
-        a_fingerprint=art_a.fingerprint, b_fingerprint=art_b.fingerprint,
-        window="timeline", grep=grep, deltas=deltas)
-
-
-def diff_timeline_runs(
-    spec_a: dict,
-    spec_b: dict,
-    grep: str | None = None,
-    seeds: int = 1,
-    max_workers: int | None = None,
-) -> DiffReport:
-    """Diff two run specs' timelines with seed-repeat noise bands.
-
-    The timeline twin of :func:`repro.obs.diff.diff_runs`: each side
-    runs under ``seeds`` consecutive seeds (parallel fan-out,
-    store-warm on repeat), sides compare mean-vs-mean per
-    ``series@cycle`` entry, and deltas inside the combined 2-sigma band
-    are marked insignificant -- ranking the *intervals* where two
-    machines genuinely diverge beyond seed noise.
-    """
-    from repro.analysis import experiments
-    from repro.analysis.artifact import run_fingerprint
-    from repro.analysis.service import run_artifacts
-
-    if seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {seeds}")
-    fan = seed_specs(spec_a, seeds) + seed_specs(spec_b, seeds)
-    arts = run_artifacts(fan, max_workers=max_workers)
-    recs_a = [r for r in (timeline_record(a) for a in arts[:seeds]) if r]
-    recs_b = [r for r in (timeline_record(b) for b in arts[seeds:]) if r]
-    limit = min((r["samples"] for r in recs_a + recs_b), default=0)
-    mean_a, band_a = timeline_mean_and_band(recs_a, limit=limit)
-    mean_b, band_b = timeline_mean_and_band(recs_b, limit=limit)
-    bands = {name: band_a.get(name, 0.0) + band_b.get(name, 0.0)
-             for name in sorted(set(band_a) | set(band_b))}
-
-    def _identity(spec: dict) -> tuple[str, str]:
-        label = "-".join((spec["workload"], spec["cpu"],
-                          spec.get("os_mode", "full")))
-        resolved = experiments.run_spec(
-            spec["workload"], spec["cpu"], spec.get("os_mode", "full"),
-            spec.get("instructions"), spec.get("seed", 11))
-        return label, run_fingerprint(resolved)
-
-    (label_a, fp_a), (label_b, fp_b) = _identity(spec_a), _identity(spec_b)
-    return DiffReport(
-        a_label=label_a, b_label=label_b,
-        a_fingerprint=fp_a, b_fingerprint=fp_b,
-        window="timeline", grep=grep, seeds=seeds,
-        deltas=diff_flat(mean_a, mean_b, grep=grep, bands=bands))
+    """Diff two artifacts' probe timelines interval by interval (see
+    :func:`timeline_view`); an artifact without a timeline yields an
+    empty report."""
+    return diff_seeds([art_a], [art_b], timeline_view([art_a, art_b]),
+                      window="timeline", grep=grep)
 
 
 def filter_series(series: dict[str, list[float]],

@@ -307,3 +307,18 @@ def test_cli_flame_warns_on_dropped_events(small_budgets, capsys,
     assert cli.main(["flame", "specint-smt-full"]) == 0
     out = capsys.readouterr().out
     assert "dropped 17 event(s)" in out and "truncated" in out
+
+
+def test_cli_flame_names_why_a_window_is_empty(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+    experiments.clear_cache()
+    art = experiments.get_run("specint", "smt", "full", instructions=20_000,
+                              mode="fast")
+    experiments.clear_cache()
+    path = tmp_path / "fast.json"
+    path.write_text(art.dumps())
+    assert cli.main(["flame", str(path), "--window", "startup"]) == 1
+    assert capsys.readouterr().out == (
+        "specint-smt-full: the startup window carries no call paths: it "
+        "spans 0 cycles (the run had no warm-up)\n")
+    assert cli.main(["flame", str(path), "--window", "steady"]) == 0

@@ -484,3 +484,49 @@ def test_cli_diff_timeline_flag_conflicts(small_budgets):
         cli.main(["diff", "a-b-c", "d-e-f", "--timeline", "--flame"])
     with pytest.raises(SystemExit, match="per-kilo"):
         cli.main(["diff", "a-b-c", "d-e-f", "--timeline", "--per-kilo"])
+
+
+def test_cli_diff_timeline_seeded_noise_bands(small_budgets, tmp_path,
+                                             capsys):
+    jpath = tmp_path / "tl-diff.json"
+    assert cli.main(["diff", "specint-ss-full", "specint-smt-full",
+                     "--timeline", "--seeds", "2", "--instructions", "40000",
+                     "--workers", "1", "--json", str(jpath)]) == 0
+    out = capsys.readouterr().out
+    assert "timeline window" in out and "(2 seeds)" in out
+    payload = json.loads(jpath.read_text())
+    assert payload["seeds"] == 2 and payload["window"] == "timeline"
+    deltas = payload["deltas"]
+    assert deltas and all("@" in d["name"] for d in deltas)
+    assert any(d["band"] > 0 for d in deltas)
+    # every entry lies in the sample prefix all four runs share
+    records = [tl.timeline_record(experiments.get_run(
+        "specint", cpu, "full", instructions=40_000, seed=seed))
+        for cpu in ("ss", "smt") for seed in (11, 12)]
+    shared = min(r["samples"] for r in records) * records[0]["interval"]
+    assert max(int(d["name"].rsplit("@", 1)[1]) for d in deltas) == shared
+
+
+def test_cli_timeline_names_why_a_run_has_no_samples(tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+    experiments.clear_cache()
+    art = experiments.get_run("specint", "smt", "full", instructions=20_000,
+                              mode="fast")
+    experiments.clear_cache()
+    assert art.cycles < tl.DEFAULT_TIMELINE_INTERVAL
+    path = tmp_path / "short.json"
+    path.write_text(art.dumps())
+    cause = (f"the run lasted {art.cycles:,} cycles, less than one "
+             "8,192-cycle sample interval")
+    assert cli.main(["timeline", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out == f"specint-smt-full carries no probe timeline: {cause}\n"
+    assert cli.main(["diff", str(path), str(path), "--timeline"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(f"carries no probe timeline: {cause}") == 2
+    with pytest.raises(ValueError, match=cause):
+        probe_timeline_to_csv(art, path.with_suffix(".csv"))
+    art.probe_timeline = None
+    assert tl.missing_timeline_cause(art) \
+        == "interval telemetry was disabled for this run"
