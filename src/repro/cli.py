@@ -464,8 +464,13 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_counters(args) -> int:
-    rec = get_run(args.workload, args.cpu, args.os_mode,
-                  instructions=args.instructions, seed=args.seed)
+    rec = _load_artifact_file(args.run)
+    if rec is None:
+        if args.run not in ("specint", "apache"):
+            raise SystemExit(f"bad run {args.run!r}: want specint, apache "
+                             "or a path to an artifact .json")
+        rec = get_run(args.run, args.cpu, args.os_mode,
+                      instructions=args.instructions, seed=args.seed)
     if args.against:
         return _counters_against(args, rec)
     probes = rec.window(args.window).get("probes", {})
@@ -528,21 +533,29 @@ def _compile_grep_or_exit(pattern: str):
         raise SystemExit(f"bad --grep: {exc}")
 
 
+def _load_artifact_file(text: str):
+    """The stored artifact at path *text*, or ``None`` if *text* is no path."""
+    import os as _os
+
+    from repro.analysis.artifact import ArtifactError, RunArtifact
+
+    if not (text.endswith(".json") or _os.sep in text):
+        return None
+    try:
+        return RunArtifact.loads(open(text).read())
+    except (OSError, ArtifactError) as exc:
+        raise SystemExit(f"cannot load artifact file {text!r}: {exc}")
+
+
 def _resolve_run_arg(text: str, instructions, seed):
     """A diff-side argument as an artifact.
 
     Accepts a ``workload-cpu-os_mode`` label (resolved through the
     memo/store/execute layers) or a path to a stored artifact JSON file.
     """
-    import os as _os
-
-    from repro.analysis.artifact import ArtifactError, RunArtifact
-
-    if text.endswith(".json") or _os.sep in text:
-        try:
-            return RunArtifact.loads(open(text).read())
-        except (OSError, ArtifactError) as exc:
-            raise SystemExit(f"cannot load artifact file {text!r}: {exc}")
+    rec = _load_artifact_file(text)
+    if rec is not None:
+        return rec
     parts = text.split("-")
     if len(parts) != 3:
         raise SystemExit(
@@ -1059,7 +1072,10 @@ def main(argv=None) -> int:
     p_cnt = sub.add_parser(
         "counters",
         help="print the hierarchical probe tree of a stored run")
-    p_cnt.add_argument("workload", choices=["specint", "apache"])
+    p_cnt.add_argument("run", metavar="run",
+                       help="specint, apache, or a stored artifact .json "
+                            "(--cpu, --os-mode, --instructions and --seed "
+                            "apply to a workload name)")
     p_cnt.add_argument("--cpu", choices=["smt", "ss"], default="smt")
     p_cnt.add_argument("--os-mode", choices=["full", "app", "omit"],
                        default="full", dest="os_mode")

@@ -103,8 +103,8 @@ class Processor:
         self._inflight_limit = config.inflight_limit
         #: Contexts eligible to fetch this cycle, refilled by _fetch.
         self._eligible: list[_HWContext] = []
-        #: Fetch-priority sort key, bound once (the policy never changes
-        #: after construction; a per-cycle lambda showed up in H104).
+        #: Fetch-priority sort key, bound once: the policy never changes
+        #: after construction, so no lambda is built per cycle.
         self._fetch_key = self._icount_key \
             if config.fetch_policy == "icount" else self._rr_key
         self.int_queue: list[Instruction] = []

@@ -1,7 +1,7 @@
 """``repro lint``: AST-based invariant checking for the reproduction.
 
 Generic linters keep Python honest; this package keeps the *simulator*
-honest.  Six rule families guard the guarantees the run engine and the
+honest.  Five rule families guard the guarantees the run engine and the
 observability layer rely on:
 
 * **D-rules** (:mod:`repro.lint.rules_determinism`) -- no host
@@ -10,10 +10,8 @@ observability layer rely on:
 * **E-rules** (:mod:`repro.lint.rules_events`) -- kernel spans pair up
   on every exit, and emitted event kinds exist in the kind registry.
 * **F-rules** (:mod:`repro.lint.rules_faults`) -- fault-site names,
-  picklable process-boundary callables, and worker-side environment
-  reads.
-* **H-rules** (:mod:`repro.lint.rules_hotpath`) -- no allocation or
-  dispatch churn on the per-cycle hot path.
+  picklable process-boundary callables, and environment reads outside
+  the ``REPRO_*`` namespace.
 * **P-rules** (:mod:`repro.lint.rules_probes`) -- probe-name reads
   against the committed manifest of the ~170 registered probes, where a
   typo'd name silently creates a fresh zero counter instead of failing.
@@ -30,14 +28,10 @@ committed manifest.  See ``docs/static-analysis.md`` for the rule
 catalogue and workflow.
 """
 
-from repro.lint.baseline import Baseline, load_baseline, write_baseline
 from repro.lint.engine import Finding, LintEngine, default_rules
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintEngine",
     "default_rules",
-    "load_baseline",
-    "write_baseline",
 ]

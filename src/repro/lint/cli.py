@@ -7,14 +7,10 @@ argparse plumbing, and the top-level CLI stays a thin dispatcher.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 from typing import Any
 
-from repro.lint.baseline import (DEFAULT_BASELINE, load_baseline,
-                                 write_baseline)
-from repro.lint.callgraph import CallGraph
 from repro.lint.engine import (FAMILIES, LintEngine, findings_to_json,
                                render_report)
 from repro.lint.rules_probes import write_manifest
@@ -35,15 +31,8 @@ def add_parser(sub: Any) -> None:
                         "source when run elsewhere)")
     p.add_argument("--rule", action="append", default=None, metavar="IDS",
                    help="run only these rules: exact ids or family "
-                        "prefixes, comma-separated (e.g. --rule D,H or "
-                        "--rule H101,E102); repeatable")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="baseline file of grandfathered findings "
-                        f"(default: {DEFAULT_BASELINE} next to the scan "
-                        "root, when present)")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline from the current findings "
-                        "and exit 0")
+                        "prefixes, comma-separated (e.g. --rule D,F or "
+                        "--rule D103,E102); repeatable")
     p.add_argument("--update", action="store_true",
                    help="regenerate the committed probe manifest from the "
                         "live registries of the imported package, then "
@@ -54,9 +43,6 @@ def add_parser(sub: Any) -> None:
     p.add_argument("--sarif", default=None, metavar="FILE",
                    help="write a SARIF 2.1.0 report (for GitHub code "
                         "scanning / PR annotations)")
-    p.add_argument("--dump-callgraph", default=None, metavar="FILE",
-                   help="write the resolved whole-program call graph "
-                        "as JSON ('-' for stdout)")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalogue and exit")
     p.set_defaults(func=run_lint)
@@ -111,51 +97,21 @@ def run_lint(args: argparse.Namespace) -> int:
         print(f"wrote {write_manifest()}")
     findings = engine.run()
 
-    if args.dump_callgraph:
-        graph = CallGraph.for_engine(engine)
-        text = json.dumps(graph.to_json_dict(), indent=2, sort_keys=True)
-        if args.dump_callgraph == "-":
-            print(text)
-        else:
-            pathlib.Path(args.dump_callgraph).write_text(text + "\n")
-            print(f"wrote {args.dump_callgraph}", file=sys.stderr)
-
-    baseline_path = pathlib.Path(
-        args.baseline if args.baseline else DEFAULT_BASELINE)
-    if args.update_baseline:
-        path = write_baseline(baseline_path, findings)
-        print(f"baselined {len(findings)} finding(s) -> {path}")
-        return 0
-
-    baseline = load_baseline(baseline_path)
-    new, old = baseline.split(findings)
-    new_keys = {f.key for f in new}
     if args.sarif:
         path = write_sarif(pathlib.Path(args.sarif), findings,
-                           engine.rules, root, new_keys)
+                           engine.rules, root)
         print(f"wrote {path}", file=sys.stderr)
-    if args.json:
-        text = findings_to_json(findings, new_keys)
-        if args.json == "-":
-            # Pure JSON on stdout; the human report moves to stderr.
-            print(text)
-            if findings:
-                print(render_report(findings, new_keys,
-                                    baselined=len(old)), file=sys.stderr)
-            return 1 if new else 0
-        pathlib.Path(args.json).write_text(text + "\n")
+    report_out = sys.stdout
+    if args.json == "-":
+        # Pure JSON on stdout; the human report moves to stderr.
+        print(findings_to_json(findings))
+        report_out = sys.stderr
+    elif args.json:
+        pathlib.Path(args.json).write_text(findings_to_json(findings) + "\n")
         print(f"wrote {args.json}", file=sys.stderr)
-    # Keep stdout pure when the call graph was dumped there.
-    report_out = sys.stderr if args.dump_callgraph == "-" else sys.stdout
     if findings:
-        print(render_report(findings, new_keys, baselined=len(old)),
-              file=report_out)
+        print(render_report(findings), file=report_out)
     else:
-        scanned = len(engine.files)
-        print(f"repro lint: clean ({scanned} files, "
+        print(f"repro lint: clean ({len(engine.files)} files, "
               f"{len(engine.rules)} rules)", file=report_out)
-    stale = sum(baseline.counts.values()) - len(old)
-    if stale > 0:
-        print(f"note: {stale} baselined finding(s) no longer occur; "
-              "shrink the baseline with --update-baseline", file=report_out)
-    return 1 if new else 0
+    return 1 if findings else 0

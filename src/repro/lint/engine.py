@@ -8,10 +8,11 @@ reads, the fingerprint-coverage check) fall out naturally, and
 per-file rules simply report as they go.
 
 Findings carry a *stable identity key* (rule + path + detail token,
-deliberately excluding line numbers) so a committed baseline keeps
-matching after unrelated edits shift code around.  An inline comment
-``# lint: ignore[D103]`` (or a bare ``# lint: ignore``) on the offending
-line suppresses a finding at the source instead.
+deliberately excluding line numbers) that SARIF exports as a partial
+fingerprint, so code scanning keeps matching a finding after unrelated
+edits shift code around.  An inline comment ``# lint: ignore[D103]``
+(or a bare ``# lint: ignore``) on the offending line suppresses a
+finding at the source.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ class Finding:
 
     @property
     def key(self) -> str:
-        """Line-independent identity used for baseline matching."""
+        """Line-independent identity, exported as SARIF's
+        ``partialFingerprints.reproLintKey``."""
         return f"{self.rule}|{self.path}|{self.ident or self.message}"
 
     def to_json_dict(self) -> dict:
@@ -174,15 +176,6 @@ class LintEngine:
             findings.extend(f for f in rule.finalize(self) if f is not None)
         return sorted(findings, key=lambda f: (f.path, f.line, f.rule, f.key))
 
-    # -- shared tree access for whole-program rules -----------------------
-
-    def context_for(self, name: str) -> FileContext | None:
-        """The file whose relpath ends with *name* (e.g. ``core/config.py``)."""
-        for ctx in self.files:
-            if ctx.relpath == name or ctx.relpath.endswith("/" + name):
-                return ctx
-        return None
-
 
 # -- shared AST helpers -------------------------------------------------------
 
@@ -216,7 +209,6 @@ FAMILIES = {
     "D": "determinism",
     "E": "span/event discipline",
     "F": "process-boundary / fault discipline",
-    "H": "hot-path performance",
     "P": "probe hygiene",
     "S": "fingerprint coverage",
 }
@@ -225,38 +217,25 @@ FAMILIES = {
 def default_rules() -> list[Rule]:
     """A fresh instance of every built-in rule, ordered by id."""
     from repro.lint import (rules_determinism, rules_events, rules_faults,
-                            rules_hotpath, rules_probes, rules_schema)
+                            rules_probes, rules_schema)
 
     rules: list[Rule] = []
     for module in (rules_determinism, rules_events, rules_faults,
-                   rules_hotpath, rules_probes, rules_schema):
+                   rules_probes, rules_schema):
         rules.extend(module.rules())
     return sorted(rules, key=lambda r: r.id)
 
 
-def render_report(findings: list[Finding], new_keys: set[str] | None = None,
-                  baselined: int = 0) -> str:
+def render_report(findings: list[Finding]) -> str:
     """Human-readable report: one line per finding plus a summary."""
-    lines = []
-    for f in findings:
-        marker = ""
-        if new_keys is not None and f.key not in new_keys:
-            marker = "  [baselined]"
-        lines.append(f.render() + marker)
-    total = len(findings)
-    fresh = total - baselined
-    summary = f"{total} finding(s)"
-    if baselined:
-        summary += f" ({baselined} baselined, {fresh} new)"
-    lines.append(summary)
+    lines = [f.render() for f in findings]
+    lines.append(f"{len(findings)} finding(s)")
     return "\n".join(lines)
 
 
-def findings_to_json(findings: list[Finding], new_keys: set[str]) -> str:
+def findings_to_json(findings: list[Finding]) -> str:
     payload = {
-        "findings": [dict(f.to_json_dict(), new=(f.key in new_keys))
-                     for f in findings],
+        "findings": [f.to_json_dict() for f in findings],
         "total": len(findings),
-        "new": sum(1 for f in findings if f.key in new_keys),
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -15,10 +15,11 @@ environment; three conventions keep that machinery honest:
   functions, and bound methods don't pickle (or drag a live object
   graph across the fork), and the repo's contract is that results come
   back through the on-disk RunStore, never through return pipes.
-* **F103** -- worker-side code (the transitive callees of process
-  targets) must not read environment variables outside the allowlisted
-  ``REPRO_*`` namespace: the run engine only forwards that namespace,
-  so anything else silently reads the *pool host's* environment.
+* **F103** -- every environment read under the scan root, module
+  level included, must name a variable in the ``REPRO_*`` namespace.
+  Forked and spawned workers inherit the coordinator's whole
+  environment, so any other read (``HOME``, ``HOSTNAME``, ...) makes a
+  run depend on host state that no run spec records.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING
 
-from repro.lint.callgraph import CallGraph, FuncKey
 from repro.lint.engine import (Finding, Rule, assigned_value,
                                module_str_constants)
 
@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _FUNC_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-#: Environment-variable prefix workers may read (F103).
+#: The one environment-variable namespace the tree may read (F103).
 ENV_ALLOWED_PREFIX = "REPRO_"
 
 
@@ -197,82 +197,42 @@ class ProcessBoundaryRule(Rule):
         return out
 
 
-class WorkerEnvRule(Rule):
-    """F103: worker-side env reads restricted to ``REPRO_*``."""
+class EnvNamespaceRule(Rule):
+    """F103: environment reads name only ``REPRO_*`` variables."""
 
     id = "F103"
-    title = "worker-side code reads only REPRO_* environment variables"
+    title = "environment reads name only REPRO_* variables"
 
     def finalize(self, engine: LintEngine) -> list[Finding]:
-        graph = CallGraph.for_engine(engine)
-        worker_funcs = self._worker_closure(engine, graph)
-        if not worker_funcs:
-            return []
+        # An imported name resolves when exactly one module binds it.
+        bound: dict[str, set[str]] = {}
+        for ctx in engine.files:
+            for name, value in module_str_constants(ctx.tree).items():
+                bound.setdefault(name, set()).add(value)
+        imported = {name: next(iter(values))
+                    for name, values in bound.items() if len(values) == 1}
         findings: list[Finding] = []
         for ctx in engine.files:
-            consts = module_str_constants(ctx.tree)
-            for node, name_expr, enclosing in _env_reads(ctx):
-                if enclosing is None or \
-                        (ctx.relpath, *enclosing) not in worker_funcs:
+            consts = {**imported, **module_str_constants(ctx.tree)}
+            for node, expr in _env_reads(ctx.tree):
+                if isinstance(expr, ast.Name):
+                    name = consts.get(expr.id)
+                elif isinstance(expr, ast.Constant):
+                    name = expr.value
+                else:
+                    continue  # a computed name cannot be checked statically
+                if not isinstance(name, str) \
+                        or name.startswith(ENV_ALLOWED_PREFIX):
                     continue
-                name = self._env_name(name_expr, consts, engine)
-                if name is None or name.startswith(ENV_ALLOWED_PREFIX):
-                    continue
-                qual = ".".join(p for p in enclosing if p)
                 f = self.finding(
                     ctx, node,
-                    f"worker-side code (`{qual}`) reads env var "
-                    f"{name!r} outside the forwarded "
-                    f"{ENV_ALLOWED_PREFIX}* namespace",
+                    f"reads env var {name!r} outside the "
+                    f"{ENV_ALLOWED_PREFIX}* namespace (workers inherit "
+                    "the whole host environment)",
                     ident=name)
                 if f is not None:
                     findings.append(f)
         return findings
-
-    @staticmethod
-    def _env_name(expr: ast.expr | None, consts: dict[str, str],
-                  engine: LintEngine) -> str | None:
-        if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-            return expr.value
-        if isinstance(expr, ast.Name):
-            if expr.id in consts:
-                return consts[expr.id]
-            # Imported constant: resolve by unique module-level name.
-            hits = set()
-            for other in engine.files:
-                value = module_str_constants(other.tree).get(expr.id)
-                if value is not None:
-                    hits.add(value)
-            if len(hits) == 1:
-                return hits.pop()
-        return None
-
-    @staticmethod
-    def _worker_closure(engine: LintEngine,
-                        graph: CallGraph) -> set[FuncKey]:
-        """Transitive callees of every process-boundary target."""
-        roots: list[FuncKey] = []
-        for ctx in engine.files:
-            module_funcs = {n.name for n in ctx.tree.body
-                            if isinstance(n, _FUNC_DEFS)}
-            for node in ast.walk(ctx.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                target, _ = ProcessBoundaryRule._boundary_target(node)
-                if isinstance(target, ast.Name) \
-                        and target.id in module_funcs:
-                    roots.append((ctx.relpath, "", target.id))
-        closure: set[FuncKey] = set()
-        queue = [k for k in roots if k in graph.functions]
-        while queue:
-            key = queue.pop()
-            if key in closure:
-                continue
-            closure.add(key)
-            for site in graph.functions[key].calls:
-                if site.callee not in closure:
-                    queue.append(site.callee)
-        return closure
 
 
 def _nested_function_names(tree: ast.Module) -> set[str]:
@@ -285,67 +245,48 @@ def _nested_function_names(tree: ast.Module) -> set[str]:
     return out
 
 
-def _env_reads(ctx: FileContext) \
-        -> list[tuple[ast.AST, ast.expr | None,
-                      tuple[str, str] | None]]:
-    """(node, env-name expression, enclosing (class, func)) per read.
+def _env_reads(tree: ast.AST) -> list[tuple[ast.AST, ast.expr]]:
+    """(node, env-name expression) for every environment read.
 
-    Matches ``os.environ.get/pop``, ``os.environ[...]``, and
-    ``os.getenv`` through any ``import os as X`` alias, plus bare
-    ``environ``/``getenv`` member imports.
+    Matches ``os.environ.get/pop``, ``os.environ[...]`` and
+    ``os.getenv`` through any ``import os as X`` alias, plus
+    ``from os import environ, getenv`` under any alias.
     """
-    os_aliases = {"os"}
-    member_aliases = set()
-    for node in ast.walk(ctx.tree):
+    os_names = {"os"}
+    environ_names: set[str] = set()
+    getenv_names: set[str] = set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "os":
-                    os_aliases.add(alias.asname or "os")
+            os_names.update(alias.asname or "os" for alias in node.names
+                            if alias.name == "os")
         elif isinstance(node, ast.ImportFrom) and node.module == "os":
             for alias in node.names:
-                if alias.name in ("environ", "getenv"):
-                    member_aliases.add(alias.asname or alias.name)
+                if alias.name == "environ":
+                    environ_names.add(alias.asname or alias.name)
+                elif alias.name == "getenv":
+                    getenv_names.add(alias.asname or alias.name)
 
-    def is_environ(expr: ast.expr) -> bool:
-        if isinstance(expr, ast.Attribute) and expr.attr == "environ" \
-                and isinstance(expr.value, ast.Name) \
-                and expr.value.id in os_aliases:
-            return True
-        return isinstance(expr, ast.Name) and expr.id in member_aliases
+    def is_os_member(expr: ast.expr, member: str, names: set[str]) -> bool:
+        if isinstance(expr, ast.Attribute):
+            return expr.attr == member and isinstance(expr.value, ast.Name) \
+                and expr.value.id in os_names
+        return isinstance(expr, ast.Name) and expr.id in names
 
-    out: list[tuple[ast.AST, ast.expr | None,
-                    tuple[str, str] | None]] = []
-
-    def scan(node: ast.AST, cls: str, func: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            c_cls, c_func = cls, func
-            if isinstance(child, ast.ClassDef):
-                c_cls, c_func = child.name, ""
-            elif isinstance(child, _FUNC_DEFS) and not func:
-                c_func = child.name
-            enclosing = (cls, func) if func else None
-            if isinstance(child, ast.Call):
-                f = child.func
-                if isinstance(f, ast.Attribute) \
-                        and f.attr in ("get", "pop") \
-                        and is_environ(f.value) and child.args:
-                    out.append((child, child.args[0], enclosing))
-                elif isinstance(f, ast.Attribute) and f.attr == "getenv" \
-                        and isinstance(f.value, ast.Name) \
-                        and f.value.id in os_aliases and child.args:
-                    out.append((child, child.args[0], enclosing))
-                elif isinstance(f, ast.Name) and f.id in member_aliases \
-                        and f.id.startswith("getenv") and child.args:
-                    out.append((child, child.args[0], enclosing))
-            elif isinstance(child, ast.Subscript) \
-                    and is_environ(child.value) \
-                    and isinstance(child.ctx, ast.Load):
-                out.append((child, child.slice, enclosing))
-            scan(child, c_cls, c_func)
-
-    scan(ctx.tree, "", "")
+    out: list[tuple[ast.AST, ast.expr]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args:
+            func = node.func
+            if is_os_member(func, "getenv", getenv_names) or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr in ("get", "pop")
+                    and is_os_member(func.value, "environ", environ_names)):
+                out.append((node, node.args[0]))
+        elif isinstance(node, ast.Subscript) \
+                and isinstance(node.ctx, ast.Load) \
+                and is_os_member(node.value, "environ", environ_names):
+            out.append((node, node.slice))
     return out
 
 
 def rules() -> list[Rule]:
-    return [FaultSiteRule(), ProcessBoundaryRule(), WorkerEnvRule()]
+    return [FaultSiteRule(), ProcessBoundaryRule(), EnvNamespaceRule()]

@@ -16,14 +16,8 @@ from repro.lint.engine import Finding, Rule
 
 
 def findings_to_sarif(findings: list[Finding], rules: list[Rule],
-                      scan_root: pathlib.Path,
-                      new_keys: set[str] | None = None) -> dict[str, object]:
-    """Build the SARIF payload dict.
-
-    Baselined findings (keys absent from *new_keys*) are exported at
-    ``note`` level so the ratchet's frozen debt does not page anyone;
-    new findings are ``warning``.
-    """
+                      scan_root: pathlib.Path) -> dict[str, object]:
+    """Build the SARIF payload dict; every finding is a ``warning``."""
     try:
         prefix = scan_root.resolve().relative_to(pathlib.Path.cwd())
     except ValueError:
@@ -32,17 +26,13 @@ def findings_to_sarif(findings: list[Finding], rules: list[Rule],
         {"id": rule.id,
          "shortDescription": {"text": rule.title}}
         for rule in sorted(rules, key=lambda r: r.id)
-        if not rule.id.endswith("00")
     ]
     rule_ids = {r["id"] for r in rule_descs}
     results: list[dict[str, object]] = []
     for f in findings:
-        level = "warning"
-        if new_keys is not None and f.key not in new_keys:
-            level = "note"
         result: dict[str, object] = {
             "ruleId": f.rule,
-            "level": level,
+            "level": "warning",
             "message": {"text": f.message},
             "locations": [{
                 "physicalLocation": {
@@ -81,9 +71,8 @@ def findings_to_sarif(findings: list[Finding], rules: list[Rule],
 
 
 def write_sarif(path: pathlib.Path, findings: list[Finding],
-                rules: list[Rule], scan_root: pathlib.Path,
-                new_keys: set[str] | None = None) -> pathlib.Path:
-    payload = findings_to_sarif(findings, rules, scan_root, new_keys)
+                rules: list[Rule], scan_root: pathlib.Path) -> pathlib.Path:
+    payload = findings_to_sarif(findings, rules, scan_root)
     path = pathlib.Path(path)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path

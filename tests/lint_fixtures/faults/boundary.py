@@ -1,4 +1,4 @@
-"""Fixture: process-boundary callables (F102) and worker env reads (F103)."""
+"""Fixture: process-boundary callables (F102) and env reads (F103)."""
 
 import os
 from multiprocessing import Process
@@ -17,5 +17,5 @@ def run(pool, spec):
 
 
 def coordinator():
-    # Coordinator-side read, not in the worker closure: must not flag.
+    # Coordinator-side reads are F103 too: workers inherit the environment.
     return os.environ.get("HOME", "")

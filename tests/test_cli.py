@@ -92,6 +92,21 @@ def test_cli_counters_grep_filters(tmp_path, monkeypatch, capsys):
     assert "no probes match" in capsys.readouterr().out
 
 
+def test_cli_counters_reads_a_stored_artifact_file(tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert cli.main(["run", "specint", "--mode", "fast",
+                     "--instructions", "20000"]) == 0
+    [path] = tmp_path.glob("specint-smt-full-11-20000-*.json")
+    capsys.readouterr()
+    assert cli.main(["counters", str(path), "--grep", "^core.retired$"]) == 0
+    out = capsys.readouterr().out
+    assert "core.retired" in out and "20,004" in out
+    assert out.rstrip().endswith(path.stem.split("-")[-1][:12] + ")")
+    with pytest.raises(SystemExit, match="bad run 'specint-ss-full'"):
+        cli.main(["counters", "specint-ss-full"])
+
+
 def test_cli_trace_writes_chrome_json(tmp_path, monkeypatch, capsys):
     import json
 

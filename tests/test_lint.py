@@ -1,4 +1,4 @@
-"""Tests for ``repro lint``: rule families, baseline ratchet, CLI."""
+"""Tests for ``repro lint``: rule families, CLI, the probe manifest."""
 
 import json
 import os
@@ -10,7 +10,6 @@ import sys
 
 import pytest
 
-from repro.lint.baseline import load_baseline, write_baseline
 from repro.lint.engine import LintEngine, default_rules
 from repro.lint.rules_probes import MANIFEST_RELPATH, live_manifest
 
@@ -64,18 +63,6 @@ def test_schema_fixture_flags_unreachable_config_field():
     assert idents(findings, "S101") == {"FixtureConfig.depth"}
 
 
-def test_hotpath_fixture_trips_every_h_rule():
-    _, findings = run_engine(FIXTURES / "hotpath")
-    assert rule_ids(findings) == {"H101", "H102", "H103", "H104", "H105",
-                                  "H106"}
-    # churn constructs inside both tier loops are hot; the loop roots'
-    # prologues and the cold function must stay clean
-    assert idents(findings, "H101") == {"Worker.step:x1", "_helper:x1"}
-    assert idents(findings, "H102") == {"Worker.step:x1"}
-    assert idents(findings, "H106") == {"Worker.step:x2"}  # loop-depth x2
-    assert len(findings) == 7
-
-
 def test_events_fixture_trips_every_e_rule():
     _, findings = run_engine(FIXTURES / "events")
     assert rule_ids(findings) == {"E101", "E102"}
@@ -91,11 +78,31 @@ def test_faults_fixture_trips_every_f_rule():
     _, findings = run_engine(FIXTURES / "faults")
     assert rule_ids(findings) == {"F101", "F102", "F103"}
     # unknown site and the dead converse; lambda across the boundary;
-    # the coordinator-side HOME read must not flag
+    # host env reads on both sides of it, REPRO_SEED clean
     assert idents(findings, "F101") == {"mem.read.flop",
                                         "dead:sched.pick.stall"}
     assert idents(findings, "F102") == {"submit"}
-    assert idents(findings, "F103") == {"USER"}
+    assert idents(findings, "F103") == {"USER", "HOME"}
+
+
+def test_f103_flags_module_level_env_read(tmp_path):
+    # an import-time read runs in every worker that imports the module
+    (tmp_path / "worker.py").write_text(
+        "import os\n"
+        "from multiprocessing import Process\n"
+        "\n"
+        "HOST = os.environ.get('HOSTNAME', '')\n"
+        "\n"
+        "\n"
+        "def job(spec):\n"
+        "    return os.environ.get('REPRO_SEED', '0'), HOST\n"
+        "\n"
+        "\n"
+        "def launch(spec):\n"
+        "    return Process(target=job, args=(spec,))\n")
+    engine = LintEngine(tmp_path)
+    engine.select(["F103"])
+    assert [(f.line, f.ident) for f in engine.run()] == [(4, "HOSTNAME")]
 
 
 def test_rule_selection(tmp_path):
@@ -104,38 +111,12 @@ def test_rule_selection(tmp_path):
     assert {f.rule for f in engine.run()} == {"D103"}
 
 
-# -- the repository itself must be clean or baselined ------------------------
+# -- the repository itself must be clean -------------------------------------
 
 
-def test_repo_tree_is_clean_or_baselined():
+def test_repo_tree_is_clean():
     _, findings = run_engine(SCAN_ROOT)
-    baseline = load_baseline(REPO / "lint-baseline.json")
-    new, _old = baseline.split(findings)
-    assert new == [], "\n".join(f.render() for f in new)
-    # the ratchet only grandfathers hot-path debt: every other family
-    # must be outright clean
-    assert {f.rule[0] for f in findings} <= {"H"}, \
-        "\n".join(f.render() for f in findings if not f.rule.startswith("H"))
-
-
-def test_hot_set_spans_both_tier_loops():
-    from repro.lint.callgraph import CallGraph
-    from repro.lint.rules_hotpath import FUNC_ROOTS, LOOP_ROOTS
-
-    engine, _ = run_engine(SCAN_ROOT)
-    graph = CallGraph.for_engine(engine)
-    hot = graph.hot_set(LOOP_ROOTS, FUNC_ROOTS)
-    names = {(key[1], key[2]) for key in hot}
-    # both tier-driver loop roots resolve...
-    assert ("Simulation", "_run_once") in names
-    assert ("", "_fast_once") in names
-    # ...and the per-cycle machinery is reached transitively from them
-    for expected in (("Processor", "cycle"), ("Processor", "_fetch"),
-                     ("MiniDUX", "dispatch"), ("Scheduler", "pick_next"),
-                     ("ContextStream", "next_fast"),
-                     ("SimStats", "charge_cycle"),
-                     ("ProbeTimeline", "tick")):
-        assert expected in names, f"{expected} missing from the hot set"
+    assert findings == [], "\n".join(f.render() for f in findings)
 
 
 def test_cli_json_output_and_exit_zero_on_repo():
@@ -144,9 +125,9 @@ def test_cli_json_output_and_exit_zero_on_repo():
         capture_output=True, text=True, cwd=REPO,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")})
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    payload = json.loads(proc.stdout[proc.stdout.index("{"):])
-    assert payload["new"] == 0
-    assert all(not f["new"] for f in payload["findings"])
+    payload = json.loads(proc.stdout)
+    assert payload == {"findings": [], "total": 0}
+    assert "repro lint: clean" in proc.stderr
 
 
 def test_cli_exit_nonzero_on_fixture_tree():
@@ -169,14 +150,12 @@ def lint_cli(*args, cwd=REPO):
 def test_cli_rule_comma_list_and_family_prefix(tmp_path):
     # exact ids, comma-separated: only those rules run
     lint_cli(str(FIXTURES / "determinism"),
-             "--rule", "D101,D102", "--json", str(tmp_path / "f.json"),
-             "--baseline", str(tmp_path / "none.json"))
+             "--rule", "D101,D102", "--json", str(tmp_path / "f.json"))
     payload = json.loads((tmp_path / "f.json").read_text())
     assert {f["rule"] for f in payload["findings"]} == {"D101", "D102"}
     # family prefixes: an E/F-only run over the determinism fixture is
     # clean, so selection really excluded the D family
-    proc = lint_cli(str(FIXTURES / "determinism"), "--rule", "E,F",
-                    "--baseline", str(tmp_path / "none.json"))
+    proc = lint_cli(str(FIXTURES / "determinism"), "--rule", "E,F")
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
@@ -184,30 +163,33 @@ def test_cli_list_rules_grouped_by_family():
     proc = lint_cli("--list-rules")
     assert proc.returncode == 0
     out = proc.stdout
-    for header in ("D: determinism", "E: span/event discipline",
-                   "F: process-boundary / fault discipline",
-                   "H: hot-path performance", "P: probe hygiene",
-                   "S: fingerprint coverage"):
-        assert header in out, f"missing family header {header!r}"
+    headers = [line for line in out.splitlines()
+               if not line.startswith("  ")]
+    assert headers == ["D: determinism", "E: span/event discipline",
+                       "F: process-boundary / fault discipline",
+                       "P: probe hygiene", "S: fingerprint coverage"]
     for rule_id in ("D101", "E101", "E102", "F101", "F102", "F103",
-                    "H101", "H106", "P101", "P102", "S101"):
+                    "P101", "P102", "S101"):
         assert rule_id in out
-    # ProbeRegistry, the manifest test, ProbeTimeline and the golden
-    # digests make these checks
-    for rule_id in ("E103", "P100", "P103", "P104", "S100", "S102", "S103"):
+    # ProbeRegistry, the manifest test, ProbeTimeline, the golden
+    # digests and perfbench's layer table make these checks
+    for rule_id in ("E103", "H101", "P100", "P103", "P104", "S100",
+                    "S102", "S103"):
         assert rule_id not in out
-    assert sum(line.startswith("  ") for line in out.splitlines()) == 19
+    assert sum(line.startswith("  ") for line in out.splitlines()) == 13
     assert "S101  fingerprint coverage" in out
 
 
 def test_cli_unknown_rule_exits_2_naming_known_ids():
-    proc = lint_cli("--rule", "S102")
-    assert proc.returncode == 2, proc.stdout + proc.stderr
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and "Traceback" not in proc.stderr
-    assert "'S102'" in lines[0] and "known: D101," in lines[0]
-    assert "S101" in lines[0]
+    # a deleted rule id and a deleted family prefix
+    for rule in ("S102", "H"):
+        proc = lint_cli("--rule", rule)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "Traceback" not in proc.stderr
+        assert f"'{rule}'" in lines[0] and "known: D101," in lines[0]
+        assert "S101" in lines[0]
 
 
 def test_docs_rule_table_matches_registry():
@@ -219,8 +201,7 @@ def test_docs_rule_table_matches_registry():
 
 def test_cli_sarif_output(tmp_path):
     sarif_path = tmp_path / "lint.sarif"
-    proc = lint_cli(str(FIXTURES / "faults"), "--sarif", str(sarif_path),
-                    "--baseline", str(tmp_path / "none.json"))
+    proc = lint_cli(str(FIXTURES / "faults"), "--sarif", str(sarif_path))
     assert proc.returncode == 1
     doc = json.loads(sarif_path.read_text())
     assert doc["version"] == "2.1.0"
@@ -229,28 +210,12 @@ def test_cli_sarif_output(tmp_path):
     assert {"F101", "F102", "F103"} <= rule_index
     results = run["results"]
     assert {r["ruleId"] for r in results} == {"F101", "F102", "F103"}
-    # everything is new relative to the empty baseline -> warning level
     assert {r["level"] for r in results} == {"warning"}
     for r in results:
         loc = r["locations"][0]["physicalLocation"]
         assert loc["artifactLocation"]["uri"].endswith(".py")
         assert loc["region"]["startLine"] >= 1
         assert r["partialFingerprints"]["reproLintKey"]
-
-
-def test_cli_dump_callgraph(tmp_path):
-    dump_path = tmp_path / "callgraph.json"
-    proc = lint_cli(str(FIXTURES / "hotpath"), "--rule", "H",
-                    "--dump-callgraph", str(dump_path),
-                    "--baseline", str(tmp_path / "none.json"))
-    assert proc.returncode == 1  # the fixture's H findings still fail
-    graph = json.loads(dump_path.read_text())
-    assert "Simulation" in graph["classes"]
-    funcs = graph["functions"]
-    # receiver-type binding resolved the per-cycle edge
-    assert "sim.py::Worker.step" in funcs["sim.py::Simulation._run_once"][
-        "calls"]
-    assert "sim.py::_helper" in funcs["sim.py::_fast_once"]["calls"]
 
 
 # -- the probe manifest is a dump of the live registries ---------------------
@@ -335,43 +300,6 @@ def test_dead_simulator_knob_is_caught(tmp_path):
     assert "S101" in rule_ids(findings)
     assert any(i.startswith("dead-knob.") or i.startswith("knob.")
                for i in idents(findings, "S101"))
-
-
-# -- baseline ratchet -------------------------------------------------------
-
-
-def test_baseline_roundtrip(tmp_path):
-    tree = tmp_path / "tree"
-    tree.mkdir()
-    bad = tree / "mod.py"
-    bad.write_text("import random\n\n\ndef f():\n    return random.random()\n")
-    _, findings = run_engine(tree)
-    assert rule_ids(findings) == {"D101"}
-
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, findings)
-    baseline = load_baseline(baseline_path)
-
-    # baselined: the same finding splits as old, nothing new
-    new, old = baseline.split(findings)
-    assert new == [] and len(old) == 1
-
-    # a second occurrence of the same key is new (multiset semantics)
-    new, old = baseline.split(findings + findings)
-    assert len(new) == 1 and len(old) == 1
-
-    # fixing the finding leaves the baseline stale but nothing fails
-    bad.write_text("def f():\n    return 4\n")
-    _, findings = run_engine(tree)
-    assert findings == []
-    new, old = baseline.split(findings)
-    assert new == [] and old == []
-    assert sum(baseline.counts.values()) == 1  # stale entry remains
-
-
-def test_missing_baseline_is_empty(tmp_path):
-    baseline = load_baseline(tmp_path / "nope.json")
-    assert baseline.counts == {}
 
 
 def test_inline_suppression(tmp_path):
