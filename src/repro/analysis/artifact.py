@@ -43,7 +43,14 @@ from dataclasses import dataclass, field
 #: ``timeline_truncated`` flag when its sample cap was hit.
 #: v8: the mode-class ``timeline`` is gone; Figures 1/5 draw from the
 #: ``class.*`` columns of ``probe_timeline``.
-SCHEMA_VERSION = 8
+#: v9: counter windows hold five keys (``cycles``, ``retired``,
+#: ``service_cycles``, ``attribution``, ``probes``); the instruction mix,
+#: per-mode physical memory ops and taken branches, and the MSHR
+#: occupancy integrals are probes, and ``probe_timeline`` drops its
+#: ``class.*`` columns (Figures 1/5 fold the ``svc.*`` ones).
+#: Checkpoints record and fingerprint this version too, so a bump
+#: retires them along with the runs.
+SCHEMA_VERSION = 9
 
 #: Coarse code-version tag folded into every fingerprint.  Bump when the
 #: *simulator's* behavior changes (new counters, different scheduling,
@@ -92,12 +99,17 @@ class RunArtifact:
     provenance; plain detailed runs carry ``mode="full"`` and no
     sampling record.
 
+    Each window holds the machine's ``cycles`` and ``retired`` totals,
+    the per-service cycle fold ``service_cycles``, the call-path
+    ``attribution`` it folds, and the flattened probe tree ``probes``,
+    from which every exhibit reads its inputs by probe name.
+
     ``probe_timeline`` is the run's one time series: delta-encoded
-    columns of headline probes and of the mode-class and per-service
-    cycle folds, captured every N simulated cycles by
-    :mod:`repro.obs.timeline`.  Figures 1/5 and ``repro timeline``
-    render it.  ``None`` when interval telemetry was disabled for the
-    run.
+    columns of headline probes and of the per-service cycle fold,
+    captured every N simulated cycles by :mod:`repro.obs.timeline`.
+    Figures 1/5 fold its ``svc.*`` columns by mode class, and
+    ``repro timeline`` renders it.  ``None`` when interval telemetry
+    was disabled for the run.
     """
 
     spec: dict

@@ -411,6 +411,20 @@ def register_artifact(artifact: RunArtifact) -> None:
     _MEMO[artifact.fingerprint] = artifact
 
 
+#: The eight canonical (workload, cpu, os_mode) combinations behind the
+#: paper's Tables 2-9 and Figures 1-7.
+CANONICAL_SPECS: tuple[tuple[str, str, str], ...] = (
+    ("specint", "smt", "full"),
+    ("specint", "smt", "app"),
+    ("specint", "ss", "full"),
+    ("specint", "ss", "app"),
+    ("apache", "smt", "full"),
+    ("apache", "smt", "omit"),
+    ("apache", "ss", "full"),
+    ("apache", "ss", "omit"),
+)
+
+
 def get_run(
     workload: str,
     cpu: str,

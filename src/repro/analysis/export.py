@@ -14,8 +14,8 @@ across runs:
     probe_timeline_to_csv(rec, "apache_timeline.csv")
 
 :func:`probe_timeline_to_csv` writes the run's interval probe record
-(:mod:`repro.obs.timeline`), whose ``class.*`` columns are the data
-behind Figures 1/5.
+(:mod:`repro.obs.timeline`), whose ``svc.*`` columns, folded by mode
+class, are the data behind Figures 1/5.
 """
 
 from __future__ import annotations

@@ -72,10 +72,18 @@ def fig2(specint_smt: RunArtifact) -> dict:
     return {"title": "Figure 2", "data": {"startup": startup, "steady": steady}, "text": text}
 
 
+def _vm_incursions(window: dict) -> dict[str, int]:
+    """Entries into kernel memory management by kind: the
+    ``os.vm.incursion.<kind>`` probes, sorted by kind."""
+    prefix = "os.vm.incursion."
+    return {name[len(prefix):]: v for name, v in window["probes"].items()
+            if name.startswith(prefix)}
+
+
 def fig3(specint_smt: RunArtifact) -> dict:
     """Incursions into kernel memory-management code (Figure 3)."""
     def counts(window):
-        inc = window["vm_incursions"]
+        inc = _vm_incursions(window)
         total = sum(inc.values()) or 1
         return {k: v / total for k, v in sorted(inc.items()) if v}
 
@@ -91,7 +99,7 @@ def fig3(specint_smt: RunArtifact) -> dict:
     return {
         "title": "Figure 3",
         "data": {"startup": startup, "steady": steady,
-                 "raw": specint_smt.total["vm_incursions"]},
+                 "raw": _vm_incursions(specint_smt.total)},
         "text": text,
     }
 

@@ -6,12 +6,24 @@ window from machine boot) -- and return the quantities the paper reports.
 Windows are plain data, so these metrics apply equally to a live capture
 and to the ``startup``/``steady``/``total`` windows of a stored
 :class:`~repro.analysis.artifact.RunArtifact`.
+
+Every input is a named probe of the window's ``probes`` tree (or the
+window's ``cycles``/``retired``/``service_cycles`` totals), so each
+exhibit cell traces back to the probes it divides, and a sampled run's
+extrapolated estimates (:func:`repro.core.engine.extrapolate`) cover
+every one of them.
 """
 
 from __future__ import annotations
 
+from repro.core.stats import CLASS_NAMES, ITYPE_NAMES, MODE_NAMES, service_class
 from repro.isa.types import InstrType, Mode
+from repro.memory.classify import MissCause
 from repro.os_model.syscalls import SYSCALL_CATALOG
+
+#: The user/kernel accessor kinds of the miss tables, as probe-name
+#: segments (index = :class:`~repro.memory.classify.ModeKind`).
+_KINDS = ("user", "kernel")
 
 # -- utilization -----------------------------------------------------------
 
@@ -23,122 +35,132 @@ def ipc(window: dict) -> float:
 
 def squash_fraction(window: dict) -> float:
     """Squashed instructions as a fraction of instructions fetched."""
-    return window["squashed"] / window["fetched"] if window["fetched"] else 0.0
+    probes = window["probes"]
+    fetched = probes["core.fetched"]
+    return probes["core.squashed"] / fetched if fetched else 0.0
+
+
+def _per_cycle(window: dict, probe: str) -> float:
+    cycles = window["cycles"]
+    return window["probes"][probe] / cycles if cycles else 0.0
 
 
 def avg_fetchable_contexts(window: dict) -> float:
-    return (
-        window["fetchable_context_sum"] / window["cycles"]
-        if window["cycles"]
-        else 0.0
-    )
+    return _per_cycle(window, "core.fetchable_context_sum")
 
 
 def zero_fetch_share(window: dict) -> float:
-    return window["zero_fetch_cycles"] / window["cycles"] if window["cycles"] else 0.0
+    return _per_cycle(window, "core.zero_fetch_cycles")
 
 
 def zero_issue_share(window: dict) -> float:
-    return window["zero_issue_cycles"] / window["cycles"] if window["cycles"] else 0.0
+    return _per_cycle(window, "core.zero_issue_cycles")
 
 
 def max_issue_share(window: dict) -> float:
-    return window["max_issue_cycles"] / window["cycles"] if window["cycles"] else 0.0
+    return _per_cycle(window, "core.max_issue_cycles")
 
 
 def avg_outstanding_misses(window: dict, level: str) -> float:
     """Time-averaged outstanding misses for 'L1I' / 'L1D' / 'L2'."""
-    cycles = window["now"] if window.get("now") else window["cycles"]
-    if not cycles:
-        return 0.0
-    return window["mshr_integrals"][level] / cycles
+    return _per_cycle(window, f"mem.mshr.{level.lower()}.occupancy_cycles")
 
 
 # -- memory structures ----------------------------------------------------------
 
+#: Probe prefix of each structure the miss tables report.
+_STRUCTURES = {"L1I": "mem.l1i", "L1D": "mem.l1d", "L2": "mem.l2",
+               "ITLB": "mem.itlb", "DTLB": "mem.dtlb", "BTB": "branch.btb"}
 
-def _structure(window: dict, name: str) -> dict:
-    if name == "BTB":
-        return window["btb"]
-    if name in ("ITLB", "DTLB"):
-        return window["tlbs"][name]
-    return window["caches"][name]
+
+def _kinds(kind: int | None) -> tuple[str, ...]:
+    """Both accessor kinds, or the one *kind* names."""
+    return _KINDS if kind is None else (_KINDS[kind],)
+
+
+def _count(window: dict, name: str, counter: str,
+           kind: int | None = None) -> int:
+    """One structure's *counter* probes, summed over the accessor kinds
+    (or for one *kind*)."""
+    probes = window["probes"]
+    prefix = _STRUCTURES[name]
+    return sum(probes[f"{prefix}.{counter}.{k}"] for k in _kinds(kind))
 
 
 def miss_rate(window: dict, name: str, kind: int | None = None) -> float:
-    """Miss rate of a structure, overall or for one accessor kind."""
-    st = _structure(window, name)
-    extra = [0, 0]
+    """Miss rate of a structure, overall or for one accessor kind.
+
+    BTB target mispredictions on hits count as BTB misses."""
+    acc = _count(window, name, "accesses", kind)
+    mis = _count(window, name, "miss", kind)
     if name == "BTB":
-        extra = window["btb_target_mispredicts"]
-    if kind is None:
-        acc = sum(st["accesses"])
-        mis = sum(st["misses"]) + sum(extra)
-    else:
-        acc = st["accesses"][kind]
-        mis = st["misses"][kind] + extra[kind]
+        mis += _count(window, name, "target_mispredict", kind)
     return mis / acc if acc else 0.0
 
 
 def itlb_miss_per_instruction(window: dict, kind: int | None = None) -> float:
     """ITLB misses per retired instruction (the comparable denominator --
     the simulator only probes the ITLB on PC page changes)."""
-    st = window["tlbs"]["ITLB"]
-    misses = sum(st["misses"]) if kind is None else st["misses"][kind]
+    misses = _count(window, "ITLB", "miss", kind)
     return misses / window["retired"] if window["retired"] else 0.0
 
 
 def cause_distribution(window: dict, name: str) -> dict[tuple[int, int], float]:
     """(accessor kind, cause) -> share of all misses (the lower halves of
     the paper's Tables 3 and 7; sums to 1)."""
-    st = _structure(window, name)
-    total = sum(st["misses"])
+    total = _count(window, name, "miss")
     if not total:
         return {}
-    out = {}
-    for key, v in st["causes"].items():
-        kind_s, cause_s = key.split(":")
-        out[(int(kind_s), int(cause_s))] = v / total
-    return out
+    probes = window["probes"]
+    prefix = _STRUCTURES[name]
+    return {(k, int(cause)):
+            probes[f"{prefix}.miss.{cause.name.lower()}.{kind}"] / total
+            for k, kind in enumerate(_KINDS) for cause in MissCause}
 
 
 def avoided_distribution(window: dict, name: str) -> dict[tuple[int, int], float]:
     """(misser kind, prefetcher kind) -> avoided misses as a share of all
     actual misses (the paper's Table 8)."""
-    st = _structure(window, name)
-    total = sum(st["misses"])
+    total = _count(window, name, "miss")
     if not total:
         return {}
-    out = {}
-    for key, v in st["avoided"].items():
-        kind_s, filler_s = key.split(":")
-        out[(int(kind_s), int(filler_s))] = v / total
-    return out
+    probes = window["probes"]
+    prefix = _STRUCTURES[name]
+    return {(k, f): probes[f"{prefix}.avoided.{kind}_fill_{filler}"] / total
+            for k, kind in enumerate(_KINDS)
+            for f, filler in enumerate(_KINDS)}
 
 
 # -- branches -------------------------------------------------------------------
 
 
 def cond_mispredict_rate(window: dict, kind: int | None = None) -> float:
-    if kind is None:
-        preds = sum(window["cond_predictions"])
-        bad = sum(window["cond_mispredicts"])
-    else:
-        preds = window["cond_predictions"][kind]
-        bad = window["cond_mispredicts"][kind]
+    probes = window["probes"]
+    kinds = _kinds(kind)
+    preds = sum(probes[f"branch.cond.predictions.{k}"] for k in kinds)
+    bad = sum(probes[f"branch.cond.mispredicts.{k}"] for k in kinds)
     return bad / preds if preds else 0.0
 
 
 # -- time attribution --------------------------------------------------------------
 
 
+def class_cycles(window: dict) -> list[int]:
+    """Context-cycles per mode class (user/kernel/pal/idle): the
+    per-service cycles folded by :func:`~repro.core.stats.service_class`."""
+    out = [0, 0, 0, 0]
+    for service, cycles in window["service_cycles"].items():
+        out[service_class(service)] += cycles
+    return out
+
+
 def class_shares(window: dict) -> dict[str, float]:
     """user/kernel/pal/idle shares of context-cycles."""
-    total = sum(window["class_cycles"])
-    names = ("user", "kernel", "pal", "idle")
+    classes = class_cycles(window)
+    total = sum(classes)
     if not total:
-        return {n: 0.0 for n in names}
-    return {n: window["class_cycles"][i] / total for i, n in enumerate(names)}
+        return {n: 0.0 for n in CLASS_NAMES}
+    return {n: classes[i] / total for i, n in enumerate(CLASS_NAMES)}
 
 
 def os_cycle_share(window: dict) -> float:
@@ -236,47 +258,37 @@ def instruction_mix(window: dict, mode: Mode | None = None) -> dict[str, float]:
     # The paper's mix tables fold PAL code into the kernel column (PAL
     # call/return appears among the kernel's branch subtypes).
     if mode is None:
-        wanted = None
+        modes = MODE_NAMES
     elif mode is Mode.KERNEL:
-        wanted = {int(Mode.KERNEL), int(Mode.PAL)}
+        modes = (MODE_NAMES[Mode.KERNEL], MODE_NAMES[Mode.PAL])
     else:
-        wanted = {int(mode)}
-    counts: dict[int, int] = {}
-    total = 0
-    for key, v in window["itype_by_mode"].items():
-        mode_s, itype_s = key.split(":")
-        if wanted is not None and int(mode_s) not in wanted:
-            continue
-        itype = int(itype_s)
-        counts[itype] = counts.get(itype, 0) + v
-        total += v
+        modes = (MODE_NAMES[mode],)
+    probes = window["probes"]
+    counts = {itype: sum(probes.get(f"core.mix.{m}.{ITYPE_NAMES[itype]}", 0)
+                         for m in modes)
+              for itype in InstrType}
+    total = sum(counts.values())
     if not total:
         return {}
 
     def share(*itypes: InstrType) -> float:
-        return sum(counts.get(int(t), 0) for t in itypes) / total
+        return sum(counts[t] for t in itypes) / total
 
     branches = (
         InstrType.COND_BRANCH, InstrType.UNCOND_BRANCH, InstrType.INDIRECT_JUMP,
         InstrType.CALL, InstrType.RETURN, InstrType.PAL_CALL, InstrType.PAL_RETURN,
     )
-    branch_total = sum(counts.get(int(t), 0) for t in branches)
+    branch_total = sum(counts[t] for t in branches)
 
     def branch_share(*itypes: InstrType) -> float:
         if not branch_total:
             return 0.0
-        return sum(counts.get(int(t), 0) for t in itypes) / branch_total
+        return sum(counts[t] for t in itypes) / branch_total
 
-    if wanted is None:
-        mem = sum(window["mem_by_mode"])
-        phys = sum(window["phys_mem_by_mode"])
-        cond = sum(window["cond_by_mode"])
-        taken = sum(window["cond_taken_by_mode"])
-    else:
-        mem = sum(window["mem_by_mode"][m] for m in wanted)
-        phys = sum(window["phys_mem_by_mode"][m] for m in wanted)
-        cond = sum(window["cond_by_mode"][m] for m in wanted)
-        taken = sum(window["cond_taken_by_mode"][m] for m in wanted)
+    mem = counts[InstrType.LOAD] + counts[InstrType.STORE] + counts[InstrType.SYNC]
+    phys = sum(probes[f"core.phys_mem.{m}"] for m in modes)
+    cond = counts[InstrType.COND_BRANCH]
+    taken = sum(probes[f"core.cond_taken.{m}"] for m in modes)
 
     return {
         "load": share(InstrType.LOAD) * 100,

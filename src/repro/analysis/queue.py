@@ -354,10 +354,6 @@ class JobQueue:
     def pending_count(self) -> int:
         return sum(1 for j in self.jobs.values() if j.state == PENDING)
 
-    def claimed_jobs(self) -> list[Job]:
-        claimed = [j for j in self.jobs.values() if j.state == CLAIMED]
-        return sorted(claimed, key=lambda j: j.submit_seq)
-
     def claim(self, worker: str) -> Job | None:
         """Lease the next pending job to *worker* (None when empty).
 
@@ -413,10 +409,6 @@ class JobQueue:
         self._append("shutdown", clean=clean, drained=drained)
 
     # -- reporting ---------------------------------------------------------
-
-    def done_jobs(self) -> list[Job]:
-        done = [j for j in self.jobs.values() if j.state == DONE]
-        return sorted(done, key=lambda j: j.submit_seq)
 
     def counts(self) -> dict:
         out = {PENDING: 0, CLAIMED: 0, DONE: 0, QUARANTINED: 0}

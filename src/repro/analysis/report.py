@@ -19,6 +19,56 @@ from repro.analysis import figures, tables
 from repro.analysis.experiments import get_run
 from repro.analysis.paper import build_comparison, render_markdown
 
+_SPEC = "specint-smt-full"
+_APACHE = "apache-smt-full"
+
+#: Every exhibit the report renders: name -> (builder, the canonical run
+#: labels it reads, in argument order).  ``repro table``, ``repro
+#: figure`` and :func:`build_report` all build from this one table.
+EXHIBITS = {
+    "fig1": (figures.fig1, (_SPEC,)),
+    "fig2": (figures.fig2, (_SPEC,)),
+    "fig3": (figures.fig3, (_SPEC,)),
+    "fig4": (figures.fig4, (_SPEC,)),
+    "fig5": (figures.fig5, (_APACHE,)),
+    "fig6": (figures.fig6, (_APACHE, _SPEC)),
+    "fig7": (figures.fig7, (_APACHE,)),
+    "tab2": (tables.table2, (_SPEC,)),
+    "tab3": (tables.table3, (_SPEC,)),
+    "tab4": (tables.table4, ("specint-smt-app", _SPEC, "specint-ss-app",
+                             "specint-ss-full")),
+    "tab5": (tables.table5, (_APACHE,)),
+    "tab6": (tables.table6, (_APACHE, _SPEC, "apache-ss-full")),
+    "tab7": (tables.table7, (_APACHE,)),
+    "tab8": (tables.table8, (_APACHE, "apache-ss-full")),
+    "tab9": (tables.table9, ("apache-smt-omit", _APACHE, "apache-ss-omit",
+                             "apache-ss-full")),
+}
+
+#: The canonical runs the paper-vs-measured shape comparison reads
+#: (:func:`repro.analysis.paper.build_comparison`).
+COMPARISON_RUNS = ("specint-smt-full", "specint-smt-app", "specint-ss-full",
+                   "specint-ss-app", "apache-smt-full", "apache-ss-full",
+                   "apache-smt-omit")
+
+
+def _canonical_run(label: str):
+    """The canonical run named ``workload-cpu-os_mode``, through
+    :func:`~repro.analysis.experiments.get_run`."""
+    return get_run(*label.split("-"))
+
+
+def build_exhibit(name: str) -> dict:
+    """Build one exhibit of :data:`EXHIBITS` from its canonical runs."""
+    builder, labels = EXHIBITS[name]
+    return builder(*map(_canonical_run, labels))
+
+
+def comparison_rows() -> list:
+    """The paper-vs-measured shape criteria over :data:`COMPARISON_RUNS`."""
+    return build_comparison({label: _canonical_run(label)
+                             for label in COMPARISON_RUNS})
+
 
 @dataclass
 class Report:
@@ -62,43 +112,10 @@ def build_report(include_comparison: bool = True,
         from repro.analysis.service import prefetch_all
 
         prefetch_all(max_workers=max_workers)
-    spec = get_run("specint", "smt", "full")
-    spec_app = get_run("specint", "smt", "app")
-    spec_ss = get_run("specint", "ss", "full")
-    spec_ss_app = get_run("specint", "ss", "app")
-    apache = get_run("apache", "smt", "full")
-    apache_ss = get_run("apache", "ss", "full")
-    apache_omit = get_run("apache", "smt", "omit")
-    apache_ss_omit = get_run("apache", "ss", "omit")
-
     report = Report()
-    report.exhibits = {
-        "fig1": figures.fig1(spec),
-        "fig2": figures.fig2(spec),
-        "fig3": figures.fig3(spec),
-        "fig4": figures.fig4(spec),
-        "fig5": figures.fig5(apache),
-        "fig6": figures.fig6(apache, spec),
-        "fig7": figures.fig7(apache),
-        "tab2": tables.table2(spec),
-        "tab3": tables.table3(spec),
-        "tab4": tables.table4(spec_app, spec, spec_ss_app, spec_ss),
-        "tab5": tables.table5(apache),
-        "tab6": tables.table6(apache, spec, apache_ss),
-        "tab7": tables.table7(apache),
-        "tab8": tables.table8(apache, apache_ss),
-        "tab9": tables.table9(apache_omit, apache, apache_ss_omit, apache_ss),
-    }
+    report.exhibits = {name: build_exhibit(name) for name in EXHIBITS}
     if include_comparison:
-        rows = build_comparison({
-            "specint-smt-full": spec,
-            "specint-smt-app": spec_app,
-            "specint-ss-full": spec_ss,
-            "specint-ss-app": spec_ss_app,
-            "apache-smt-full": apache,
-            "apache-ss-full": apache_ss,
-            "apache-smt-omit": apache_omit,
-        })
+        rows = comparison_rows()
         report.comparison_markdown = render_markdown(rows)
         report.shape_criteria_total = len(rows)
         report.shape_criteria_held = sum(r.holds for r in rows)

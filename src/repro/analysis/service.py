@@ -62,21 +62,9 @@ from repro import faults
 from repro.analysis import experiments
 from repro.analysis import queue as jobqueue
 from repro.analysis.artifact import RunArtifact
+from repro.analysis.experiments import CANONICAL_SPECS
 from repro.analysis.queue import Job, JobQueue, queue_root
 from repro.analysis.store import RunStore
-
-#: The eight canonical (workload, cpu, os_mode) combinations behind the
-#: paper's Tables 2-9 and Figures 1-7.
-CANONICAL_SPECS: tuple[tuple[str, str, str], ...] = (
-    ("specint", "smt", "full"),
-    ("specint", "smt", "app"),
-    ("specint", "ss", "full"),
-    ("specint", "ss", "app"),
-    ("apache", "smt", "full"),
-    ("apache", "smt", "omit"),
-    ("apache", "ss", "full"),
-    ("apache", "ss", "omit"),
-)
 
 #: Error taxonomy: transient errors are retried, permanent ones are not.
 TRANSIENT = "transient"

@@ -101,10 +101,9 @@ class StoreEntry:
 
     ``kind`` is ``"run"`` for artifacts and ``"checkpoint"`` for
     checkpoint recipes (:mod:`repro.core.checkpoint`); ``schema_version``
-    is whatever the payload recorded -- the artifact schema for runs,
-    the checkpoint schema for checkpoints -- so stale entries can show
-    why they miss.  ``created`` is the file's mtime as an ISO-8601
-    timestamp.
+    is the artifact schema the payload recorded (runs and checkpoints
+    record the same one), so stale entries can show why they miss.
+    ``created`` is the file's mtime as an ISO-8601 timestamp.
     """
 
     path: pathlib.Path
@@ -223,8 +222,6 @@ class RunStore:
         quarantined.  Returns the raw payload dict for
         :func:`repro.core.checkpoint.restore`.
         """
-        from repro.core.checkpoint import CHECKPOINT_SCHEMA
-
         if not self.root.is_dir():
             return None
         suffix = f"-{fingerprint[:_NAME_HASH_LEN]}.json"
@@ -237,8 +234,8 @@ class RunStore:
             if not isinstance(payload, dict) or payload.get("kind") != "checkpoint":
                 self._quarantine(path, "not a checkpoint payload")
                 continue
-            if payload.get("checkpoint_schema") != CHECKPOINT_SCHEMA:
-                continue  # stale checkpoint schema: a miss, gc collects it
+            if payload.get("schema_version") != SCHEMA_VERSION:
+                continue  # stale schema: a miss, gc collects it
             if payload.get("content_hash") != content_hash(payload):
                 self._quarantine(path, "checkpoint checksum mismatch")
                 continue
@@ -369,8 +366,7 @@ class RunStore:
     def _verify_checkpoint(self, path: pathlib.Path, payload: dict) -> dict:
         """Checkpoint leg of :meth:`verify`: schema, checksum, and
         fingerprint recomputation from the recorded plan."""
-        from repro.core.checkpoint import (CHECKPOINT_SCHEMA,
-                                           checkpoint_fingerprint)
+        from repro.core.checkpoint import checkpoint_fingerprint
         from repro.core.engine import Leg
 
         label = _checkpoint_label(payload)
@@ -379,9 +375,9 @@ class RunStore:
             return {"label": label, "status": status, "detail": detail,
                     "path": path}
 
-        version = payload.get("checkpoint_schema")
-        if version != CHECKPOINT_SCHEMA:
-            return record("SKIP", f"stale checkpoint schema v{version}")
+        version = payload.get("schema_version")
+        if version != SCHEMA_VERSION:
+            return record("SKIP", f"stale schema v{version}")
         fingerprint = payload.get("fingerprint")
         try:
             plan = [Leg(mode, instructions)
@@ -424,11 +420,10 @@ class RunStore:
             if not isinstance(payload, dict) or not isinstance(fingerprint, str):
                 continue
             kind = "checkpoint" if payload.get("kind") == "checkpoint" else "run"
+            version = payload.get("schema_version")
             if kind == "checkpoint":
-                version = payload.get("checkpoint_schema")
                 label = _checkpoint_label(payload)
             else:
-                version = payload.get("schema_version")
                 label = _spec_label(payload.get("spec"))
             created = datetime.datetime.fromtimestamp(
                 stat.st_mtime).isoformat(timespec="seconds")
@@ -448,16 +443,13 @@ class RunStore:
         A schema bump turns every stored artifact into a permanent miss;
         without collection those files leak disk forever.  Returns the
         stale entries (removed, or merely found with *dry_run*).  Current
-        -schema entries are never touched.  Checkpoints are judged
-        against *their* schema (:data:`repro.core.checkpoint
-        .CHECKPOINT_SCHEMA`), so an artifact schema bump does not sweep
-        away still-valid checkpoints or vice versa.
+        -schema entries are never touched.  Runs and checkpoints are
+        judged by the one :data:`~repro.analysis.artifact.SCHEMA_VERSION`:
+        a checkpoint's probes digest hashes the layout that version
+        names, so a bump retires both.
         """
-        from repro.core.checkpoint import CHECKPOINT_SCHEMA
-
-        current = {"run": SCHEMA_VERSION, "checkpoint": CHECKPOINT_SCHEMA}
         stale = [entry for entry in self.entries()
-                 if entry.schema_version != current[entry.kind]]
+                 if entry.schema_version != SCHEMA_VERSION]
         if not dry_run:
             for entry in stale:
                 try:

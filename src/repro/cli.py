@@ -73,9 +73,8 @@ import argparse
 import functools
 import sys
 
-from repro.analysis import figures, metrics, tables
-from repro.analysis.experiments import get_run
-from repro.analysis.paper import build_comparison, render_markdown
+from repro.analysis import metrics
+from repro.analysis.experiments import CANONICAL_SPECS, get_run
 
 #: Whole-run estimates a sampled run's summary prints, as named in the
 #: extrapolated flat window (:func:`repro.obs.diff.flatten_window`).
@@ -200,61 +199,27 @@ def _print_sampling(rec) -> None:
             print(f"  ~{name:<18s} {estimate:>14,.1f} +/- {band:,.1f}")
 
 
-def _table(number: int) -> dict:
-    if number == 2:
-        return tables.table2(get_run("specint", "smt", "full"))
-    if number == 3:
-        return tables.table3(get_run("specint", "smt", "full"))
-    if number == 4:
-        return tables.table4(
-            get_run("specint", "smt", "app"), get_run("specint", "smt", "full"),
-            get_run("specint", "ss", "app"), get_run("specint", "ss", "full"))
-    if number == 5:
-        return tables.table5(get_run("apache", "smt", "full"))
-    if number == 6:
-        return tables.table6(get_run("apache", "smt", "full"),
-                             get_run("specint", "smt", "full"),
-                             get_run("apache", "ss", "full"))
-    if number == 7:
-        return tables.table7(get_run("apache", "smt", "full"))
-    if number == 8:
-        return tables.table8(get_run("apache", "smt", "full"),
-                             get_run("apache", "ss", "full"))
-    if number == 9:
-        return tables.table9(
-            get_run("apache", "smt", "omit"), get_run("apache", "smt", "full"),
-            get_run("apache", "ss", "omit"), get_run("apache", "ss", "full"))
-    raise SystemExit(f"no such table: {number} (the paper has Tables 2-9)")
+def _print_exhibit(name: str, missing: str) -> int:
+    """Print one exhibit of :data:`repro.analysis.report.EXHIBITS`, or
+    exit with *missing* when there is no exhibit *name*."""
+    from repro.analysis.report import EXHIBITS, build_exhibit
 
-
-def _figure(number: int) -> dict:
-    specint = lambda: get_run("specint", "smt", "full")  # noqa: E731
-    apache = lambda: get_run("apache", "smt", "full")  # noqa: E731
-    if number == 1:
-        return figures.fig1(specint())
-    if number == 2:
-        return figures.fig2(specint())
-    if number == 3:
-        return figures.fig3(specint())
-    if number == 4:
-        return figures.fig4(specint())
-    if number == 5:
-        return figures.fig5(apache())
-    if number == 6:
-        return figures.fig6(apache(), specint())
-    if number == 7:
-        return figures.fig7(apache())
-    raise SystemExit(f"no such figure: {number} (the paper has Figures 1-7)")
+    if name not in EXHIBITS:
+        raise SystemExit(missing)
+    print(build_exhibit(name)["text"])
+    return 0
 
 
 def _cmd_table(args) -> int:
-    print(_table(args.number)["text"])
-    return 0
+    return _print_exhibit(
+        f"tab{args.number}",
+        f"no such table: {args.number} (the paper has Tables 2-9)")
 
 
 def _cmd_figure(args) -> int:
-    print(_figure(args.number)["text"])
-    return 0
+    return _print_exhibit(
+        f"fig{args.number}",
+        f"no such figure: {args.number} (the paper has Figures 1-7)")
 
 
 def _cmd_prefetch(args) -> int:
@@ -325,9 +290,7 @@ def _cmd_cache(args) -> int:
                   f"{store.root / 'quarantine'}]")
         return 0
     from repro.analysis.artifact import SCHEMA_VERSION
-    from repro.core.checkpoint import CHECKPOINT_SCHEMA
 
-    current = {"run": SCHEMA_VERSION, "checkpoint": CHECKPOINT_SCHEMA}
     total = 0
     stale = 0
     checkpoints = 0
@@ -337,7 +300,7 @@ def _cmd_cache(args) -> int:
             checkpoints += 1
         version = ("?" if entry.schema_version is None
                    else f"v{entry.schema_version}")
-        if entry.schema_version != current.get(entry.kind, SCHEMA_VERSION):
+        if entry.schema_version != SCHEMA_VERSION:
             stale += 1
             version += "*"
         flags = f"  [{','.join(entry.flags)}]" if entry.flags else ""
@@ -867,20 +830,11 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _canonical_records() -> dict:
-    return {
-        "specint-smt-full": get_run("specint", "smt", "full"),
-        "specint-smt-app": get_run("specint", "smt", "app"),
-        "specint-ss-full": get_run("specint", "ss", "full"),
-        "specint-ss-app": get_run("specint", "ss", "app"),
-        "apache-smt-full": get_run("apache", "smt", "full"),
-        "apache-ss-full": get_run("apache", "ss", "full"),
-        "apache-smt-omit": get_run("apache", "smt", "omit"),
-    }
-
-
 def _cmd_compare(args) -> int:
-    rows = build_comparison(_canonical_records())
+    from repro.analysis.paper import render_markdown
+    from repro.analysis.report import comparison_rows
+
+    rows = comparison_rows()
     body = render_markdown(rows)
     if args.out:
         with open(args.out, "w") as f:
@@ -895,11 +849,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_list(args) -> int:
     print("Canonical runs (workload x cpu x os_mode):")
-    for wl in ("specint", "apache"):
-        for cpu in ("smt", "ss"):
-            modes = ("full", "app") if wl == "specint" else ("full", "omit")
-            for mode in modes:
-                print(f"  {wl:8s} {cpu:4s} {mode}")
+    for wl, cpu, mode in CANONICAL_SPECS:
+        print(f"  {wl:8s} {cpu:4s} {mode}")
     print("\nExhibits: figures 1-7, tables 2-9 "
           "(Table 1 is the machine configuration; see repro.core.config).")
     return 0

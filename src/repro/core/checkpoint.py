@@ -19,6 +19,13 @@ caught as a hard :class:`CheckpointError` instead of contaminating
 downstream measurements.  Checkpoints are content-addressed in the run
 store (:mod:`repro.analysis.store`) by config + plan + stride, i.e. by
 what they reproduce, never by when they were taken.
+
+A checkpoint records the artifact layout version
+(:data:`~repro.analysis.artifact.SCHEMA_VERSION`) under the same
+``schema_version`` key run artifacts use, and its fingerprint covers
+it: the probes digest hashes the whole probe tree, so a layout change
+(a probe added or removed) retires old checkpoints as store misses
+instead of failing their replay.
 """
 
 from __future__ import annotations
@@ -26,12 +33,6 @@ from __future__ import annotations
 import hashlib
 
 from repro.core.engine import FF_STRIDE_DEFAULT, Leg, run_plan
-
-#: Bump when the checkpoint payload layout or digest inputs change;
-#: restore refuses mismatched schemas (the store treats them as stale).
-#: v2: the probes digest excludes ``core.timeline.*`` so telemetry
-#: options (repro.obs.timeline) never invalidate a checkpoint.
-CHECKPOINT_SCHEMA = 2
 
 
 class CheckpointError(RuntimeError):
@@ -73,15 +74,16 @@ def checkpoint_fingerprint(params: dict, plan: list[Leg],
     """Content address of the checkpoint reaching the end of *plan*.
 
     Covers the config fingerprint, the leg plan (mode + instruction
-    boundary of every leg), the stride, and the checkpoint schema /
-    artifact code versions -- everything that determines the replayed
-    state, and nothing (wall time, host) that does not.
+    boundary of every leg), the stride, and the artifact schema / code
+    versions -- everything that determines the replayed state and its
+    digests, and nothing (wall time, host) that does not.
     """
-    from repro.analysis.artifact import CODE_VERSION, canonical_json
+    from repro.analysis.artifact import (CODE_VERSION, SCHEMA_VERSION,
+                                         canonical_json)
 
     payload = {
         "kind": "checkpoint",
-        "schema": CHECKPOINT_SCHEMA,
+        "schema": SCHEMA_VERSION,
         "code": CODE_VERSION,
         "params": params,
         "plan": [[leg.mode, leg.instructions] for leg in plan],
@@ -99,10 +101,12 @@ def take(sim, plan: list[Leg], stride: int = FF_STRIDE_DEFAULT) -> dict:
     recorded boundary/cycle are read from the simulation itself, so an
     overshooting leg is captured faithfully.
     """
+    from repro.analysis.artifact import SCHEMA_VERSION
+
     sim.tier.checkpoints_saved += 1
     return {
         "kind": "checkpoint",
-        "checkpoint_schema": CHECKPOINT_SCHEMA,
+        "schema_version": SCHEMA_VERSION,
         "fingerprint": checkpoint_fingerprint(sim.params, plan, stride),
         "params": sim.params,
         "plan": [[leg.mode, leg.instructions] for leg in plan],
@@ -122,12 +126,12 @@ def restore(sim, ckpt: dict, max_cycles: int | None = None):
     the checkpoint boundary with byte-identical state, ready for the
     remaining legs of its run.
     """
-    from repro.analysis.artifact import canonical_json
+    from repro.analysis.artifact import SCHEMA_VERSION, canonical_json
 
-    if ckpt.get("checkpoint_schema") != CHECKPOINT_SCHEMA:
+    if ckpt.get("schema_version") != SCHEMA_VERSION:
         raise CheckpointError(
-            f"checkpoint schema {ckpt.get('checkpoint_schema')!r} != "
-            f"{CHECKPOINT_SCHEMA} (stale checkpoint)")
+            f"checkpoint schema {ckpt.get('schema_version')!r} != "
+            f"{SCHEMA_VERSION} (stale checkpoint)")
     if canonical_json(ckpt["params"]) != canonical_json(sim.params):
         raise CheckpointError("checkpoint config does not match simulation")
     plan = [Leg(mode, instructions) for mode, instructions in ckpt["plan"]]

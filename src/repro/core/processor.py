@@ -126,13 +126,7 @@ class Processor:
 
     def register_probes(self, registry) -> None:
         """Register the core's probe subtree (``core.*`` and ``branch.*``)."""
-        stats = self.stats
-        for name in ("retired", "fetched", "squashed", "zero_fetch_cycles",
-                     "zero_issue_cycles", "max_issue_cycles",
-                     "queue_full_stalls", "inflight_limit_stalls",
-                     "fetchable_context_sum"):
-            registry.derive(f"core.{name}",
-                            lambda s=stats, n=name: getattr(s, n))
+        self.stats.register_probes(registry)
         self.branch_unit.register_probes(registry)
 
     # -- top level -----------------------------------------------------------

@@ -136,6 +136,14 @@ class Simulation:
         self.hierarchy = MemoryHierarchy(self.machine.memory,
                                          registry=self.obs)
         self.hierarchy.omit_kernel_refs = omit_kernel_refs
+        # The MSHR occupancy integrals behind Table 6's outstanding-miss
+        # rows advance lazily to a cycle, so they register here, where
+        # the clock is known: the cycle account, which both run loops
+        # keep current (``_now`` is written back only when a loop ends).
+        for level in ("l1i", "l1d", "l2"):
+            mshr = getattr(self.hierarchy, f"{level}_mshr")
+            self.obs.derive(f"mem.mshr.{level}.occupancy_cycles",
+                            lambda m=mshr: m.integral_at(self.stats.cycles))
         self.os = MiniDUX(
             self.hierarchy,
             self.machine.cpu.n_contexts,

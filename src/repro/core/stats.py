@@ -2,8 +2,8 @@
 
 Collects everything the paper's tables and figures need:
 
-* retired-instruction counts by mode, service, category, and addressing
-  (Tables 2 and 5);
+* retired-instruction counts by mode and category, plus physical-address
+  memory ops and taken conditional branches by mode (Tables 2 and 5);
 * *cycle* attribution: each cycle, each hardware context charges its
   cycle to the call path it is running (:class:`Attribution`), so slow
   (stall-heavy) services weigh more than their instruction counts
@@ -12,8 +12,9 @@ Collects everything the paper's tables and figures need:
 * fetch/issue utilization: 0-fetch, 0-issue and max-issue cycles, average
   fetchable contexts, squash counts (Tables 4 and 6).
 
-The time-series figures (1 and 5) sample the mode-class fold every
-interval through :class:`repro.obs.timeline.ProbeTimeline`.
+The time-series figures (1 and 5) fold by mode class the per-service
+columns that :class:`repro.obs.timeline.ProbeTimeline` samples every
+interval.
 """
 
 from __future__ import annotations
@@ -27,6 +28,12 @@ CLASS_PAL = 2
 CLASS_IDLE = 3
 
 CLASS_NAMES = ("user", "kernel", "pal", "idle")
+
+#: Probe-name segments of the execution modes and instruction types, in
+#: enum order: ``core.mix.<mode>.<type>``, ``core.phys_mem.<mode>`` and
+#: ``core.cond_taken.<mode>`` (see :meth:`SimStats.register_probes`).
+MODE_NAMES = tuple(mode.name.lower() for mode in Mode)
+ITYPE_NAMES = tuple(itype.name.lower() for itype in InstrType)
 
 # Enum members bound once: retire() tests them per instruction.
 _LOAD = InstrType.LOAD
@@ -86,14 +93,11 @@ class SimStats:
         self.squashed = 0
         self.retired = 0
 
-        # Retired-instruction breakdowns.
-        self.retired_by_mode = [0, 0, 0]  # USER, KERNEL, PAL
+        # Retired-instruction breakdowns.  Per-mode totals, memory ops
+        # and conditional branches are folds of ``itype_by_mode``.
         self.itype_by_mode: dict[tuple[int, int], int] = {}
-        self.phys_mem_by_mode = [0, 0, 0]
-        self.mem_by_mode = [0, 0, 0]
+        self.phys_mem_by_mode = [0, 0, 0]  # USER, KERNEL, PAL
         self.cond_taken_by_mode = [0, 0, 0]
-        self.cond_by_mode = [0, 0, 0]
-        self.retired_by_service: dict[str, int] = {}
 
         #: The one cycle account: context-cycles per call path.  The
         #: kernel's table fills as threads spawn, so it is kept, not copied.
@@ -108,6 +112,30 @@ class SimStats:
         self.fetchable_context_sum = 0
         self.queue_full_stalls = 0
         self.inflight_limit_stalls = 0
+
+    def register_probes(self, registry) -> None:
+        """Register the counters of this account under ``core.*``.
+
+        The retired-instruction mix is one probe per (mode, type) seen,
+        ``core.mix.<mode>.<type>``; physical-address memory ops and taken
+        conditional branches are ``core.phys_mem.<mode>`` and
+        ``core.cond_taken.<mode>``.  Per-mode totals, memory ops and
+        conditional branches are folds of the mix.
+        """
+        for name in ("retired", "fetched", "squashed", "zero_fetch_cycles",
+                     "zero_issue_cycles", "max_issue_cycles",
+                     "queue_full_stalls", "inflight_limit_stalls",
+                     "fetchable_context_sum"):
+            registry.derive(f"core.{name}",
+                            lambda n=name: getattr(self, n))
+        registry.derive_map("core.mix", lambda: {
+            f"{MODE_NAMES[mode]}.{ITYPE_NAMES[itype]}": count
+            for (mode, itype), count in self.itype_by_mode.items()})
+        for mode, label in enumerate(MODE_NAMES):
+            registry.derive(f"core.phys_mem.{label}",
+                            lambda m=mode: self.phys_mem_by_mode[m])
+            registry.derive(f"core.cond_taken.{label}",
+                            lambda m=mode: self.cond_taken_by_mode[m])
 
     # -- cycle attribution ------------------------------------------------------
 
@@ -149,21 +177,14 @@ class SimStats:
         self.retired += 1
         mode = instr.mode
         itype = instr.itype
-        self.retired_by_mode[mode] += 1
         key = (mode, itype)
         by_type = self.itype_by_mode
         by_type[key] = by_type.get(key, 0) + 1
-        svc = instr.service
-        by_service = self.retired_by_service
-        by_service[svc] = by_service.get(svc, 0) + 1
         if itype is _LOAD or itype is _STORE or itype is _SYNC:
-            self.mem_by_mode[mode] += 1
             if instr.phys:
                 self.phys_mem_by_mode[mode] += 1
-        elif itype is _COND_BRANCH:
-            self.cond_by_mode[mode] += 1
-            if instr.taken:
-                self.cond_taken_by_mode[mode] += 1
+        elif itype is _COND_BRANCH and instr.taken:
+            self.cond_taken_by_mode[mode] += 1
 
     def retire_bulk(self, instr, count: int) -> None:
         """Account *count* retired instructions represented by *instr*.
@@ -177,20 +198,14 @@ class SimStats:
             return
         self.retired += count
         mode = instr.mode
-        self.retired_by_mode[mode] += count
-        key = (mode, instr.itype)
-        self.itype_by_mode[key] = self.itype_by_mode.get(key, 0) + count
-        svc = instr.service
-        self.retired_by_service[svc] = self.retired_by_service.get(svc, 0) + count
         itype = instr.itype
+        key = (mode, itype)
+        self.itype_by_mode[key] = self.itype_by_mode.get(key, 0) + count
         if itype is _LOAD or itype is _STORE or itype is _SYNC:
-            self.mem_by_mode[mode] += count
             if instr.phys:
                 self.phys_mem_by_mode[mode] += count
-        elif itype is _COND_BRANCH:
-            self.cond_by_mode[mode] += count
-            if instr.taken:
-                self.cond_taken_by_mode[mode] += count
+        elif itype is _COND_BRANCH and instr.taken:
+            self.cond_taken_by_mode[mode] += count
 
     # -- derived metrics --------------------------------------------------------
 
@@ -228,14 +243,12 @@ class SimStats:
 
     def mode_instruction_mix(self, mode: Mode) -> dict[InstrType, float]:
         """Retired-instruction category shares within one mode."""
-        total = self.retired_by_mode[mode]
+        counts = {itype: count for (m, itype), count
+                  in self.itype_by_mode.items() if m == mode}
+        total = sum(counts.values())
         if not total:
             return {}
-        return {
-            itype: count / total
-            for (m, itype), count in self.itype_by_mode.items()
-            if m == mode
-        }
+        return {itype: count / total for itype, count in counts.items()}
 
     def service_cycle_shares(self) -> dict[str, float]:
         """Every service's share of total context-cycles."""

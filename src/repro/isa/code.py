@@ -279,13 +279,6 @@ class CodeModel:
         """Entry block index of *segment*."""
         return self.segments[segment].start
 
-    def segment_of(self, block: int) -> str:
-        """Name of the segment containing *block*."""
-        for seg in self.segments.values():
-            if seg.start <= block < seg.end:
-                return seg.name
-        raise IndexError(block)
-
 
 class CodeWalker:
     """Per-thread execution cursor over a :class:`CodeModel`.

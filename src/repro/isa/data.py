@@ -238,11 +238,6 @@ class DataModel:
             region = self._pick(self._virt, self._virt_cum)
         return self._region_next(region), region.phys
 
-    def next_address(self, is_store: bool, phys: bool) -> int:
-        """Address-only convenience wrapper around :meth:`next`."""
-        addr, _ = self.next(is_store, phys)
-        return addr
-
     def _pick(self, regions: list[Region], cum: list[float]) -> Region:
         """One weighted draw: ``rng.choices(regions, weights)[0]`` with the
         cumulative weights built once (same single ``random()`` draw)."""

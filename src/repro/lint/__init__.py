@@ -13,7 +13,7 @@ observability layer rely on:
   picklable process-boundary callables, and environment reads outside
   the ``REPRO_*`` namespace.
 * **P-rules** (:mod:`repro.lint.rules_probes`) -- probe-name reads
-  against the committed manifest of the ~170 registered probes, where a
+  against the committed manifest of the 179 registered probes, where a
   typo'd name silently creates a fresh zero counter instead of failing.
 * **S-rules** (:mod:`repro.lint.rules_schema`) -- the artifact
   fingerprint must cover every configuration knob, or runs that differ
@@ -27,11 +27,3 @@ canonical machines, to dump their live probe registries into the
 committed manifest.  See ``docs/static-analysis.md`` for the rule
 catalogue and workflow.
 """
-
-from repro.lint.engine import Finding, LintEngine, default_rules
-
-__all__ = [
-    "Finding",
-    "LintEngine",
-    "default_rules",
-]

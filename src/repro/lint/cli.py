@@ -1,7 +1,9 @@
 """``repro lint`` command implementation.
 
 Kept out of :mod:`repro.cli` so the engine stays importable without
-argparse plumbing, and the top-level CLI stays a thin dispatcher.
+argparse plumbing, and the top-level CLI stays a thin dispatcher.  The
+engine, its rules and the SARIF writer load when ``repro lint`` runs,
+so no other command pays for them.
 """
 
 from __future__ import annotations
@@ -10,11 +12,6 @@ import argparse
 import pathlib
 import sys
 from typing import Any
-
-from repro.lint.engine import (FAMILIES, LintEngine, findings_to_json,
-                               render_report)
-from repro.lint.rules_probes import write_manifest
-from repro.lint.sarif import write_sarif
 
 #: Default scan root, relative to the invocation directory.
 DEFAULT_ROOT = "src/repro"
@@ -71,6 +68,11 @@ def _resolve_root(arg: str | None) -> pathlib.Path:
 
 
 def run_lint(args: argparse.Namespace) -> int:
+    from repro.lint.engine import (FAMILIES, LintEngine, findings_to_json,
+                                   render_report)
+    from repro.lint.rules_probes import write_manifest
+    from repro.lint.sarif import write_sarif
+
     if args.list_rules:
         groups: dict[str, list] = {}
         for rule in LintEngine(pathlib.Path(".")).rules:

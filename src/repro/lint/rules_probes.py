@@ -55,8 +55,8 @@ def live_manifest() -> dict[str, Any]:
     names and derived-family prefixes.  Imports the simulator lazily:
     checking the tree never needs it.
     """
-    from repro.analysis.experiments import build_simulation
-    from repro.analysis.service import CANONICAL_SPECS, ReproService
+    from repro.analysis.experiments import CANONICAL_SPECS, build_simulation
+    from repro.analysis.service import ReproService
     from repro.analysis.store import RunStore
 
     registries = [build_simulation(*spec).obs for spec in CANONICAL_SPECS]

@@ -89,10 +89,6 @@ class Cache:
 
     # -- core operation -----------------------------------------------------
 
-    def line_of(self, addr: int) -> int:
-        """Line address (tag+index) containing *addr*."""
-        return addr >> self._line_shift
-
     def access(self, addr: int, tid: int, kind: int, write: bool = False) -> bool:
         """Reference *addr*; fill on miss.  Returns True on hit.
 

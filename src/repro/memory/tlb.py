@@ -47,11 +47,6 @@ class TLB:
         self.stats = MissStats()
         self.asn_flushes = 0
 
-    @staticmethod
-    def vpn_of(addr: int) -> int:
-        """Virtual page number containing *addr*."""
-        return addr >> PAGE_SHIFT
-
     def probe(self, vpn: int, asn: int, tid: int, kind: int) -> bool:
         """Look up a translation; record the access.  True on hit.
 

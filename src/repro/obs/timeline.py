@@ -14,20 +14,20 @@ The record is plain data::
 
     {"interval": 8192, "samples": 57, "dropped": 0,
      "columns": {"core.retired": [d0, d1, ...],
-                 "class.kernel": [...], "svc.syscall:read": [...], ...}}
+                 "svc.syscall:read": [...], ...}}
 
 Column ``columns[name][i]`` is the probe's *delta* over sample interval
 ``i``, which covers cycles ``(i*interval, (i+1)*interval]``.  Besides
-the configured registry probes, every record carries the four mode-class
-context-cycle columns (``class.user`` / ``class.kernel`` / ``class.pal``
-/ ``class.idle``) and one ``svc.<leaf>`` column per charged service
-(both folds of the call-path cycle account,
-:class:`repro.core.stats.Attribution`; columns appearing mid-run are
-back-filled with zeros so all columns stay equal-length).
+the configured registry probes, every record carries one ``svc.<leaf>``
+column of context-cycles per charged service (the leaf fold of the
+call-path cycle account, :class:`repro.core.stats.Attribution`; columns
+appearing mid-run are back-filled with zeros so all columns stay
+equal-length).
 
 This is the run's only time series.  On top of the record this module
 derives, at read time, the mode-class share rows behind Figures 1 and 5
-(:func:`class_share_series`), headline series
+(:func:`class_share_series`, the ``svc.*`` columns folded by
+:func:`~repro.core.stats.service_class`), headline series
 (:func:`derived_series`: interval IPC, kernel-cycle share, zero-fetch /
 zero-issue shares, ``mem.*`` miss rates, fast-tier share), detects phase
 changes (:func:`detect_phases`: windowed mean shift on IPC and kernel
@@ -48,7 +48,7 @@ telemetry options share a store key.
 
 from __future__ import annotations
 
-from repro.core.stats import CLASS_NAMES
+from repro.core.stats import service_class
 from repro.obs.diff import DiffReport, compile_grep, diff_seeds
 
 #: Default sampling interval in simulated cycles (power of two: the run
@@ -83,8 +83,6 @@ DEFAULT_TIMELINE_PROBES = (
     "mem.dtlb.accesses.user", "mem.dtlb.accesses.kernel",
     "mem.dtlb.miss.user", "mem.dtlb.miss.kernel",
 )
-
-_CLASS_COLUMNS = tuple(f"class.{name}" for name in CLASS_NAMES)
 
 
 class ProbeTimeline:
@@ -126,8 +124,6 @@ class ProbeTimeline:
         self.samples = 0
         self.dropped = 0
         self.columns: dict[str, list[int]] = {n: [] for n, _ in self._readers}
-        for name in _CLASS_COLUMNS:
-            self.columns[name] = []
         self._prev: dict[str, int] = {name: 0 for name in self.columns}
         start = getattr(sim, "_now", 0)
         self._expect = (start // self.interval + 1) * self.interval
@@ -147,11 +143,6 @@ class ProbeTimeline:
         columns = self.columns
         for name, read in self._readers:
             value = read()
-            columns[name].append(value - prev[name])
-            prev[name] = value
-        classes = self._stats.class_cycles
-        for cls, name in enumerate(_CLASS_COLUMNS):
-            value = classes[cls]
             columns[name].append(value - prev[name])
             prev[name] = value
         for svc, value in self._stats.service_cycles.items():
@@ -176,7 +167,10 @@ class ProbeTimeline:
         if not self.samples:
             return None
         retired = self.columns["core.retired"][-1]
-        class_deltas = [self.columns[name][-1] for name in _CLASS_COLUMNS]
+        class_deltas = [0, 0, 0, 0]
+        for name, column in self.columns.items():
+            if name.startswith("svc."):
+                class_deltas[service_class(name[4:])] += column[-1]
         total = sum(class_deltas) or 1
         return {
             "sim_ipc": round(retired / self.interval, 4),
@@ -208,13 +202,22 @@ def _column(record: dict, name: str) -> list[int] | None:
 
 
 def _class_split(record: dict) -> tuple[list[list[int]], list[int]] | None:
-    """The four ``class.*`` columns and their per-interval totals (1 for
-    an empty interval), or None when the record lacks them."""
-    columns = [_column(record, name) for name in _CLASS_COLUMNS]
-    if any(c is None for c in columns):
+    """The ``svc.*`` columns folded into four user/kernel/pal/idle
+    context-cycle columns by :func:`~repro.core.stats.service_class`,
+    and their per-interval totals (1 for an empty interval), or None
+    when the record has no ``svc.*`` columns."""
+    k = record["samples"]
+    columns = [[0] * k for _ in range(4)]
+    folded = False
+    for name, column in record.get("columns", {}).items():
+        if name.startswith("svc."):
+            folded = True
+            fold = columns[service_class(name[4:])]
+            for i, value in enumerate(column):
+                fold[i] += value
+    if not folded:
         return None
-    totals = [sum(c[i] for c in columns) or 1
-              for i in range(record["samples"])]
+    totals = [sum(c[i] for c in columns) or 1 for i in range(k)]
     return columns, totals
 
 

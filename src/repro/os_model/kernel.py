@@ -851,6 +851,3 @@ class MiniDUX:
         if is_kernel_address(addr):
             return KERNEL_ASN
         return thread.process.asn
-
-    def page_is_kernel(self, addr: int) -> bool:
-        return is_kernel_address(addr)

@@ -127,10 +127,6 @@ class Scheduler:
 
     # -- dispatch ---------------------------------------------------------------
 
-    def quantum_expired(self, ctx: int, now: int) -> bool:
-        """True when the thread on *ctx* has exhausted its time slice."""
-        return now >= self.quantum_end[ctx]
-
     def should_resched(self, ctx: int, now: int) -> bool:
         """Cheap per-delivery check for whether *ctx* needs a new thread."""
         thread = self.current[ctx]
@@ -193,10 +189,3 @@ class Scheduler:
         if self.on_switch is not None:
             self.on_switch(ctx, old, thread)
         return old
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def runnable_count(self) -> int:
-        """Threads ready to run (excluding those currently on contexts)."""
-        return sum(1 for t in self.run_queue if t.runnable)

@@ -87,8 +87,3 @@ class VMSystem:
         if self.on_incursion is not None:
             self.on_incursion("mmap_unmap")
         return released
-
-    @property
-    def total_incursions(self) -> int:
-        """Total MM-code entries (the denominator of Figure 3)."""
-        return sum(self.incursions.values())

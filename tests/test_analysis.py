@@ -31,10 +31,18 @@ def test_capture_contains_core_counters():
     sim = Simulation(SpecIntWorkload(), seed=42)
     sim.run(max_instructions=5_000)
     snap = capture(sim)
-    for key in ("cycles", "retired", "fetched", "caches", "tlbs", "btb",
-                "service_cycles", "syscall_counts", "vm_incursions"):
-        assert key in snap
+    # The probe tree is the one counter record beside the machine totals
+    # and the call-path cycle account with its per-service fold.
+    assert set(snap) == {"cycles", "retired", "service_cycles",
+                         "attribution", "probes"}
     assert snap["retired"] >= 5_000
+    probes = snap["probes"]
+    for name in ("core.fetched", "mem.l1d.miss.user", "branch.btb.miss.kernel",
+                 "os.vm.incursion.page_allocation", "core.phys_mem.kernel",
+                 "core.cond_taken.user", "mem.mshr.l2.occupancy_cycles"):
+        assert name in probes
+    assert sum(v for name, v in probes.items()
+               if name.startswith("core.mix.")) == snap["retired"]
 
 
 def test_diff_subtracts_recursively():
@@ -238,7 +246,7 @@ def _tied_record(syscalls, incursions):
     for name in syscalls:
         services[f"syscall:{name}"] = 5
     window = {"service_cycles": services,
-              "vm_incursions": {kind: 3 for kind in incursions}}
+              "probes": {f"os.vm.incursion.{kind}": 3 for kind in incursions}}
     return SimpleNamespace(startup=window, steady=window, total=window)
 
 

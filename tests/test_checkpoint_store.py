@@ -6,8 +6,10 @@ import json
 
 import pytest
 
-from repro.analysis.experiments import build_simulation
-from repro.analysis.store import RunStore
+from repro.analysis import artifact, store as store_mod
+from repro.analysis.artifact import SCHEMA_VERSION
+from repro.analysis.experiments import build_simulation, execute_spec, run_spec
+from repro.analysis.store import RunStore, content_hash
 from repro.core import checkpoint
 from repro.core.engine import Leg, run_plan
 
@@ -34,7 +36,7 @@ def test_get_checkpoint_misses_on_unknown_fingerprint(tmp_path):
 
 def test_get_checkpoint_treats_stale_schema_as_miss(tmp_path, ckpt_payload):
     store = RunStore(tmp_path)
-    stale = dict(ckpt_payload, checkpoint_schema=checkpoint.CHECKPOINT_SCHEMA + 1)
+    stale = dict(ckpt_payload, schema_version=SCHEMA_VERSION + 1)
     path = store.put_checkpoint(stale)
     assert store.get_checkpoint(ckpt_payload["fingerprint"]) is None
     assert path.exists()  # stale, not deleted: that is gc's job
@@ -51,7 +53,7 @@ def test_entries_report_checkpoint_kind(tmp_path, ckpt_payload):
     store.put_checkpoint(ckpt_payload)
     (entry,) = store.entries()
     assert entry.kind == "checkpoint"
-    assert entry.schema_version == checkpoint.CHECKPOINT_SCHEMA
+    assert entry.schema_version == SCHEMA_VERSION
     assert entry.label.startswith("ckpt:")
     assert entry.fingerprint == ckpt_payload["fingerprint"]
 
@@ -75,7 +77,7 @@ def test_verify_flags_tampered_checkpoint(tmp_path, ckpt_payload):
 
 def test_verify_skips_stale_checkpoint_schema(tmp_path, ckpt_payload):
     store = RunStore(tmp_path)
-    stale = dict(ckpt_payload, checkpoint_schema=checkpoint.CHECKPOINT_SCHEMA + 1)
+    stale = dict(ckpt_payload, schema_version=SCHEMA_VERSION + 1)
     store.put_checkpoint(stale)
     (record,) = store.verify()
     assert record["status"] == "SKIP"
@@ -84,9 +86,37 @@ def test_verify_skips_stale_checkpoint_schema(tmp_path, ckpt_payload):
 def test_gc_removes_stale_checkpoints_only(tmp_path, ckpt_payload):
     store = RunStore(tmp_path)
     store.put_checkpoint(ckpt_payload)
-    stale = dict(ckpt_payload, checkpoint_schema=checkpoint.CHECKPOINT_SCHEMA + 1,
+    stale = dict(ckpt_payload, schema_version=SCHEMA_VERSION + 1,
                  boundary=ckpt_payload["boundary"] + 1)
     stale_path = store.put_checkpoint(stale)
     removed = store.gc()
     assert [e.path for e in removed] == [stale_path]
     assert store.get_checkpoint(ckpt_payload["fingerprint"]) == ckpt_payload
+
+
+def test_schema_bump_retires_checkpoints(tmp_path, monkeypatch):
+    # A checkpoint's probes digest hashes the whole probe tree, so one
+    # saved under an older artifact layout cannot verify-restore under
+    # the new one.  The layout version retires it: the run misses,
+    # replays its warm-up and saves a fresh checkpoint.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    spec = run_spec("specint", "smt", "full", 12_000, seed=37, mode="sampled",
+                    warmup=6_000, sample=(3_000, 1_000))
+    first = execute_spec(spec, checkpoint=True)
+    assert first.sampling["checkpoint"]["restored"] is False
+    (old_path,) = tmp_path.glob("ckpt-*.json")
+    payload = json.loads(old_path.read_text())
+    payload["digests"]["probes"] = "0" * 64  # the older layout's tree
+    payload["content_hash"] = content_hash(payload)
+    old_path.write_text(json.dumps(payload))
+
+    for module in (artifact, store_mod):
+        monkeypatch.setattr(module, "SCHEMA_VERSION", SCHEMA_VERSION + 1)
+    again = execute_spec(spec, checkpoint=True)
+    assert again.sampling["checkpoint"]["restored"] is False
+    assert again.total == first.total
+    store = RunStore(tmp_path)
+    assert [entry.path for entry in store.gc(dry_run=True)] == [old_path]
+    new_fingerprint = again.sampling["checkpoint"]["fingerprint"]
+    assert store.get_checkpoint(new_fingerprint)["schema_version"] \
+        == SCHEMA_VERSION + 1

@@ -21,6 +21,29 @@ def test_cli_list(capsys):
     assert "specint" in out and "apache" in out
 
 
+def test_cli_leaves_lint_engine_unloaded():
+    # Only `repro lint` needs the rule engine; every other command
+    # registers the subparser without importing it.
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    script = ("import sys\n"
+              "from repro.cli import main\n"
+              "main(['list'])\n"
+              "print(' '.join(sorted(m for m in sys.modules "
+              "if m.startswith('repro.lint'))))\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    loaded = out.splitlines()[-1].split()
+    assert not [m for m in loaded
+                if m in ("repro.lint.engine", "repro.lint.sarif")
+                or m.startswith("repro.lint.rules_")], loaded
+
+
 def test_cli_run_prints_metrics(capsys):
     assert cli.main(["run", "specint", "--cpu", "smt"]) == 0
     out = capsys.readouterr().out

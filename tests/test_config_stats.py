@@ -15,6 +15,7 @@ from repro.core.stats import (
 )
 from repro.isa.instruction import Instruction
 from repro.isa.types import InstrType, Mode
+from repro.obs.registry import ProbeRegistry
 
 
 def test_cpu_config_defaults_match_table1():
@@ -144,13 +145,21 @@ def test_retire_accounting_by_mode_and_type():
     cond = Instruction(InstrType.COND_BRANCH, Mode.USER, "user", 0x4, taken=True)
     stats.retire(cond)
     assert stats.retired == 2
-    assert stats.retired_by_mode[Mode.KERNEL] == 1
-    assert stats.mem_by_mode[Mode.KERNEL] == 1
-    assert stats.phys_mem_by_mode[Mode.KERNEL] == 1
-    assert stats.cond_by_mode[Mode.USER] == 1
-    assert stats.cond_taken_by_mode[Mode.USER] == 1
+    assert stats.itype_by_mode == {(Mode.KERNEL, InstrType.LOAD): 1,
+                                   (Mode.USER, InstrType.COND_BRANCH): 1}
+    assert stats.phys_mem_by_mode == [0, 1, 0]
+    assert stats.cond_taken_by_mode == [1, 0, 0]
     mix = stats.mode_instruction_mix(Mode.KERNEL)
     assert mix[InstrType.LOAD] == pytest.approx(1.0)
+    # The same counts, as the probes a counter window stores.
+    registry = ProbeRegistry()
+    stats.register_probes(registry)
+    probes = registry.snapshot()
+    assert probes["core.mix.kernel.load"] == 1
+    assert probes["core.mix.user.cond_branch"] == 1
+    assert probes["core.phys_mem.kernel"] == 1
+    assert probes["core.cond_taken.user"] == 1
+    assert probes["core.retired"] == 2
 
 
 def test_ipc_and_squash_fraction():

@@ -8,6 +8,7 @@ engine's structural contracts.
 
 import pytest
 
+from repro.analysis.artifact import SCHEMA_VERSION
 from repro.analysis.experiments import build_simulation
 from repro.analysis.snapshot import capture, diff, merge_windows
 from repro.core import checkpoint
@@ -208,7 +209,7 @@ def test_checkpoint_restore_rejects_stale_schema_and_drift():
     run_plan(saver, plan)
     ckpt = checkpoint.take(saver, plan)
 
-    stale = dict(ckpt, checkpoint_schema=checkpoint.CHECKPOINT_SCHEMA + 1)
+    stale = dict(ckpt, schema_version=SCHEMA_VERSION + 1)
     with pytest.raises(checkpoint.CheckpointError, match="schema"):
         checkpoint.restore(_sim(), stale)
 

@@ -45,28 +45,28 @@ GOLDEN = {
     "specint-smt-full": (
         dict(workload="specint", cpu="smt", os_mode="full",
              instructions=20_000),
-        "322fa6caa007948e0b1098a1075849f712e87f2b656b76fdaf7a9a252abe3f51"),
+        "de810247eb49551f9467d8bd310b0ee3a18e44ed3208118a1e417befab8ac993"),
     "apache-smt-full": (
         dict(workload="apache", cpu="smt", os_mode="full",
              instructions=20_000),
-        "95b8e59ced5dbcea20245c167b4c441a25512e60d7001fe4571ae9e760c7d1c9"),
+        "b4802dc57dbad332f689423d68039d7a7c2f48d501417309d0f66da24fef0646"),
     "specint-ss-app": (
         dict(workload="specint", cpu="ss", os_mode="app",
              instructions=20_000),
-        "a908e7d35905f06eaec646145fc13c69f7e6eaa9722bfee4a64c21846c3ed008"),
+        "63fabac3fbfc75fac7e396dbc03b869c737b707466e2976147afd90f47a0c191"),
     "apache-smt-omit": (
         dict(workload="apache", cpu="smt", os_mode="omit",
              instructions=20_000),
-        "d5101d9e0c40a90108db9a4733748d9e38f0527ad716606e5b4bf8e2d00984ad"),
+        "cdc0f6423a869d11d5cbd5c47a7a6f2221d06b32f3abef4131e1ef5dd7dd84e0"),
     "specint-smt-fast": (
         dict(workload="specint", cpu="smt", os_mode="full",
              instructions=150_000, mode="fast"),
-        "5526632be7bc1ec0cf75eaedf103aa027749eb10ff5a30f213cc764a6fa2c4bc"),
+        "c8f80c625c64c3387bbcf26bfd509f907adbb227810750c483b6445ccd2262bd"),
     "apache-smt-sampled": (
         dict(workload="apache", cpu="smt", os_mode="full",
              instructions=40_000, mode="sampled", warmup=10_000,
              sample=(6_000, 2_000)),
-        "435eddbd3be27f64249d4902f812077b76662aa0de34355ff7ae7cfea490852b"),
+        "8979b6f5d982698efaca74d5fe1445f4e3fd617aff4131fe058ad5da42d7a502"),
 }
 
 

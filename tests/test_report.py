@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.analysis import experiments
 from repro.analysis.report import Report, build_report
 
@@ -35,3 +36,15 @@ def test_report_write(tmp_path):
     out = report.write(tmp_path / "r.txt", exhibits_dir=tmp_path / "ex")
     assert "Table 2 body" in out.read_text()
     assert (tmp_path / "ex" / "tab2.txt").exists()
+
+
+def test_cli_exhibits_print_the_report_text(capsys):
+    # `repro table N` / `repro figure N` and the report build every
+    # exhibit from one table, so each prints exactly the report's text.
+    report = build_report(include_comparison=False)
+    for command, prefix, numbers in (("table", "tab", range(2, 10)),
+                                     ("figure", "fig", range(1, 8))):
+        for number in numbers:
+            assert cli.main([command, str(number)]) == 0
+            printed = capsys.readouterr().out
+            assert printed == report.exhibits[f"{prefix}{number}"]["text"] + "\n"

@@ -1,8 +1,8 @@
 """Tests for interval telemetry (repro.obs.timeline).
 
 Covers record determinism (same config+seed => byte-identical
-``probe_timeline``), both-tier alignment (class-column conservation in
-the detailed and fast tiers; sampled-mode fast/full leg boundaries
+``probe_timeline``), both-tier alignment (``svc.*`` column conservation
+in the detailed and fast tiers; sampled-mode fast/full leg boundaries
 reconstructed from the leg records), checkpoint-restore equivalence,
 truncation at the sample cap, fingerprint neutrality of telemetry
 options, phase detection, the diff/flatten layer, CSV export, and the
@@ -71,11 +71,15 @@ def test_record_shape_and_class_conservation_detailed_tier():
     cols = rec["columns"]
     lengths = {len(c) for c in cols.values()}
     assert lengths == {rec["samples"]}
-    # every interval's class deltas account for every context-cycle
+    # the mode classes are folded at read time, never stored
+    assert not any(name.startswith("class.") for name in cols)
+    # every interval's service deltas account for every context-cycle
     for i in range(rec["samples"]):
-        total = sum(cols[f"class.{name}"][i]
-                    for name in ("user", "kernel", "pal", "idle"))
+        total = sum(c[i] for name, c in cols.items()
+                    if name.startswith("svc."))
         assert total == INTERVAL * n
+    for _, shares in tl.class_share_series(rec):
+        assert sum(shares) == pytest.approx(1.0)
 
 
 def test_class_conservation_fast_tier():
@@ -92,8 +96,8 @@ def test_class_conservation_fast_tier():
     n = sim.machine.cpu.n_contexts
     cols = rec["columns"]
     for i in range(rec["samples"]):
-        total = sum(cols[f"class.{name}"][i]
-                    for name in ("user", "kernel", "pal", "idle"))
+        total = sum(c[i] for name, c in cols.items()
+                    if name.startswith("svc."))
         assert total == interval * n
     # the whole run was fast-forwarded: every interval is 100% fast tier
     assert all(v == interval for v in cols["core.mode.fast_cycles"])
@@ -123,6 +127,24 @@ def test_telemetry_config_does_not_perturb_trajectory_or_fingerprint():
         == (weird.stats.retired, weird.stats.cycles)
     assert off.probe_timeline is None
     assert off.obs.snapshot()["core.timeline.samples"] == 0
+
+
+def test_timeline_samples_mshr_occupancy_at_the_live_clock():
+    # The MSHR occupancy integrals advance to the cycle account's clock,
+    # which the run loops keep current, so a timeline sampling one
+    # records every interval's delta -- and the extra advances leave
+    # the trajectory unchanged.
+    from repro.analysis.snapshot import capture
+
+    probe = "mem.mshr.l1d.occupancy_cycles"
+    sampled = _sim(probes=tl.DEFAULT_TIMELINE_PROBES + (probe,))
+    plain = _sim()
+    for sim in (sampled, plain):
+        sim.run(max_instructions=10**9, max_cycles=8 * INTERVAL)
+    column = sampled.probe_timeline.to_record()["columns"][probe]
+    assert len(column) == 8 and sum(column) > 0
+    assert sum(column) == capture(sampled)["probes"][probe]
+    assert capture(sampled)["probes"] == capture(plain)["probes"]
 
 
 def test_sample_cap_counts_dropped_intervals():
@@ -218,10 +240,8 @@ def _synthetic_record(ipc_halves=(4.0, 1.0), samples=24, interval=1024,
     kern = int(kernel * interval * n)
     columns = {
         "core.retired": retired,
-        "class.user": [interval * n - kern] * samples,
-        "class.kernel": [kern] * samples,
-        "class.pal": [0] * samples,
-        "class.idle": [0] * samples,
+        "svc.user": [interval * n - kern] * samples,
+        "svc.syscall:read": [kern] * samples,
     }
     return {"interval": interval, "samples": samples, "dropped": 0,
             "columns": columns}
@@ -280,7 +300,10 @@ def test_flatten_uses_cycle_stamps_and_limit():
     assert flat["ipc@4096"] == pytest.approx(1.0)
     limited = tl.flatten_timeline(rec, limit=2)
     assert set(limited) == {"ipc@1024", "ipc@2048",
-                            "kernel_share@1024", "kernel_share@2048"}
+                            "kernel_share@1024", "kernel_share@2048",
+                            "svc.user@1024", "svc.user@2048",
+                            "svc.syscall:read@1024", "svc.syscall:read@2048"}
+    assert limited["svc.syscall:read@1024"] == pytest.approx(0.2, rel=1e-2)
 
 
 def test_diff_timeline_artifacts_shared_prefix():
