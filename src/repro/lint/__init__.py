@@ -7,8 +7,9 @@ observability layer rely on:
 * **D-rules** (:mod:`repro.lint.rules_determinism`) -- no host
   nondeterminism in simulation code paths, so the same config+seed keeps
   producing byte-identical probe snapshots.
-* **E-rules** (:mod:`repro.lint.rules_events`) -- kernel spans pair up
-  on every exit, and emitted event kinds exist in the kind registry.
+* **E-rule** (:mod:`repro.lint.rules_events`) -- emitted event kinds
+  exist in the kind registry.  (Kernel spans need no rule: they pair
+  by construction in ``MiniDUX._push_span``.)
 * **F-rules** (:mod:`repro.lint.rules_faults`) -- fault-site names,
   picklable process-boundary callables, and environment reads outside
   the ``REPRO_*`` namespace.

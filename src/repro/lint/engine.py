@@ -207,7 +207,7 @@ def assigned_value(node: ast.stmt, name: str) -> ast.expr | None:
 #: Family prefix -> human name, used to group ``--list-rules`` output.
 FAMILIES = {
     "D": "determinism",
-    "E": "span/event discipline",
+    "E": "event kinds",
     "F": "process-boundary / fault discipline",
     "P": "probe hygiene",
     "S": "fingerprint coverage",

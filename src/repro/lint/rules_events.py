@@ -1,24 +1,13 @@
-"""E rules: span and event-kind discipline.
+"""E rule: event-kind discipline.
 
-The observability layers rest on two conventions that were previously
-enforced only by runtime asserts:
-
-* **E101** -- every ``_span_begin`` must be answered by a matching
-  ``_span_end`` on *all* exits.  Two shapes satisfy the contract: a
-  lexical end that every CFG path (including exception edges, see
-  :mod:`repro.lint.cfg`) from the begin passes through, or an end
-  inside a nested function of the same scope -- the deferred
-  completion-callback discipline the kernel uses (``_span_end`` fires
-  in the ``on_complete`` closure when the frame retires).  A
-  ``_span_end`` with no begin in scope is flagged too.
 * **E102** -- every event kind passed to ``*.emit(ts, kind, ...)``
   must exist in the ``KINDS`` registry of ``obs/events.py``; a literal
   outside the registry would silently vanish from kind filters and
   exported traces.
 
-Spans are matched by their constant ``(kind, name)`` prefix: a begin
-and an end agree when their leading string-constant arguments agree
-(a non-constant tail, e.g. a computed syscall name, matches any).
+Kernel spans need no rule: ``MiniDUX._push_span`` is the only way to
+open one, and it hands the span to the handler's last frame, which
+closes it on completion.
 """
 
 from __future__ import annotations
@@ -26,165 +15,11 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING
 
-from repro.lint import cfg as cfg_mod
 from repro.lint.engine import (Finding, Rule, assigned_value,
                                module_str_constants)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.lint.engine import FileContext, LintEngine
-
-_FUNC_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def _span_key(call: ast.Call) -> tuple[str, ...]:
-    """The constant-string prefix identifying a span call site."""
-    out: list[str] = []
-    for arg in call.args[:4]:
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            out.append(arg.value)
-        elif out:
-            break
-    return tuple(out[:2])
-
-
-def _keys_match(a: tuple[str, ...], b: tuple[str, ...]) -> bool:
-    if not a or not b:
-        return False
-    short, long = (a, b) if len(a) <= len(b) else (b, a)
-    return long[:len(short)] == short
-
-
-def _span_calls(func: ast.FunctionDef | ast.AsyncFunctionDef) \
-        -> list[tuple[ast.Call, ast.stmt, str]]:
-    """(call, enclosing statement, begin/end) in *func*'s own body."""
-    out: list[tuple[ast.Call, ast.stmt, str]] = []
-
-    def scan_expr(node: ast.AST, stmt: ast.stmt) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, _FUNC_DEFS + (ast.Lambda,)):
-                continue
-            if isinstance(child, ast.Call):
-                name = None
-                if isinstance(child.func, ast.Attribute):
-                    name = child.func.attr
-                elif isinstance(child.func, ast.Name):
-                    name = child.func.id
-                if name in ("_span_begin", "_span_end"):
-                    out.append((child, stmt,
-                                "begin" if name == "_span_begin" else "end"))
-            scan_expr(child, stmt)
-
-    def scan_block(body: list[ast.stmt]) -> None:
-        for stmt in body:
-            if isinstance(stmt, _FUNC_DEFS):
-                continue
-            scan_expr(stmt, stmt)
-            for attr in ("body", "orelse", "finalbody"):
-                sub = getattr(stmt, attr, None)
-                if isinstance(sub, list):
-                    scan_block([s for s in sub if isinstance(s, ast.stmt)])
-            for handler in getattr(stmt, "handlers", []):
-                scan_block(handler.body)
-
-    scan_block(func.body)
-    # scan_expr dives into compound statements' condition/iter
-    # expressions via the statement itself, and scan_block re-visits
-    # nested bodies with the right statement anchor -- dedup keeps the
-    # innermost anchor (last write wins below).
-    dedup: dict[int, tuple[ast.Call, ast.stmt, str]] = {}
-    for call, stmt, role in out:
-        dedup[id(call)] = (call, stmt, role)
-    return list(dedup.values())
-
-
-class SpanPairRule(Rule):
-    """E101: ``_span_begin`` without a provable ``_span_end``."""
-
-    id = "E101"
-    title = "span begin/end pairing on all exits"
-
-    def finalize(self, engine: LintEngine) -> list[Finding]:
-        findings: list[Finding] = []
-        for ctx in engine.files:
-            # Visit every function scope, carrying the chain of
-            # enclosing scopes so a closure end can find its begin in
-            # the function that deferred it.
-            def visit(node: ast.AST,
-                      ancestors: tuple[ast.AST, ...]) -> None:
-                for child in ast.iter_child_nodes(node):
-                    if isinstance(child, _FUNC_DEFS):
-                        findings.extend(
-                            self._check_scope(ctx, child, ancestors))
-                        visit(child, ancestors + (child,))
-                    else:
-                        visit(child, ancestors)
-
-            visit(ctx.tree, ())
-        return findings
-
-    def _check_scope(self, ctx: FileContext,
-                     func: ast.FunctionDef | ast.AsyncFunctionDef,
-                     ancestors: tuple[ast.AST, ...]) -> list[Finding]:
-        calls = _span_calls(func)
-        begins = [(c, s) for c, s, role in calls if role == "begin"]
-        ends = [(c, s) for c, s, role in calls if role == "end"]
-        closure_ends = []
-        for nested in ast.walk(func):
-            if nested is func or not isinstance(nested, _FUNC_DEFS):
-                continue
-            for c, _, role in _span_calls(nested):
-                if role == "end":
-                    closure_ends.append(c)
-        out: list[Finding] = []
-        for call, stmt in begins:
-            key = _span_key(call)
-            label = ":".join(key) or "<dynamic>"
-            if any(_keys_match(key, _span_key(e)) for e in closure_ends):
-                continue  # deferred completion-callback discipline
-            barriers = [s for e, s in ends
-                        if _keys_match(key, _span_key(e))]
-            if not barriers:
-                f = self.finding(
-                    ctx, call,
-                    f"`_span_begin` for `{label}` has no matching "
-                    f"`_span_end` in `{func.name}` (neither lexical nor "
-                    "in a completion closure)",
-                    ident=f"{func.name}:{label}:missing")
-                if f is not None:
-                    out.append(f)
-                continue
-            escape = cfg_mod.all_paths_hit(func, stmt, barriers)
-            if escape is not None:
-                how = "an exception edge" if escape == cfg_mod.RAISE_EXIT \
-                    else "a normal exit"
-                f = self.finding(
-                    ctx, call,
-                    f"`_span_begin` for `{label}` can leave "
-                    f"`{func.name}` via {how} without passing "
-                    "`_span_end`",
-                    ident=f"{func.name}:{label}:escape")
-                if f is not None:
-                    out.append(f)
-        # Ends with no begin anywhere in scope (the begin for a closure
-        # end legitimately lives in the *enclosing* function).
-        enclosing_begins = [_span_key(c) for c, _ in begins]
-        for anc in ancestors:
-            if isinstance(anc, _FUNC_DEFS):
-                enclosing_begins.extend(
-                    _span_key(c) for c, _, role in _span_calls(anc)
-                    if role == "begin")
-        for call, _stmt in ends:
-            key = _span_key(call)
-            label = ":".join(key) or "<dynamic>"
-            if not any(_keys_match(key, b) for b in enclosing_begins):
-                f = self.finding(
-                    ctx, call,
-                    f"`_span_end` for `{label}` in `{func.name}` has no "
-                    "matching `_span_begin` in scope",
-                    ident=f"{func.name}:{label}:orphan")
-                if f is not None:
-                    out.append(f)
-        return out
+    from repro.lint.engine import LintEngine
 
 
 class EventKindRule(Rule):
@@ -259,4 +94,4 @@ class EventKindRule(Rule):
 
 
 def rules() -> list[Rule]:
-    return [SpanPairRule(), EventKindRule()]
+    return [EventKindRule()]

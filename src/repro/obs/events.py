@@ -12,8 +12,8 @@ attaches a bus pays nothing.  Attach one with
 
 Timestamps are simulation cycles.  :mod:`repro.obs.export` renders a
 recording as JSONL or as Chrome ``trace_event`` JSON for
-``chrome://tracing`` / Perfetto (one track per hardware context and per
-kernel service).
+``chrome://tracing`` / Perfetto (one track per hardware context, kernel
+service and software thread).
 """
 
 from __future__ import annotations

@@ -3,9 +3,14 @@
 The Chrome exporter lays a recording out the way the paper reads a
 machine: process 0 ("hardware contexts") carries one track per hardware
 context showing what service each context is occupied by over time plus
-per-context instants (interrupt delivery, scheduler dispatch, squashes);
-process 1 ("kernel services") carries one track per kernel service with
-the syscall/kwork spans executed on behalf of any thread.  The output is
+per-context instants (squashes, application-only scheduler dispatches);
+process 1 ("kernel services") carries one track per service for the
+instants bound to no context (cache misses, instant TLB refills, VM
+incursions); process 2 ("software threads") carries one track per
+software thread with its syscall, TLB-refill, interrupt and scheduler
+spans, which nest as the call paths ``repro flame`` folds (interrupts
+and dispatches run on the per-context CPU pseudo-threads, tid
+``900 + ctx``).  The output is
 the stable JSON-object form of the trace-event format, so ``repro trace
 --out trace.json`` opens directly in ``chrome://tracing`` or
 https://ui.perfetto.dev.  One simulated cycle maps to one microsecond of
@@ -17,11 +22,12 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 
-from repro.obs.events import BEGIN, END, SimEvent
+from repro.obs.events import BEGIN, END, INSTANT, PIPELINE, SimEvent
 
-#: Synthetic pids of the two exported processes.
+#: Synthetic pids of the three exported processes.
 PID_CONTEXTS = 0
 PID_SERVICES = 1
+PID_THREADS = 2
 
 
 def to_jsonl(events: Iterable[SimEvent]) -> str:
@@ -45,14 +51,18 @@ def to_chrome_trace(events: Iterable[SimEvent],
                     n_contexts: int | None = None) -> dict:
     """Render a recording as a Chrome ``trace_event`` JSON object.
 
-    Span events (phase ``B``/``E``) are paired per track into complete
-    (``X``) events -- Perfetto renders those robustly even when a span is
-    still open at the end of the recording (unmatched begins are emitted
-    as zero-duration spans).  Timestamps are emitted in ascending order.
+    Span events (phase ``B``/``E``) are paired into complete (``X``)
+    events: each E closes the latest open B of the same kind on the same
+    track -- the same hardware context for pipeline occupancy, the same
+    software thread for every other span -- so slices on one track
+    always nest.  Perfetto renders those robustly even when a span is
+    still open at the end of the recording (unmatched begins are closed
+    at the last timestamp).  Timestamps are emitted in ascending order.
     """
     ctx_tids: set[int] = set(range(n_contexts)) if n_contexts else set()
     service_tids: dict[str, int] = {}
-    open_spans: dict[tuple[int, int], list[SimEvent]] = {}
+    thread_tids: set[int] = set()
+    open_spans: dict[tuple[int, int, str], list[SimEvent]] = {}
     trace: list[dict] = []
 
     def service_tid(service: str) -> int:
@@ -62,6 +72,10 @@ def to_chrome_trace(events: Iterable[SimEvent],
         return tid
 
     def track_of(event: SimEvent) -> tuple[int, int]:
+        if event.phase != INSTANT and event.kind != PIPELINE \
+                and event.tid is not None:
+            thread_tids.add(event.tid)
+            return PID_THREADS, event.tid
         if event.ctx is not None:
             ctx_tids.add(event.ctx)
             return PID_CONTEXTS, event.ctx
@@ -79,9 +93,9 @@ def to_chrome_trace(events: Iterable[SimEvent],
         last_ts = event.ts
         pid, tid = track_of(event)
         if event.phase == BEGIN:
-            open_spans.setdefault((pid, tid), []).append(event)
+            open_spans.setdefault((pid, tid, event.kind), []).append(event)
         elif event.phase == END:
-            stack = open_spans.get((pid, tid))
+            stack = open_spans.get((pid, tid, event.kind))
             if stack:
                 emit_span(pid, tid, stack.pop(), event.ts)
             # An end without a begin (span opened before recording
@@ -92,15 +106,19 @@ def to_chrome_trace(events: Iterable[SimEvent],
                 "name": event.name, "cat": event.kind,
                 "args": event.args or {},
             })
-    for (pid, tid), stack in open_spans.items():
+    for (pid, tid, _), stack in open_spans.items():
         for begin in stack:
             emit_span(pid, tid, begin, last_ts)
 
-    trace.sort(key=lambda e: e["ts"])
+    # A parent slice precedes the children that start with it, so
+    # viewers nest slices that share a start time.
+    trace.sort(key=lambda e: (e["ts"], -e.get("dur", 0)))
     meta = _metadata(PID_CONTEXTS, "hardware contexts",
                      {tid: f"ctx{tid}" for tid in sorted(ctx_tids)})
     meta += _metadata(PID_SERVICES, "kernel services",
                       {tid: name for name, tid in service_tids.items()})
+    meta += _metadata(PID_THREADS, "software threads",
+                      {tid: f"tid {tid}" for tid in sorted(thread_tids)})
     return {
         "traceEvents": meta + trace,
         "displayTimeUnit": "ms",

@@ -428,25 +428,30 @@ class MiniDUX:
 
     # -- call-path spans ---------------------------------------------------------
 
-    def _span_begin(self, thread: SoftwareThread, kind: str, name: str,
-                    label: str, ctx: int | None = None) -> None:
-        """Open a nested service span on *thread* and emit its B event.
+    def _push_span(self, thread: SoftwareThread, frames: list[Frame],
+                   kind: str, name: str, label: str,
+                   ctx: int | None = None) -> None:
+        """Open a service span on *thread* and push the handler *frames*
+        (``frames[0]`` runs first); the last frame closes the span.
 
         The span stack (:meth:`SoftwareThread.span_push`) is what the
         cycle-attribution layer folds into call paths; the B/E event pair
-        is the same structure on the trace timeline.  Spans follow the
-        frame-stack discipline -- whoever pushes handler frames opens the
-        span first and closes it from the final frame's completion hook,
-        so nesting can never cross.
+        is the same structure on the trace timeline.  The span rides on
+        the last frame as data and the stream hands it to
+        :meth:`close_span` when that frame completes, so every opened
+        span closes, and nested handlers -- pushed above the frame --
+        close theirs first.
         """
         thread.span_push(label)
         if self.events is not None:
             self.events.emit(self.now, kind, name, "B", ctx=ctx,
                              tid=thread.tid, service=label)
+        frames[-1].span = (kind, name, label, ctx)
+        thread.push_frames(frames)
 
-    def _span_end(self, thread: SoftwareThread, kind: str, name: str,
-                  label: str, ctx: int | None = None) -> None:
-        """Emit the matching E event and close the innermost span."""
+    def close_span(self, thread: SoftwareThread, span: tuple) -> None:
+        """Emit the E event of *span* and pop it off *thread*'s stack."""
+        kind, name, label, ctx = span
         if self.events is not None:
             self.events.emit(self.now, kind, name, "E", ctx=ctx,
                              tid=thread.tid, service=label)
@@ -508,7 +513,6 @@ class MiniDUX:
         dispatched_at = self.now
         full = self.mode is OSMode.FULL
         svc = f"syscall:{spec.name}"
-        self._span_begin(thread, "syscall", spec.name, svc)
         frames: list[Frame] = []
 
         if full:
@@ -587,7 +591,6 @@ class MiniDUX:
             record[0] += 1
             record[1] += latency
             self.syscall_hist.observe(latency)
-            self._span_end(thread, "syscall", name, f"syscall:{name}")
             if on_done is not None:
                 on_done()
 
@@ -598,7 +601,7 @@ class MiniDUX:
         else:
             frames.append(Frame(thread.kernel_walker, 0, svc,
                                 on_complete=complete))
-        thread.push_frames(frames)
+        self._push_span(thread, frames, "syscall", spec.name, svc)
 
     def _dispatch_kwork(self, thread: SoftwareThread, spec: dict) -> None:
         """Generic kernel work (used by netisr and daemon threads)."""
@@ -680,15 +683,13 @@ class MiniDUX:
             self.hierarchy.dtlb.fill(vpn, asn, thread.tid, kind)
             instr.tlb_done = True
             thread.trap_depth -= 1
-            self._span_end(thread, "tlb", "dtlb_refill", "tlb:refill")
             thread.pending.append(instr)
 
         frames.append(Frame(thread.pal_walker, self._cost(8, 1), "pal:rti",
                             "rti", on_complete=finish,
                             transfer=InstrType.PAL_RETURN))
         thread.trap_depth += 1
-        self._span_begin(thread, "tlb", "dtlb_refill", "tlb:refill")
-        thread.push_frames(frames)
+        self._push_span(thread, frames, "tlb", "dtlb_refill", "tlb:refill")
         return True
 
     def handle_itlb_miss(self, thread: SoftwareThread, instr, vpn: int, asn: int) -> bool:
@@ -705,15 +706,13 @@ class MiniDUX:
         def finish(instr=instr):
             self.hierarchy.itlb.fill(vpn, asn, thread.tid, kind)
             thread.trap_depth -= 1
-            self._span_end(thread, "tlb", "itlb_refill", "tlb:refill")
             thread.pending.append(instr)
 
         thread.trap_depth += 1
-        self._span_begin(thread, "tlb", "itlb_refill", "tlb:refill")
-        thread.push_frames([
+        self._push_span(thread, [
             Frame(thread.pal_walker, self._cost(22, 4), "pal:itlb", "itlb",
                   on_complete=finish, transfer=InstrType.PAL_CALL),
-        ])
+        ], "tlb", "itlb_refill", "tlb:refill")
         return True
 
     def pte_address(self, vpn: int) -> int:
@@ -735,19 +734,14 @@ class MiniDUX:
         if len(cpu.frames) > 24:
             return False
         label = request.label
-
-        def intr_return(label=label, ctx=ctx):
-            self._span_end(cpu, "interrupt", label, label, ctx=ctx)
-
-        self._span_begin(cpu, "interrupt", label, label, ctx=ctx)
-        cpu.push_frames([
+        self._push_span(cpu, [
             Frame(cpu.pal_walker, self._cost(14, 3), "pal:intr", "intr",
                   transfer=InstrType.PAL_CALL),
             Frame(cpu.kernel_walker, self._cost(request.cost, request.cost * 0.25),
                   label, "intr", on_complete=request.effect),
             Frame(cpu.pal_walker, self._cost(8, 1), "pal:rti", "rti",
-                  on_complete=intr_return, transfer=InstrType.PAL_RETURN),
-        ])
+                  transfer=InstrType.PAL_RETURN),
+        ], "interrupt", label, label, ctx=ctx)
         return True
 
     def tick(self, now: int) -> None:
@@ -815,18 +809,12 @@ class MiniDUX:
                 new.user_walker.asn = new.process.asn
         if self.mode is OSMode.FULL:
             cpu = self.cpu_threads[ctx]
-            name = f"dispatch:{new.name}"
-
-            def switch_done(name=name, ctx=ctx):
-                self._span_end(cpu, "sched", name, "sched", ctx=ctx)
-
-            self._span_begin(cpu, "sched", name, "sched", ctx=ctx)
-            cpu.push_frames([
+            self._push_span(cpu, [
                 Frame(cpu.kernel_walker, self._cost(300, 60), "sched", "sched",
                       lock="runq"),
                 Frame(cpu.pal_walker, self._cost(14, 3), "pal:swpctx", "swpctx",
-                      on_complete=switch_done, transfer=InstrType.PAL_CALL),
-            ])
+                      transfer=InstrType.PAL_CALL),
+            ], "sched", f"dispatch:{new.name}", "sched", ctx=ctx)
         elif self.events is not None:
             # APP_ONLY dispatch is instantaneous (no frames), so the event
             # stays an instant rather than a zero-width span.

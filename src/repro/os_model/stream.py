@@ -216,6 +216,8 @@ class ContextStream:
                 if fr.lock_held:
                     os.locks.release(fr.lock, thread.tid)
                     os.wakeup_one(os.locks.wait_queue[fr.lock])
+                if fr.span is not None:
+                    os.close_span(thread, fr.span)
                 if fr.on_complete is not None:
                     fr.on_complete()
                 if not thread.runnable:

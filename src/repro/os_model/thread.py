@@ -62,6 +62,11 @@ class Frame:
         Optional named kernel lock held for the frame's duration; when
         contended the thread spins (emitting synchronization instructions)
         before entering.
+
+    A handler's last frame also carries the kernel-service :attr:`span`
+    its dispatcher opened (see ``MiniDUX._push_span``); the stream
+    closes it when that frame completes, after releasing the lock and
+    before ``on_complete``.
     """
 
     __slots__ = (
@@ -75,6 +80,7 @@ class Frame:
         "started",
         "lock_held",
         "transfer",
+        "span",
     )
 
     def __init__(
@@ -103,6 +109,9 @@ class Frame:
         #: emitted as the frame's first instruction, modeling the trap entry
         #: or return-from-trap that redirects the stream into this frame.
         self.transfer = transfer
+        #: ``(kind, name, label, ctx)`` of the span this frame closes on
+        #: completion, or None.
+        self.span: tuple | None = None
 
     def start(self) -> None:
         """Activate the frame: position the walker and run ``on_start``."""
@@ -158,13 +167,10 @@ class SoftwareThread:
         self.state = ThreadState.READY
         self.frames: list[Frame] = []
         self.pending: deque[Instruction] = deque()
-        #: Set by MiniDUX: called with (thread, directive) to push frames.
-        self.dispatcher: Callable | None = None
         #: Walkers installed by the kernel/workload factories.
         self.user_walker: CodeWalker | None = None
         self.kernel_walker: CodeWalker | None = None
         self.pal_walker: CodeWalker | None = None
-        self.spin_walker: CodeWalker | None = None
         #: Page of the last generated PC, for ITLB probing on page change.
         self.last_pc_page = -1
         #: Diagnostic: why the thread is blocked ("accept", "select", ...).
@@ -202,9 +208,10 @@ class SoftwareThread:
         self._path_cache.clear()
 
     def span_pop(self, label: str) -> None:
-        """Close the innermost span if it matches *label* (defensive: a
-        mismatched pop -- e.g. a span whose closer never ran because the
-        thread exited -- is ignored rather than corrupting the stack)."""
+        """Close the innermost span if it matches *label* (defensive: the
+        only caller, ``MiniDUX.close_span``, closes spans in the order
+        their frames complete, so a mismatch -- ignored rather than
+        corrupting the stack -- would be a pairing bug)."""
         if self.spans and self.spans[-1] == label:
             self.spans.pop()
             self.span_paths.pop()

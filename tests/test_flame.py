@@ -134,8 +134,10 @@ def test_attribution_total_covers_all_context_cycles():
 SPAN_KINDS = ("syscall", "tlb", "interrupt", "sched")
 
 
-def _assert_spans_well_nested(events):
-    """Every B has a matching E in LIFO order, per software thread."""
+def _assert_spans_well_nested(sim, events):
+    """Every B has a matching E in LIFO order, per software thread, and
+    every thread's open span stack is its unmatched B events, in order
+    (so no span was popped under the wrong label)."""
     stacks: dict = {}
     checked = 0
     for ev in events:
@@ -152,26 +154,36 @@ def _assert_spans_well_nested(events):
             stack.pop()
             checked += 1
     assert checked > 0, "run emitted no service spans"
+    for tid, thread in sim.os.threads_by_tid.items():
+        assert thread.spans == stacks.get(tid, []), thread.name
+    assert set(stacks) <= set(sim.os.threads_by_tid)
     return stacks
 
 
-def test_detailed_run_spans_never_cross():
-    sim = Simulation(ApacheWorkload(), seed=11)
+@pytest.mark.parametrize("workload,os_mode", [
+    ("apache", "full"), ("apache", "app"),
+    ("specint", "full"), ("specint", "app"),
+])
+def test_detailed_run_spans_never_cross(workload, os_mode):
+    sim = experiments.build_simulation(workload, "smt", os_mode, seed=11)
     bus = EventBus()
     sim.attach_events(bus)
     sim.run(max_instructions=30_000)
-    _assert_spans_well_nested(bus.events)
+    assert bus.dropped == 0
+    _assert_spans_well_nested(sim, bus.events)
 
 
-def test_sampled_run_spans_never_cross_or_orphan():
+@pytest.mark.parametrize("workload", ["apache", "specint"])
+def test_sampled_run_spans_never_cross_or_orphan(workload):
     from repro.core.engine import build_plan, run_plan
 
-    sim = Simulation(ApacheWorkload(), seed=11)
+    sim = experiments.build_simulation(workload, "smt", "full", seed=11)
     bus = EventBus()
     sim.attach_events(bus)
     plan = build_plan("sampled", 30_000, warmup=8_000, sample=(8_000, 4_000))
     run_plan(sim, plan)
-    stacks = _assert_spans_well_nested(bus.events)
+    assert bus.dropped == 0
+    stacks = _assert_spans_well_nested(sim, bus.events)
     # Tier transitions must not strand open spans beyond the plausible
     # in-flight depth of one nested kernel service chain per thread.
     for tid, stack in stacks.items():

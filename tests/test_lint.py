@@ -65,12 +65,8 @@ def test_schema_fixture_flags_unreachable_config_field():
 
 def test_events_fixture_trips_every_e_rule():
     _, findings = run_engine(FIXTURES / "events")
-    assert rule_ids(findings) == {"E101", "E102"}
-    # lexical try/finally pairing and the completion-closure discipline
-    # both pass; only the three seeded shapes fire
-    assert idents(findings, "E101") == {
-        "missing:os:fault:missing", "escape:os:tick:escape",
-        "orphan:os:orphan:orphan"}
+    assert rule_ids(findings) == {"E102"}
+    # the registered kind passes; only the seeded one fires
     assert idents(findings, "E102") == {"vmx"}
 
 
@@ -165,18 +161,19 @@ def test_cli_list_rules_grouped_by_family():
     out = proc.stdout
     headers = [line for line in out.splitlines()
                if not line.startswith("  ")]
-    assert headers == ["D: determinism", "E: span/event discipline",
+    assert headers == ["D: determinism", "E: event kinds",
                        "F: process-boundary / fault discipline",
                        "P: probe hygiene", "S: fingerprint coverage"]
-    for rule_id in ("D101", "E101", "E102", "F101", "F102", "F103",
+    for rule_id in ("D101", "E102", "F101", "F102", "F103",
                     "P101", "P102", "S101"):
         assert rule_id in out
-    # ProbeRegistry, the manifest test, ProbeTimeline, the golden
-    # digests and perfbench's layer table make these checks
-    for rule_id in ("E103", "H101", "P100", "P103", "P104", "S100",
-                    "S102", "S103"):
+    # MiniDUX._push_span, ProbeRegistry, the manifest test,
+    # ProbeTimeline, the golden digests and perfbench's layer table make
+    # these checks
+    for rule_id in ("E101", "E103", "H101", "P100", "P103", "P104",
+                    "S100", "S102", "S103"):
         assert rule_id not in out
-    assert sum(line.startswith("  ") for line in out.splitlines()) == 13
+    assert sum(line.startswith("  ") for line in out.splitlines()) == 12
     assert "S101  fingerprint coverage" in out
 
 

@@ -9,11 +9,13 @@ from repro.obs.events import BEGIN, END, EventBus, SimEvent
 from repro.obs.export import (
     PID_CONTEXTS,
     PID_SERVICES,
+    PID_THREADS,
     to_chrome_trace,
     to_jsonl,
     write_chrome_trace,
 )
 from repro.obs.profile import ScopeProfiler, profile_simulation
+from repro.workloads.apache import ApacheWorkload
 from repro.workloads.specint import SpecIntWorkload
 
 
@@ -56,10 +58,10 @@ def test_bus_capacity_validation():
 def _sample_events():
     return [
         SimEvent(10, "pipeline", "syscall:read", BEGIN, ctx=0),
-        SimEvent(12, "cache", "l2_miss", ctx=1, tid=3),
+        SimEvent(12, "cache", "l2_miss", tid=3),
         SimEvent(30, "pipeline", "syscall:read", END, ctx=0),
-        SimEvent(40, "syscall", "read", BEGIN, service="syscall:read"),
-        SimEvent(55, "syscall", "read", END, service="syscall:read"),
+        SimEvent(40, "syscall", "read", BEGIN, tid=3, service="syscall:read"),
+        SimEvent(55, "syscall", "read", END, tid=3, service="syscall:read"),
         SimEvent(60, "interrupt", "timer", ctx=2),
     ]
 
@@ -82,6 +84,8 @@ def test_chrome_trace_is_valid_json_with_monotonic_timestamps():
 
 
 def test_chrome_trace_one_track_per_context_and_service():
+    # contexts carry pipeline occupancy and their instants, services the
+    # context-less instants, software threads their kernel spans
     payload = to_chrome_trace(_sample_events(), n_contexts=4)
     events = payload["traceEvents"]
     thread_meta = [e for e in events
@@ -91,7 +95,10 @@ def test_chrome_trace_one_track_per_context_and_service():
     assert ctx_tracks == {(PID_CONTEXTS, i): f"ctx{i}" for i in range(4)}
     svc_tracks = {e["args"]["name"] for e in thread_meta
                   if e["pid"] == PID_SERVICES}
-    assert "syscall:read" in svc_tracks
+    assert svc_tracks == {"l2_miss"}
+    thread_tracks = {(e["tid"], e["args"]["name"]) for e in thread_meta
+                     if e["pid"] == PID_THREADS}
+    assert thread_tracks == {(3, "tid 3")}
     # every non-metadata event sits on a declared track
     declared = {(e["pid"], e["tid"]) for e in thread_meta}
     used = {(e["pid"], e["tid"]) for e in events if e["ph"] != "M"}
@@ -104,8 +111,86 @@ def test_chrome_trace_pairs_spans_into_complete_events():
     by_name = {(e["pid"], e["name"]): e for e in spans}
     ctx_span = by_name[(PID_CONTEXTS, "syscall:read")]
     assert (ctx_span["ts"], ctx_span["dur"]) == (10, 20)
-    svc_span = by_name[(PID_SERVICES, "read")]
-    assert (svc_span["ts"], svc_span["dur"]) == (40, 15)
+    thread_span = by_name[(PID_THREADS, "read")]
+    assert (thread_span["tid"], thread_span["ts"], thread_span["dur"]) \
+        == (3, 40, 15)
+
+
+def _slices(payload):
+    return sorted((e["pid"], e["tid"], e["cat"], e["name"], e["ts"], e["dur"])
+                  for e in payload["traceEvents"] if e["ph"] == "X")
+
+
+def test_chrome_trace_pairs_per_thread_and_kind():
+    # Two threads' syscall:read spans interleave in time, and on context
+    # 0 a pipeline span ends inside the CPU pseudo-thread's sched span:
+    # each span keeps its own begin and end.
+    events = [
+        SimEvent(10, "syscall", "read", BEGIN, tid=1, service="syscall:read"),
+        SimEvent(20, "syscall", "read", BEGIN, tid=2, service="syscall:read"),
+        SimEvent(30, "syscall", "read", END, tid=1, service="syscall:read"),
+        SimEvent(50, "syscall", "read", END, tid=2, service="syscall:read"),
+        SimEvent(90, "pipeline", "user", BEGIN, ctx=0, service="user"),
+        SimEvent(100, "sched", "dispatch:p", BEGIN, ctx=0, tid=900,
+                 service="sched"),
+        SimEvent(110, "pipeline", "user", END, ctx=0, service="user"),
+        SimEvent(110, "pipeline", "sched", BEGIN, ctx=0, service="sched"),
+        SimEvent(140, "sched", "dispatch:p", END, ctx=0, tid=900,
+                 service="sched"),
+        SimEvent(150, "pipeline", "sched", END, ctx=0, service="sched"),
+    ]
+    assert _slices(to_chrome_trace(events, n_contexts=1)) == [
+        (PID_CONTEXTS, 0, "pipeline", "sched", 110, 40),
+        (PID_CONTEXTS, 0, "pipeline", "user", 90, 20),
+        (PID_THREADS, 1, "syscall", "read", 10, 20),
+        (PID_THREADS, 2, "syscall", "read", 20, 30),
+        (PID_THREADS, 900, "sched", "dispatch:p", 100, 40),
+    ]
+
+
+def test_chrome_trace_kernel_spans_match_per_thread_pairing():
+    # On a real trace, the exported kernel spans are exactly the per-
+    # thread LIFO pairing of the event log (open ones end at the last
+    # timestamp), and their slices nest on every track.
+    sim = Simulation(ApacheWorkload(), seed=11)
+    bus = EventBus()
+    sim.attach_events(bus)
+    sim.run(max_instructions=60_000)
+    assert bus.dropped == 0
+    events = list(bus.events)
+    last_ts = max(e.ts for e in events)
+    stacks: dict = {}
+    expected = []
+    for ev in events:
+        if ev.kind == "pipeline" or ev.phase not in (BEGIN, END):
+            continue
+        stack = stacks.setdefault(ev.tid, [])
+        if ev.phase == BEGIN:
+            stack.append(ev)
+        else:
+            begin = stack.pop()
+            assert (begin.kind, begin.name) == (ev.kind, ev.name)
+            expected.append((PID_THREADS, ev.tid, ev.kind, ev.name,
+                             begin.ts, ev.ts - begin.ts))
+    for tid, stack in stacks.items():
+        expected += [(PID_THREADS, tid, b.kind, b.name, b.ts, last_ts - b.ts)
+                     for b in stack]
+    payload = to_chrome_trace(events, n_contexts=sim.machine.cpu.n_contexts)
+    kernel = [s for s in _slices(payload) if s[2] != "pipeline"]
+    assert {s[2] for s in kernel} == {"syscall", "tlb", "interrupt", "sched"}
+    assert kernel == sorted(expected)
+    # slices on one track nest: none starts inside another and ends
+    # beyond it
+    tracks: dict = {}
+    for pid, tid, _, _, ts, dur in _slices(payload):
+        tracks.setdefault((pid, tid), []).append((ts, ts + dur))
+    for spans in tracks.values():
+        open_ends: list = []
+        for start, end in sorted(spans, key=lambda s: (s[0], -s[1])):
+            while open_ends and open_ends[-1] <= start:
+                open_ends.pop()
+            assert not open_ends or end <= open_ends[-1]
+            open_ends.append(end)
 
 
 def test_chrome_trace_closes_unmatched_begins():
