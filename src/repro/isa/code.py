@@ -24,13 +24,14 @@ spreads across many services (poor locality).
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from dataclasses import dataclass
 
 from repro.isa.instruction import Instruction
 from repro.isa.mix import BASE_LATENCY, InstructionMix
-from repro.isa.types import InstrType, Mode
+from repro.isa.types import MEMORY_TYPES, InstrType, Mode
 
 # Terminator encodings (plain ints for speed).
 TERM_COND = 0
@@ -52,6 +53,15 @@ _TERM_ITYPE = (
 _LOAD = InstrType.LOAD
 _STORE = InstrType.STORE
 _SYNC = InstrType.SYNC
+
+#: Every possible body slot ``(itype, dep, phys)``, built once so that block
+#: bodies share them: at most 48 objects however many slots models hold.
+_SLOT = {
+    (itype, dep, phys): (itype, dep, phys)
+    for itype in InstrType
+    for dep in (False, True)
+    for phys in (False, True)
+}
 
 #: Bimodal conditional-branch bias extremes.  The mixture weight between them
 #: is solved from the mix's target taken rate.
@@ -120,10 +130,12 @@ class _Segment:
 class _Stratifier:
     """Low-discrepancy weighted assignment via Bresenham credit counters.
 
-    Each call to :meth:`next` returns the item whose accumulated credit is
-    highest, then debits one unit -- so every window of N consecutive draws
-    contains each item close to ``weight * N`` times.  Initial credits are
-    randomly phased so different models interleave items differently.
+    Each draw credits every item its weight, returns the item whose
+    accumulated credit is then highest (the first of equal maxima), and
+    debits it one unit -- so every window of N consecutive draws contains
+    each item close to ``weight * N`` times.  Initial credits are randomly
+    phased so different models interleave items differently; after that the
+    draws use no randomness, so a stream may be taken in batches of any size.
     """
 
     def __init__(self, weighted_items, rng: random.Random) -> None:
@@ -131,20 +143,26 @@ class _Stratifier:
         if not items:
             raise ValueError("stratifier needs at least one positive weight")
         total = sum(w for _, w in items)
-        self._items = [item for item, _ in items]
-        self._weights = [w / total for _, w in items]
-        self._credits = [rng.random() * w for w in self._weights]
+        self.items = [item for item, _ in items]
+        self.weights = [w / total for _, w in items]
+        self.credits = [rng.random() * w for w in self.weights]
 
-    def next(self):
-        credits = self._credits
-        weights = self._weights
-        best = 0
-        for i in range(len(credits)):
-            credits[i] += weights[i]
-            if credits[i] > credits[best]:
-                best = i
-        credits[best] -= 1.0
-        return self._items[best]
+    def take(self, k: int) -> list:
+        """The next *k* items of the stream."""
+        items = self.items
+        credits = self.credits
+        weights = self.weights
+        n_items = range(len(credits))
+        out = []
+        for _ in range(k):
+            best = 0
+            for i in n_items:
+                credits[i] += weights[i]
+                if credits[i] > credits[best]:
+                    best = i
+            credits[best] -= 1.0
+            out.append(items[best])
+        return out
 
 
 class CodeModel:
@@ -201,10 +219,6 @@ class CodeModel:
         )
         bias_strat = _Stratifier([(True, loop_frac), (False, 1.0 - loop_frac)], rng)
 
-        mean_len = mix.mean_block_len
-        dep_prob = mix.dep_prob
-        phys_frac = mix.phys_frac
-
         pc = cfg.base_pc
         start = 0
         for spec in cfg.segments:
@@ -212,66 +226,128 @@ class CodeModel:
             self.segments[spec.name] = seg
             start = seg.end
 
+        # One pass over every block and slot (a specint machine's models
+        # hold ~19k blocks and ~107k slots), on locals.  The order of the
+        # draws from *rng* is part of every model: each block's length,
+        # then each slot's dependence flag and, for memory slots whatever
+        # phys_frac is, its physical-addressing flag, then the terminator's
+        # bias and targets.  Reordering a draw or a float operation changes
+        # every model and trajectory (tests/test_code_model.py pins their
+        # digests).  The stratifiers draw nothing after construction, so
+        # terminators and biases are taken in one batch each.
+        random_ = rng.random
+        gauss = rng.gauss
+        uniform = rng.uniform
+        randrange = rng.randrange
+        mean_len = mix.mean_block_len
+        len_sigma = mean_len * 0.25
+        phys_frac = mix.phys_frac
+        cold_excursion = cfg.cold_excursion
+        return_to_hot = cfg.return_to_hot
+        n_indirect = max(1, profile.indirect_targets)
+        block_pc = self.block_pc
+        block_body = self.block_body
+        term_type = self.term_type
+        taken_prob = self.taken_prob
+        target = self.target
+        indirect_targets = self.indirect_targets
+        fallthrough = self.fallthrough
+        terms = term_strat.take(n_total)
+        next_term = iter(terms).__next__
+        next_loopy = iter(bias_strat.take(terms.count(TERM_COND))).__next__
+        # Body categories by stratifier index: dependence probability,
+        # whether the slot draws a physical-addressing flag, and its shared
+        # slot tuples indexed [dep][phys].
+        cats = body_strat.items
+        dep_p = [mix.dep_prob.get(t, 0.3) for t in cats]
+        is_mem = [t in MEMORY_TYPES for t in cats]
+        slots = [((_SLOT[t, False, False], _SLOT[t, False, True]),
+                  (_SLOT[t, True, False], _SLOT[t, True, True]))
+                 for t in cats]
+        # The body stratifier's step runs inline: the step of
+        # `_Stratifier.take` (strict `>`, so the first of equal maxima
+        # wins) on five credit/weight locals, as a mix has at most five
+        # body categories.  Absent ones get a credit that never wins.
+        pad = 5 - len(cats)
+        c0, c1, c2, c3, c4 = body_strat.credits + [-math.inf] * pad
+        w0, w1, w2, w3, w4 = body_strat.weights + [0.0] * pad
+
         for seg in self.segments.values():
-            for b in range(seg.start, seg.end):
-                length = max(3, round(rng.gauss(mean_len, mean_len * 0.25)))
+            seg_start, hot_end, seg_end = seg.start, seg.hot_end, seg.end
+            has_cold = seg_end > hot_end
+            for b in range(seg_start, seg_end):
+                length = max(3, round(gauss(mean_len, len_sigma)))
                 body = []
+                append = body.append
                 for _ in range(length - 1):
-                    itype = body_strat.next()
-                    dep = rng.random() < dep_prob.get(itype, 0.3)
-                    phys = (
-                        itype in (InstrType.LOAD, InstrType.STORE, InstrType.SYNC)
-                        and rng.random() < phys_frac
-                    )
-                    body.append((itype, dep, phys))
-                self.block_pc[b] = pc
-                self.block_body[b] = tuple(body)
+                    c0 += w0
+                    c1 += w1
+                    c2 += w2
+                    c3 += w3
+                    c4 += w4
+                    c = 0
+                    top = c0
+                    if c1 > top:
+                        c = 1
+                        top = c1
+                    if c2 > top:
+                        c = 2
+                        top = c2
+                    if c3 > top:
+                        c = 3
+                        top = c3
+                    if c4 > top:
+                        c = 4
+                    if c == 0:
+                        c0 -= 1.0
+                    elif c == 1:
+                        c1 -= 1.0
+                    elif c == 2:
+                        c2 -= 1.0
+                    elif c == 3:
+                        c3 -= 1.0
+                    else:
+                        c4 -= 1.0
+                    pair = slots[c][random_() < dep_p[c]]
+                    append(pair[random_() < phys_frac] if is_mem[c] else pair[0])
+                block_pc[b] = pc
+                block_body[b] = tuple(body)
                 pc += length * 4
 
-                term = term_strat.next()
-                self.term_type[b] = term
-                self.fallthrough[b] = b + 1 if b + 1 < seg.end else seg.start
+                term = next_term()
+                term_type[b] = term
+                fallthrough[b] = b + 1 if b + 1 < seg_end else seg_start
+                if term == TERM_RETURN:
+                    continue  # no target: the walker's call stack decides
                 if term == TERM_COND:
-                    is_loopy = bias_strat.next()
-                    self.taken_prob[b] = (
-                        rng.uniform(_HI_BIAS - 0.03, _HI_BIAS + 0.03)
-                        if is_loopy
-                        else rng.uniform(_LO_BIAS - 0.04, _LO_BIAS + 0.06)
+                    p = (
+                        uniform(_HI_BIAS - 0.03, _HI_BIAS + 0.03)
+                        if next_loopy()
+                        else uniform(_LO_BIAS - 0.04, _LO_BIAS + 0.06)
                     )
-                    self.taken_prob[b] = min(0.99, max(0.01, self.taken_prob[b]))
-                    self.target[b] = self._pick_target(rng, seg, b)
-                elif term == TERM_UNCOND:
-                    self.target[b] = self._pick_target(rng, seg, b)
-                elif term == TERM_INDIRECT:
-                    k = max(1, profile.indirect_targets)
-                    self.indirect_targets[b] = tuple(
-                        self._pick_target(rng, seg, b) for _ in range(k)
-                    )
-                elif term == TERM_CALL:
-                    self.target[b] = self._pick_target(rng, seg, b)
-                # TERM_RETURN needs no target: the walker's call stack decides.
+                    taken_prob[b] = min(0.99, max(0.01, p))
+                # Targets stay inside the segment.  A hot block jumps
+                # uniformly over the hot set -- so the walk visits hot blocks
+                # near-uniformly and the dynamic mix stays close to the
+                # static one -- and rarely out to the cold region; a cold
+                # block usually heads back to the hot set.
+                picks = []
+                for _ in range(n_indirect if term == TERM_INDIRECT else 1):
+                    if b < hot_end:
+                        if has_cold and random_() < cold_excursion:
+                            picks.append(randrange(hot_end, seg_end))
+                        else:
+                            picks.append(randrange(seg_start, hot_end))
+                    elif random_() < return_to_hot:
+                        picks.append(randrange(seg_start, hot_end))
+                    else:
+                        picks.append(randrange(hot_end, seg_end))
+                if term == TERM_INDIRECT:
+                    indirect_targets[b] = tuple(picks)
+                else:
+                    target[b] = picks[0]
 
         self.text_bytes = pc - cfg.base_pc
-
-    def _pick_target(self, rng: random.Random, seg: _Segment, block: int) -> int:
-        """Choose a branch target inside *seg* with hot/cold structure."""
-        cfg = self.config
-        in_hot = block < seg.hot_end
-        hot_n = seg.hot_end - seg.start
-        cold_n = seg.end - seg.hot_end
-        if in_hot:
-            if cold_n and rng.random() < cfg.cold_excursion:
-                return rng.randrange(seg.hot_end, seg.end)
-            # Uniform target over the hot set: the resulting
-            # random walk visits hot blocks near-uniformly, which keeps the
-            # dynamic instruction mix close to the static one.
-            return rng.randrange(seg.start, seg.hot_end)
-        # Cold block: usually head back toward the hot set.
-        if hot_n and rng.random() < cfg.return_to_hot:
-            return rng.randrange(seg.start, seg.hot_end)
-        if cold_n:
-            return rng.randrange(seg.hot_end, seg.end)
-        return rng.randrange(seg.start, seg.hot_end)
 
     # -- queries -----------------------------------------------------------
 

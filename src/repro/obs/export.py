@@ -10,7 +10,9 @@ incursions); process 2 ("software threads") carries one track per
 software thread with its syscall, TLB-refill, interrupt and scheduler
 spans, which nest as the call paths ``repro flame`` folds (interrupts
 and dispatches run on the per-context CPU pseudo-threads, tid
-``900 + ctx``).  The output is
+``900 + ctx``).  An instant's track names its context or its service,
+not its software thread, so its args carry the event's ``tid`` and,
+where set, its ``service`` beside the event's own args.  The output is
 the stable JSON-object form of the trace-event format, so ``repro trace
 --out trace.json`` opens directly in ``chrome://tracing`` or
 https://ui.perfetto.dev.  One simulated cycle maps to one microsecond of
@@ -101,10 +103,14 @@ def to_chrome_trace(events: Iterable[SimEvent],
             # An end without a begin (span opened before recording
             # started) carries no start point; drop it.
         else:
+            args = dict(event.args or {})
+            if event.tid is not None:
+                args["tid"] = event.tid
+            if event.service is not None:
+                args["service"] = event.service
             trace.append({
                 "ph": "i", "s": "t", "pid": pid, "tid": tid, "ts": event.ts,
-                "name": event.name, "cat": event.kind,
-                "args": event.args or {},
+                "name": event.name, "cat": event.kind, "args": args,
             })
     for (pid, tid, _), stack in open_spans.items():
         for begin in stack:

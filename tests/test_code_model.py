@@ -1,11 +1,14 @@
 """Tests for synthetic code models and walkers."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.experiments import build_simulation
 from repro.isa.code import (
     CodeModel,
     CodeModelConfig,
@@ -190,3 +193,83 @@ def test_any_model_walks_without_error(n_blocks, hot, seed):
     for _ in range(300):
         instr = walker.next_instruction()
         assert instr.pc >= 0x1000_0000
+
+
+# -- every code model of the canonical machines, pinned -------------------
+
+#: sha256 of every static table of each code model of the canonical specint
+#: and apache machines at seed 11 (see ``_model_tables``), pinned under
+#: Python 3.11.  Each golden trajectory visits fewer than 100 blocks, in
+#: the kernel, PAL and gcc models; these digests hold every block of both
+#: machines (18,844 on specint, 6,344 on apache), so a construction change
+#: in a block no short run reaches fails here.
+#: A deliberate change to what a model builds moves them and, with them,
+#: every trajectory: bump ``CODE_VERSION`` and re-pin both.
+_KERNEL_DIGESTS = {
+    "kernel": "1b95fd0f2079570c84ed44353d37dc954ae10958e8f0963703754912391a1e8b",
+    "kcopy": "011d8c4823c33a2dc25d792095a86d6240f36e3ffa68fa1f87f558b7665d55e2",
+    "pal": "94976e4014983751e71c5c3d0258348a7c93acb485085c6d2b776bf53e58fa00",
+}
+MODEL_DIGESTS = {
+    "specint": {
+        **_KERNEL_DIGESTS,
+        "specint:gcc": "7fcfd3da0be96cd17000eb29def37d060c6fcdec60b340fff91b18b6de500af4",
+        "specint:go": "2073040c0a2a330e92abab04acda4cd6adb47463852e6b9c839c2f25e856ff5b",
+        "specint:li": "0dfa007dbbeaa6e2aef1f3543c98f0d3485658bd825232d5efb3e35e182bfaca",
+        "specint:perl": "7eed651e961daa96568017477e25bc5dd4f4c0a20a0871ad53f928e4c12a820f",
+        "specint:compress": "8b313ad5cd31106d9ab1cd4aab9e01380929a7e609adadf16a5d6aa28af7f849",
+        "specint:m88ksim": "f88e7aa60aadb1f65fadbd4ee3a594f6bb16409f6bb9e799b6d2fa1e2534b770",
+        "specint:ijpeg": "79fb06a7087b8658a8f2fd615dabf6247b59c0150b44c0237ef8cf79f6035d3c",
+        "specint:vortex": "44dcd44b8425b3943a0fe3e0e63b615eb42098de0b0ee1803e85e1118f307b4f",
+    },
+    "apache": {
+        **_KERNEL_DIGESTS,
+        "apache": "ade50b7673c1fce8db1ede98cee0bbb48cc160f7be711b549680aae8eb8976c5",
+    },
+}
+
+
+def _machine_models(sim):
+    """Every code model of a built machine: kernel, copy and PAL text,
+    then each distinct user text in thread order."""
+    os_ = sim.os
+    models = [os_.kernel_text, os_.copy_text, os_.pal_text]
+    for thread in os_.threads:
+        walker = thread.user_walker
+        if walker is not None and all(walker.model is not m for m in models):
+            models.append(walker.model)
+    return models
+
+
+def _model_tables(model) -> dict:
+    return {
+        "block_pc": model.block_pc,
+        "block_body": [[[int(itype), int(dep), int(phys)]
+                        for itype, dep, phys in body]
+                       for body in model.block_body],
+        "term_type": model.term_type,
+        "taken_prob": [p.hex() for p in model.taken_prob],
+        "target": model.target,
+        "indirect_targets": [list(t) for t in model.indirect_targets],
+        "fallthrough": model.fallthrough,
+        "text_bytes": model.text_bytes,
+        "segments": [[name, seg.start, seg.end, seg.hot_end]
+                     for name, seg in model.segments.items()],
+    }
+
+
+def _model_digest(model) -> str:
+    text = json.dumps(_model_tables(model), separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workload", sorted(MODEL_DIGESTS))
+def test_canonical_code_models_match_pinned_digests(workload):
+    sim = build_simulation(workload, "smt", "full", seed=11)
+    models = _machine_models(sim)
+    got = {m.name: _model_digest(m) for m in models}
+    assert got == MODEL_DIGESTS[workload]
+    # Bodies share one tuple per (itype, dep, phys): at most 12 x 2 x 2
+    # objects, however many slots (~107k on specint) the machine holds.
+    slots = {id(slot) for m in models for body in m.block_body for slot in body}
+    assert len(slots) <= 48

@@ -193,6 +193,30 @@ def test_chrome_trace_kernel_spans_match_per_thread_pairing():
             open_ends.append(end)
 
 
+def test_chrome_trace_instants_keep_thread_and_service():
+    # An instant's track is its context or its service, so the software
+    # thread and service it was emitted with travel in its args.
+    events = [
+        SimEvent(12, "cache", "l2_miss", tid=3),
+        SimEvent(20, "tlb", "dtlb_refill", tid=4, service="tlb:refill"),
+        SimEvent(25, "vm", "page_fault", service="vm:page_fault"),
+        SimEvent(30, "pipeline", "squash", ctx=1, service="user",
+                 args={"count": 2}),
+        SimEvent(40, "sched", "dispatch:p", ctx=0, tid=5),
+    ]
+    payload = to_chrome_trace(events, n_contexts=2)
+    got = {e["name"]: (e["pid"], e["args"])
+           for e in payload["traceEvents"] if e["ph"] == "i"}
+    assert got == {
+        "l2_miss": (PID_SERVICES, {"tid": 3}),
+        "dtlb_refill": (PID_SERVICES, {"tid": 4, "service": "tlb:refill"}),
+        "page_fault": (PID_SERVICES, {"service": "vm:page_fault"}),
+        "squash": (PID_CONTEXTS, {"count": 2, "service": "user"}),
+        "dispatch:p": (PID_CONTEXTS, {"tid": 5}),
+    }
+    assert events[3].args == {"count": 2}  # the recording is not mutated
+
+
 def test_chrome_trace_closes_unmatched_begins():
     events = [SimEvent(5, "syscall", "read", BEGIN, service="syscall:read"),
               SimEvent(50, "cache", "l1d_miss", ctx=0)]

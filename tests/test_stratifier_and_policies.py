@@ -22,14 +22,14 @@ def test_stratifier_rejects_empty():
 
 def test_stratifier_exact_for_uniform_weights():
     s = _Stratifier([("a", 1), ("b", 1)], random.Random(0))
-    window = [s.next() for _ in range(10)]
+    window = s.take(10)
     assert window.count("a") == 5
     assert window.count("b") == 5
 
 
 def test_stratifier_small_windows_track_weights():
     s = _Stratifier([("x", 0.7), ("y", 0.2), ("z", 0.1)], random.Random(1))
-    draws = [s.next() for _ in range(1000)]
+    draws = s.take(1000)
     for start in range(0, 1000, 50):
         window = Counter(draws[start:start + 50])
         assert abs(window["x"] / 50 - 0.7) < 0.1
@@ -42,7 +42,7 @@ def test_stratifier_small_windows_track_weights():
 def test_stratifier_long_run_frequencies(weights, n):
     items = list(range(len(weights)))
     s = _Stratifier(list(zip(items, weights)), random.Random(3))
-    counts = Counter(s.next() for _ in range(n))
+    counts = Counter(s.take(n))
     total_w = sum(weights)
     for item, w in zip(items, weights):
         expected = w / total_w * n
