@@ -74,6 +74,27 @@ def run_fingerprint(spec: dict) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
+#: Spec keys that name a run, in label order.
+_LABEL_KEYS = ("workload", "cpu", "os_mode")
+
+
+def run_label(spec) -> str:
+    """The ``workload-cpu-os_mode`` label of a run spec, e.g.
+    ``apache-smt-full``; keys the spec lacks are left out, and a spec
+    with none of them (or no spec) is ``run``."""
+    if not isinstance(spec, dict):
+        return "run"
+    parts = [str(spec[k]) for k in _LABEL_KEYS if spec.get(k) is not None]
+    return "-".join(parts) or "run"
+
+
+def parse_run_label(text: str) -> dict | None:
+    """The ``workload``/``cpu``/``os_mode`` a run label names, or None
+    when *text* is not three ``-``-separated parts."""
+    parts = text.split("-")
+    return dict(zip(_LABEL_KEYS, parts)) if len(parts) == 3 else None
+
+
 def _plain(value):
     """Recursively normalize to JSON-native types (tuples become lists,
     dict keys become strings) so round-tripped artifacts compare equal."""
@@ -150,9 +171,7 @@ class RunArtifact:
     @property
     def label(self) -> str:
         """Human-readable run label, e.g. ``apache-smt-full``."""
-        parts = [str(self.spec.get(k)) for k in ("workload", "cpu", "os_mode")
-                 if self.spec.get(k) is not None]
-        return "-".join(parts) or "run"
+        return run_label(self.spec)
 
     # -- derived views -----------------------------------------------------
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import os as _os
 import warnings
 
-from repro.analysis.artifact import RunArtifact, run_fingerprint
+from repro.analysis.artifact import RunArtifact, run_fingerprint, run_label
 from repro.analysis.snapshot import capture, diff
 from repro.analysis.store import RunStore
 from repro.core.config import MachineConfig
@@ -261,7 +261,7 @@ def execute_spec(spec: dict, heartbeat=None, max_cycles: int | None = None,
     """
     from repro import faults
 
-    label = f"{spec['workload']}-{spec['cpu']}-{spec['os_mode']}"
+    label = run_label(spec)
     if faults.fire("sim.hang", label) is not None:
         import time as _time
         while True:  # injected hang: only an engine timeout ends this

@@ -1,7 +1,7 @@
 """Durable job queue: an append-only write-ahead journal for sweeps.
 
 A :class:`JobQueue` records every job-state transition -- submit, claim,
-complete, fail, requeue, quarantine, shutdown -- as one checksummed JSON
+complete, requeue, quarantine, shutdown -- as one checksummed JSON
 line in ``<store_root>/queue/journal.jsonl`` *before* acting on it, so
 the queue's state survives any crash of the service process: a new
 incarnation replays the journal and resumes exactly where the dead one
@@ -45,7 +45,7 @@ import pathlib
 from dataclasses import dataclass, field
 
 from repro import faults
-from repro.analysis.artifact import canonical_json, run_fingerprint
+from repro.analysis.artifact import canonical_json, run_fingerprint, run_label
 
 #: Subdirectory of the store root holding the journal and worker
 #: heartbeat files.
@@ -88,9 +88,7 @@ def record_check(body: dict) -> str:
 
 def job_label(spec: dict) -> str:
     """Deterministic display label for a spec: ``workload-cpu-os_mode-s<seed>``."""
-    parts = [str(spec.get(k)) for k in ("workload", "cpu", "os_mode")
-             if spec.get(k) is not None]
-    label = "-".join(parts) or "run"
+    label = run_label(spec)
     seed = spec.get("seed")
     return f"{label}-s{seed}" if seed is not None else label
 
@@ -104,7 +102,6 @@ class Job:
     spec: dict
     fingerprint: str
     priority: int = 0
-    deadline_s: float | None = None
     state: str = PENDING
     attempts: int = 0
     submit_seq: int = 0
@@ -268,7 +265,6 @@ class JobQueue:
                     id=body["job"], label=body["label"], spec=body["spec"],
                     fingerprint=body["fingerprint"],
                     priority=body.get("priority", 0),
-                    deadline_s=body.get("deadline_s"),
                     submit_seq=body["seq"])
             elif outcome == "coalesced" and job is not None:
                 job.coalesced += 1
@@ -293,8 +289,6 @@ class JobQueue:
             job.worker = None
             job.from_store = bool(body.get("from_store"))
             job.error = None
-        elif op == "fail":
-            job.error = body.get("error")
         elif op == "quarantine":
             job.state = QUARANTINED
             job.worker = None
@@ -305,8 +299,8 @@ class JobQueue:
 
     # -- submission (admission control) ------------------------------------
 
-    def submit(self, spec: dict, *, priority: int = 0,
-               deadline_s: float | None = None) -> tuple[Job | None, str]:
+    def submit(self, spec: dict, *,
+               priority: int = 0) -> tuple[Job | None, str]:
         """Admit one run spec; returns ``(job, outcome)``.
 
         Outcomes: ``queued`` (new job), ``coalesced`` (identical spec
@@ -337,10 +331,9 @@ class JobQueue:
             return None, "shed"
         body = self._append("submit", job=job_id, label=label, spec=spec,
                             fingerprint=fingerprint, priority=priority,
-                            deadline_s=deadline_s, outcome="queued")
+                            outcome="queued")
         job = Job(id=job_id, label=label, spec=spec, fingerprint=fingerprint,
-                  priority=priority, deadline_s=deadline_s,
-                  submit_seq=body["seq"])
+                  priority=priority, submit_seq=body["seq"])
         self.jobs[job_id] = job
         return job, "queued"
 
@@ -388,14 +381,6 @@ class JobQueue:
         job.worker = None
         job.from_store = from_store
         job.error = None
-
-    def fail(self, job_id: str, error: str, kind: str) -> None:
-        """Record a failed attempt (the job stays claimed; the service
-        decides whether to requeue or quarantine next)."""
-        job = self.jobs[job_id]
-        self._append("fail", job=job_id, error=error, kind=kind,
-                     attempt=job.attempts)
-        job.error = error
 
     def quarantine(self, job_id: str, error: str) -> None:
         job = self.jobs[job_id]

@@ -16,6 +16,7 @@ import pathlib
 from dataclasses import dataclass, field
 
 from repro.analysis import figures, tables
+from repro.analysis.artifact import parse_run_label
 from repro.analysis.experiments import get_run
 from repro.analysis.paper import build_comparison, render_markdown
 
@@ -55,7 +56,7 @@ COMPARISON_RUNS = ("specint-smt-full", "specint-smt-app", "specint-ss-full",
 def _canonical_run(label: str):
     """The canonical run named ``workload-cpu-os_mode``, through
     :func:`~repro.analysis.experiments.get_run`."""
-    return get_run(*label.split("-"))
+    return get_run(**parse_run_label(label))
 
 
 def build_exhibit(name: str) -> dict:

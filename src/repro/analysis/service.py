@@ -40,8 +40,8 @@ throwaway queue in a temporary directory and return one
   final :meth:`~repro.analysis.queue.JobQueue.ledger` is byte-identical
   to an uninterrupted run.
 
-The service emits ``core.service.*`` counters when given a probe
-registry and ``service.*`` engine events on an event bus.  It is
+The service emits ``service.*`` engine events on an event bus; its
+transcript, report and ledger are its record of what it did.  It is
 host-side machinery (timeouts, leases, backoff sleeps) and sits on the
 D102 wall-clock allowlist; its transcripts and report are
 wall-clock-free so chaos reports stay byte-identical.
@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from repro import faults
 from repro.analysis import experiments
 from repro.analysis import queue as jobqueue
-from repro.analysis.artifact import RunArtifact
+from repro.analysis.artifact import RunArtifact, run_label
 from repro.analysis.experiments import CANONICAL_SPECS
 from repro.analysis.queue import Job, JobQueue, queue_root
 from repro.analysis.store import RunStore
@@ -141,17 +141,13 @@ def resolve_item(item) -> dict:
     return experiments.run_spec(wl, cpu, mode)
 
 
-def _spec_label(spec: dict) -> str:
-    return f"{spec['workload']}-{spec['cpu']}-{spec['os_mode']}"
-
-
 def labels_for(items: list, resolved: list[dict]) -> list[str]:
     """Result-dict keys for run_many items: ``workload-cpu-os_mode``,
     plus ``-s<seed>`` for dict-form items and ``#n`` on the n-th
     collision (``x``, ``x#2``, ``x#3``, ...)."""
     labels: list[str] = []
     for item, spec in zip(items, resolved):
-        base = _spec_label(spec)
+        base = run_label(spec)
         if isinstance(item, dict):
             base += f"-s{spec['seed']}"
         label, n = base, 2
@@ -220,7 +216,7 @@ def _run_attempt(spec: dict, store_root: str, attempt: int, *,
     """
     faults.set_attempt(attempt)
     faults.reset_fired()
-    label = _spec_label(spec)
+    label = run_label(spec)
     if faults.fire("worker.crash", label) is not None:
         raise faults.InjectedFault(
             "worker.crash",
@@ -492,7 +488,7 @@ class ReproService:
                  poll_interval: float = 0.05, isolation: str = "auto",
                  breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
                  breaker_cooldown: int = DEFAULT_BREAKER_COOLDOWN,
-                 events=None, registry=None, on_complete=None,
+                 events=None, on_complete=None,
                  progress: bool = False, checkpoint: bool = False,
                  max_cycles_per_run: int | None = None,
                  watchdog_cycles: int | None = None) -> None:
@@ -529,18 +525,10 @@ class ReproService:
         #: Job id -> error kind of a quarantined job.
         self.error_kinds: dict[str, str] = {}
         self._step = 0
-        self._started_at = time.monotonic()
-        self._submitted_at: dict[str, float] = {}
         self._not_before: dict[str, float] = {}
         self._active: dict[str, _Leg] = {}  # job id -> leg
         self._free_slots = list(range(workers))
         self._init_progress_dir()
-        if registry is not None:
-            self.register_probes(registry)
-        else:
-            from repro.obs.registry import NULL_REGISTRY
-
-            self.register_probes(NULL_REGISTRY)
         if self.queue.replayed.records:
             self.transcript.append(
                 f"journal replayed: {self.queue.replayed.records} records, "
@@ -571,20 +559,6 @@ class ReproService:
                 f"pruned {len(pruned)} stale worker state files "
                 f"from a previous incarnation")
 
-    def register_probes(self, registry) -> None:
-        """Service counters under ``core.service.*`` (probe hierarchy)."""
-        self.c_submitted = registry.counter("core.service.submitted")
-        self.c_coalesced = registry.counter("core.service.coalesced")
-        self.c_shed = registry.counter("core.service.shed")
-        self.c_warm_hits = registry.counter("core.service.warm_hits")
-        self.c_claims = registry.counter("core.service.claims")
-        self.c_completed = registry.counter("core.service.completed")
-        self.c_requeued = registry.counter("core.service.requeued")
-        self.c_quarantined = registry.counter("core.service.quarantined")
-        self.c_orphans = registry.counter("core.service.orphans")
-        self.c_breaker_trips = registry.counter("core.service.breaker_trips")
-        self.c_drains = registry.counter("core.service.drains")
-
     def _emit(self, name: str, label: str, detail: str = "") -> None:
         if self.events is None:
             return
@@ -603,7 +577,6 @@ class ReproService:
     def _breaker_moved(self, old: str, new: str, why: str) -> None:
         self.transcript.append(f"breaker {old} -> {new}: {why}")
         if new == OPEN:
-            self.c_breaker_trips.add()
             self._emit("service.breaker.open", "store", why)
         elif new == CLOSED:
             self._emit("service.breaker.close", "store", why)
@@ -611,7 +584,6 @@ class ReproService:
     # -- admission ---------------------------------------------------------
 
     def submit(self, spec: dict, *, priority: int = 0,
-               deadline_s: float | None = None,
                force: bool = False) -> tuple[Job | None, str]:
         """Admit one resolved run spec.
 
@@ -623,10 +595,8 @@ class ReproService:
         Store *reads* stay allowed even when the breaker is open --
         degraded mode is read-only, not dead.
         """
-        job, outcome = self.queue.submit(spec, priority=priority,
-                                         deadline_s=deadline_s)
+        job, outcome = self.queue.submit(spec, priority=priority)
         if outcome == "shed":
-            self.c_shed.add()
             self._emit("service.shed", jobqueue.job_label(spec),
                        f"backlog at limit {self.queue.limit}")
             self.transcript.append(
@@ -635,20 +605,16 @@ class ReproService:
             return job, outcome
         assert job is not None
         if outcome == "coalesced":
-            self.c_coalesced.add()
             self._emit("service.submit", job.label, "coalesced")
             return job, outcome
         if outcome == "done":
             return job, outcome
-        self.c_submitted.add()
-        self._submitted_at[job.id] = time.monotonic()
         self._emit("service.submit", job.label, f"priority {priority}")
         if not force:
             artifact = self._store_get(job, memo=True)
             if artifact is not None:
                 self.queue.complete(job.id, from_store=True)
                 self.warm_hits += 1
-                self.c_warm_hits.add()
                 self._emit("service.complete", job.label, "warm store hit")
                 self._note(f"warm hit {job.label}", job)
                 return job, "warm"
@@ -680,7 +646,6 @@ class ReproService:
         if self.draining:
             return
         self.draining = True
-        self.c_drains.add()
         self._emit("service.drain", "service",
                    f"{len(self._active)} active legs")
         self.transcript.append(
@@ -701,7 +666,6 @@ class ReproService:
         for job in sorted(orphans, key=lambda j: j.submit_seq):
             if job.state != jobqueue.CLAIMED:
                 continue
-            self.c_orphans.add()
             artifact = self._store_get(job)
             if artifact is not None:
                 experiments.register_artifact(artifact)
@@ -710,10 +674,8 @@ class ReproService:
                            "orphan: artifact already stored")
                 self._note(f"orphan {job.label}: dead worker had stored "
                            f"the artifact; completed", job)
-                self.c_completed.add()
             else:
                 self.queue.requeue(job.id, "orphan")
-                self.c_requeued.add()
                 self._emit("service.requeue", job.label, "orphaned claim")
                 self._note(f"orphan {job.label}: requeued (no artifact "
                            f"stored)", job)
@@ -807,7 +769,6 @@ class ReproService:
                     "claimed job lost before tracking (orphaned; "
                     "a resume will recover it)")
                 break
-            self.c_claims.add()
             self._not_before.pop(job.id, None)
             leg = self._start_leg(job, use_processes)
             launched = True
@@ -815,31 +776,8 @@ class ReproService:
                 continue  # inline mode settles synchronously
         return launched
 
-    def _effective_timeout(self, job: Job) -> tuple[float | None, bool]:
-        """Per-attempt timeout with the job's deadline folded in.
-
-        A ``deadline_s`` is a total latency budget from submit; the
-        remaining budget caps the attempt timeout, and an expired
-        deadline quarantines the job without wasting a worker on it.
-        """
-        limit = self.timeout
-        if job.deadline_s is not None:
-            submitted = self._submitted_at.get(job.id, self._started_at)
-            remaining = job.deadline_s - (time.monotonic() - submitted)
-            if remaining <= 0:
-                return None, True
-            limit = remaining if limit is None else min(limit, remaining)
-        return limit, False
-
     def _start_leg(self, job: Job, use_processes: bool) -> _Leg | None:
         slot = self._free_slots.pop(0)
-        limit, expired = self._effective_timeout(job)
-        if expired:
-            self._free_slots.insert(0, slot)
-            self._probe_lost("deadline expired before execution")
-            self._quarantine(job, "deadline expired before execution",
-                             TRANSIENT)
-            return None
         self._emit("service.claim", job.label,
                    f"worker w{slot}, attempt {job.attempts}")
         self.transcript.append(
@@ -867,7 +805,7 @@ class ReproService:
             # cleanup, no error record.  The reap path must classify
             # the bare nonzero exit as transient and retry.
             proc.kill()
-        deadline = time.monotonic() + limit if limit else None
+        deadline = time.monotonic() + self.timeout if self.timeout else None
         leg = _Leg(job, slot, proc=proc, deadline=deadline,
                    err_path=err_path, progress_path=progress_path)
         self._active[job.id] = leg
@@ -894,12 +832,8 @@ class ReproService:
             if not leg.proc.is_alive():
                 continue
             if leg.deadline is not None and now >= leg.deadline:
-                if self.timeout is not None:
-                    error = (f"timed out after {self.timeout:g}s; "
-                             f"worker terminated")
-                else:
-                    error = "deadline exhausted; worker terminated"
-                self._revoke(leg, error)
+                self._revoke(leg, f"timed out after {self.timeout:g}s; "
+                                  f"worker terminated")
             elif self._lease_expired(leg):
                 self._revoke(leg, f"lease expired: no heartbeat for "
                                   f"{self.queue.lease_s:g}s; worker "
@@ -981,11 +915,10 @@ class ReproService:
 
         The only exits from HALF_OPEN are an explicit success or
         failure, but a probe can also be revoked (timeout/lease),
-        quarantined before running (expired deadline), orphaned at
-        claim time, or fail with a non-store-shaped error.  Any of
-        those must re-open the circuit -- leaving it HALF_OPEN would
-        deny every later :meth:`CircuitBreaker.allow` and livelock the
-        service while pending jobs remain.
+        orphaned at claim time, or fail with a non-store-shaped error.
+        Any of those must re-open the circuit -- leaving it HALF_OPEN
+        would deny every later :meth:`CircuitBreaker.allow` and livelock
+        the service while pending jobs remain.
         """
         if self.breaker.state == HALF_OPEN:
             self.breaker.record_failure(f"probe lost: {why}")
@@ -1002,7 +935,6 @@ class ReproService:
         if self.progress:
             self._aggregator.finish(job.id, job.spec["instructions"])
         self.breaker.record_success()
-        self.c_completed.add()
         self._emit("service.complete", job.label,
                    f"attempt {job.attempts}")
         self._note(f"complete {job.label} attempt {job.attempts}", job)
@@ -1014,7 +946,6 @@ class ReproService:
             delay = backoff_delay(job.attempts + 1, self.backoff_base)
             self.queue.requeue(job.id, "retry")
             self._not_before[job.id] = time.monotonic() + delay
-            self.c_requeued.add()
             self._emit("service.requeue", job.label, error)
             self._note(f"requeue {job.label} attempt {job.attempts}: "
                        f"[{kind}] {error}; retrying in {delay:g}s", job)
@@ -1026,7 +957,6 @@ class ReproService:
         # Its partial work will never finish: drop it from the progress.
         _unlink(self._aggregator.path_for(job.id))
         self.error_kinds[job.id] = kind
-        self.c_quarantined.add()
         self._emit("service.quarantine", job.label, error)
         self._note(f"quarantine {job.label} attempt {job.attempts}: "
                    f"[{kind}] {error}", job)
@@ -1070,10 +1000,10 @@ def run_service(specs=None, *, store: RunStore | None = None,
                 timeout: float | None = None,
                 lease_s: float = jobqueue.DEFAULT_LEASE_S,
                 queue_limit: int = jobqueue.DEFAULT_LIMIT,
-                priority: int = 0, deadline_s: float | None = None,
+                priority: int = 0,
                 backoff_base: float = DEFAULT_BACKOFF_BASE,
                 isolation: str = "auto", force: bool = False,
-                events=None, registry=None, on_complete=None,
+                events=None, on_complete=None,
                 progress: bool = False, sigterm_drain: bool = False,
                 breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
                 breaker_cooldown: int = DEFAULT_BREAKER_COOLDOWN,
@@ -1096,7 +1026,7 @@ def run_service(specs=None, *, store: RunStore | None = None,
         workers=workers, retries=retries, timeout=timeout,
         backoff_base=backoff_base, isolation=isolation,
         breaker_threshold=breaker_threshold,
-        breaker_cooldown=breaker_cooldown, events=events, registry=registry,
+        breaker_cooldown=breaker_cooldown, events=events,
         on_complete=on_complete, progress=progress,
         max_cycles_per_run=max_cycles_per_run,
         watchdog_cycles=watchdog_cycles)
@@ -1115,8 +1045,7 @@ def run_service(specs=None, *, store: RunStore | None = None,
             pass
     items = list(specs) if specs is not None else list(CANONICAL_SPECS)
     for item in items:
-        service.submit(resolve_item(item), priority=priority,
-                       deadline_s=deadline_s, force=force)
+        service.submit(resolve_item(item), priority=priority, force=force)
     return service.run()
 
 

@@ -8,6 +8,10 @@ stored artifact instead.  Invalidation is automatic -- the fingerprint
 covers the artifact schema version, a code-version tag, and the full
 simulation config -- so changing any knob, the counter layout, or the
 simulator itself simply produces a different key and a cache miss.
+Warm-up checkpoints (:mod:`repro.core.checkpoint`) live in the same
+store under ``ckpt-`` file names and go through the same reader, writer
+and verifier: the two payload kinds differ only in file name, ``kind``
+tag, expected fingerprint and listing label, and never serve each other.
 
 The store root defaults to ``.repro_cache/`` in the current directory and
 can be redirected with the ``REPRO_CACHE_DIR`` environment variable
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from repro import faults
 from repro.analysis.artifact import (SCHEMA_VERSION, ArtifactError,
                                      RunArtifact, canonical_json,
-                                     run_fingerprint)
+                                     run_fingerprint, run_label)
 
 #: Default store directory, relative to the working directory.
 DEFAULT_STORE_DIR = ".repro_cache"
@@ -73,19 +77,22 @@ def _slug(spec: dict) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", text)
 
 
-def _spec_label(spec) -> str:
-    """Label from a raw spec dict (mirrors RunArtifact.label, but usable
-    for stale-schema payloads that no longer parse as artifacts)."""
-    if not isinstance(spec, dict):
-        return "run"
-    parts = [str(spec.get(k)) for k in ("workload", "cpu", "os_mode")
-             if spec.get(k) is not None]
-    return "-".join(parts) or "run"
+#: Payload kinds: run artifacts, and warm-up checkpoints
+#: (:mod:`repro.core.checkpoint`), whose files carry a ``ckpt-`` prefix.
+RUN = "run"
+CHECKPOINT = "checkpoint"
+_CHECKPOINT_PREFIX = "ckpt-"
 
 
-def _checkpoint_label(payload: dict) -> str:
-    """Listing label for a checkpoint payload, e.g.
-    ``ckpt:specint-full@100002``."""
+def _kind(payload: dict) -> str:
+    return CHECKPOINT if payload.get("kind") == CHECKPOINT else RUN
+
+
+def _listing_label(payload: dict) -> str:
+    """A payload's ``cache ls`` label: the run label, or for a
+    checkpoint e.g. ``ckpt:specint-full@100002``."""
+    if _kind(payload) == RUN:
+        return run_label(payload.get("spec"))
     params = payload.get("params")
     if not isinstance(params, dict):
         return "ckpt"
@@ -93,6 +100,24 @@ def _checkpoint_label(payload: dict) -> str:
              if params.get(k) is not None]
     base = "-".join(parts) or "ckpt"
     return f"ckpt:{base}@{payload.get('boundary', '?')}"
+
+
+def _expected_fingerprint(payload: dict) -> str:
+    """The fingerprint a payload should carry, recomputed from the spec
+    or the checkpoint plan it records; :class:`ArtifactError` when it
+    records too little to recompute one."""
+    if _kind(payload) == RUN:
+        return run_fingerprint(RunArtifact.from_json_dict(payload).spec)
+    from repro.core.checkpoint import checkpoint_fingerprint
+    from repro.core.engine import Leg
+
+    try:
+        plan = [Leg(mode, instructions)
+                for mode, instructions in payload["plan"]]
+        return checkpoint_fingerprint(payload["params"], plan,
+                                      payload["stride"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"invalid checkpoint payload: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -113,7 +138,7 @@ class StoreEntry:
     schema_version: int | None = None
     created: str = ""
     flags: tuple = ()
-    kind: str = "run"
+    kind: str = RUN
 
 
 @dataclass(frozen=True)
@@ -134,25 +159,51 @@ class RunStore:
         #: handle moved aside, in order.
         self.quarantined: list[tuple[str, str]] = []
 
-    def _path_for(self, artifact: RunArtifact) -> pathlib.Path:
-        name = f"{_slug(artifact.spec)}-{artifact.fingerprint[:_NAME_HASH_LEN]}.json"
-        return self.root / name
-
     # -- read --------------------------------------------------------------
 
     def get(self, fingerprint: str) -> RunArtifact | None:
-        """Load the artifact with this fingerprint, or None on any miss.
+        """Load the artifact with this fingerprint, or None on any miss
+        (see :meth:`_read`)."""
+        hit = self._read(fingerprint, RUN)
+        if hit is None:
+            return None
+        path, payload = hit
+        try:
+            return RunArtifact.from_json_dict(payload)
+        except ArtifactError as exc:
+            self._quarantine(path, f"invalid artifact payload: {exc}")
+            return None
 
-        Misses are never errors: an absent or schema-stale file is a
-        plain miss, while an unparsable or checksum-failing file is
-        *quarantined* (moved to ``<root>/quarantine/`` with a ``.why``
-        sidecar) and then treated as a miss, so one corrupt entry can
-        never crash a sweep or be silently served as data.
+    def __contains__(self, fingerprint: str) -> bool:
+        return self.get(fingerprint) is not None
+
+    def get_checkpoint(self, fingerprint: str) -> dict | None:
+        """Load the checkpoint payload with this fingerprint, or None on
+        any miss (see :meth:`_read`).  Returns the raw payload dict for
+        :func:`repro.core.checkpoint.restore`."""
+        hit = self._read(fingerprint, CHECKPOINT)
+        if hit is None:
+            return None
+        payload = hit[1]
+        payload.pop("content_hash", None)  # storage detail
+        return payload
+
+    def _read(self, fingerprint: str,
+              kind: str) -> tuple[pathlib.Path, dict] | None:
+        """The stored *kind* payload with this fingerprint, and its path.
+
+        Misses are never errors: an absent, unreadable or schema-stale
+        file, or one of the other kind, is a plain miss, while an
+        unparsable or checksum-failing file is *quarantined* (moved to
+        ``<root>/quarantine/`` with a ``.why`` sidecar) and then treated
+        as a miss, so one corrupt entry can never crash a sweep or be
+        silently served as data.
         """
         if not self.root.is_dir():
             return None
-        suffix = f"-{fingerprint[:_NAME_HASH_LEN]}.json"
-        for path in sorted(self.root.glob(f"*{suffix}")):
+        prefix = _CHECKPOINT_PREFIX if kind == CHECKPOINT else ""
+        pattern = f"{prefix}*-{fingerprint[:_NAME_HASH_LEN]}.json"
+        for path in sorted(self.root.glob(pattern)):
             try:
                 data = path.read_bytes()
             except OSError:
@@ -173,76 +224,24 @@ class RunStore:
             if not isinstance(payload, dict):
                 self._quarantine(path, "payload is not an object")
                 continue
-            if payload.get("kind") == "checkpoint":
-                continue  # checkpoint namespace: never served as a run
+            if _kind(payload) != kind:
+                continue  # kinds never serve each other
             if payload.get("schema_version") != SCHEMA_VERSION:
                 continue  # stale schema: a plain miss, collected by gc
-            stored_hash = payload.get("content_hash")
-            if stored_hash != content_hash(payload):
+            if payload.get("content_hash") != content_hash(payload):
                 self._quarantine(path, "content checksum mismatch")
                 continue
-            try:
-                artifact = RunArtifact.from_json_dict(payload)
-            except ArtifactError as exc:
-                self._quarantine(path, f"invalid artifact payload: {exc}")
-                continue
-            if artifact.fingerprint == fingerprint:
-                return artifact
+            if payload.get("fingerprint") == fingerprint:
+                return path, payload
         return None
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return self.get(fingerprint) is not None
 
     # -- write -------------------------------------------------------------
 
     def put(self, artifact: RunArtifact) -> pathlib.Path:
         """Persist one artifact atomically; returns its path."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self._path_for(artifact)
-        if faults.fire("store.put.disk_full", path.name) is not None:
-            raise OSError(28, f"injected ENOSPC writing {path.name}")
-        payload = artifact.to_json_dict()
-        payload["content_hash"] = content_hash(payload)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        if faults.fire("store.put.torn", path.name) is not None:
-            raise faults.InjectedFault(
-                "store.put.torn",
-                f"injected crash between temp write and rename of {path.name}")
-        os.replace(tmp, path)
-        return path
-
-    # -- checkpoints -------------------------------------------------------
-
-    def get_checkpoint(self, fingerprint: str) -> dict | None:
-        """Load the checkpoint payload with this fingerprint, or None.
-
-        Same miss/quarantine discipline as :meth:`get`: absent or
-        schema-stale checkpoints are plain misses, corrupt ones are
-        quarantined.  Returns the raw payload dict for
-        :func:`repro.core.checkpoint.restore`.
-        """
-        if not self.root.is_dir():
-            return None
-        suffix = f"-{fingerprint[:_NAME_HASH_LEN]}.json"
-        for path in sorted(self.root.glob(f"ckpt-*{suffix}")):
-            try:
-                payload = json.loads(path.read_bytes())
-            except (OSError, ValueError):
-                self._quarantine(path, "unparsable checkpoint JSON")
-                continue
-            if not isinstance(payload, dict) or payload.get("kind") != "checkpoint":
-                self._quarantine(path, "not a checkpoint payload")
-                continue
-            if payload.get("schema_version") != SCHEMA_VERSION:
-                continue  # stale schema: a miss, gc collects it
-            if payload.get("content_hash") != content_hash(payload):
-                self._quarantine(path, "checkpoint checksum mismatch")
-                continue
-            if payload.get("fingerprint") == fingerprint:
-                payload.pop("content_hash", None)  # storage detail
-                return payload
-        return None
+        name = (f"{_slug(artifact.spec)}"
+                f"-{artifact.fingerprint[:_NAME_HASH_LEN]}.json")
+        return self._write(name, artifact.to_json_dict())
 
     def put_checkpoint(self, payload: dict) -> pathlib.Path:
         """Persist one checkpoint payload atomically; returns its path.
@@ -251,23 +250,27 @@ class RunStore:
         namespace is disjoint from run artifacts and the boundary is
         visible in listings.
         """
+        # Simulation params name no cpu or budget: the slug is
+        # workload-os_mode-seed.
+        slug = _slug(payload.get("params") or {})
+        return self._write(
+            f"{_CHECKPOINT_PREFIX}{slug}@{payload.get('boundary', 0)}"
+            f"-{payload['fingerprint'][:_NAME_HASH_LEN]}.json", payload)
+
+    def _write(self, name: str, payload: dict) -> pathlib.Path:
+        """Write *payload* plus its ``content_hash`` to *name*: a temp
+        file, then an atomic rename, so readers see all or nothing."""
         self.root.mkdir(parents=True, exist_ok=True)
-        params = payload.get("params") or {}
-        slug = _slug({
-            "workload": params.get("workload"),
-            "os_mode": params.get("os_mode"),
-            "seed": params.get("seed"),
-        })
-        fingerprint = payload["fingerprint"]
-        name = (f"ckpt-{slug}@{payload.get('boundary', 0)}"
-                f"-{fingerprint[:_NAME_HASH_LEN]}.json")
         path = self.root / name
         if faults.fire("store.put.disk_full", path.name) is not None:
             raise OSError(28, f"injected ENOSPC writing {path.name}")
-        body = dict(payload)
-        body["content_hash"] = content_hash(body)
+        body = dict(payload, content_hash=content_hash(payload))
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(json.dumps(body, sort_keys=True) + "\n")
+        if faults.fire("store.put.torn", path.name) is not None:
+            raise faults.InjectedFault(
+                "store.put.torn",
+                f"injected crash between temp write and rename of {path.name}")
         os.replace(tmp, path)
         return path
 
@@ -340,62 +343,26 @@ class RunStore:
                           f"not parseable as an artifact ({exc})")
         if not isinstance(payload, dict):
             return record("?", "UNREADABLE", "payload is not an object")
-        if payload.get("kind") == "checkpoint":
-            return self._verify_checkpoint(path, payload)
-        label = _spec_label(payload.get("spec"))
+        label = _listing_label(payload)
         version = payload.get("schema_version")
         if version != SCHEMA_VERSION:
             return record(label, "SKIP", f"stale schema v{version}")
         try:
-            artifact = RunArtifact.from_json_dict(payload)
+            expected = _expected_fingerprint(payload)
         except ArtifactError as exc:
             return record(label, "UNREADABLE", str(exc))
-        expected = run_fingerprint(artifact.spec)
-        if artifact.fingerprint != expected:
+        fingerprint = payload.get("fingerprint")
+        if fingerprint != expected:
             return record(label, "MISMATCH",
-                          f"stored {artifact.fingerprint[:16]} != spec "
+                          f"stored {str(fingerprint)[:16]} != recomputed "
                           f"{expected[:16]}")
         name_hash = path.stem.rsplit("-", 1)[-1]
-        if name_hash != artifact.fingerprint[:_NAME_HASH_LEN]:
+        if name_hash != expected[:_NAME_HASH_LEN]:
             return record(label, "MISMATCH",
                           "filename/payload fingerprint disagree")
         if payload.get("content_hash") != content_hash(payload):
             return record(label, "CHECKSUM", "content checksum mismatch")
-        return record(label, "ok", artifact.fingerprint[:16])
-
-    def _verify_checkpoint(self, path: pathlib.Path, payload: dict) -> dict:
-        """Checkpoint leg of :meth:`verify`: schema, checksum, and
-        fingerprint recomputation from the recorded plan."""
-        from repro.core.checkpoint import checkpoint_fingerprint
-        from repro.core.engine import Leg
-
-        label = _checkpoint_label(payload)
-
-        def record(status, detail=""):
-            return {"label": label, "status": status, "detail": detail,
-                    "path": path}
-
-        version = payload.get("schema_version")
-        if version != SCHEMA_VERSION:
-            return record("SKIP", f"stale schema v{version}")
-        fingerprint = payload.get("fingerprint")
-        try:
-            plan = [Leg(mode, instructions)
-                    for mode, instructions in payload["plan"]]
-            expected = checkpoint_fingerprint(
-                payload["params"], plan, payload["stride"])
-        except (KeyError, TypeError, ValueError) as exc:
-            return record("UNREADABLE", f"invalid checkpoint payload: {exc}")
-        if fingerprint != expected:
-            return record("MISMATCH",
-                          f"stored {str(fingerprint)[:16]} != plan "
-                          f"{expected[:16]}")
-        name_hash = path.stem.rsplit("-", 1)[-1]
-        if name_hash != fingerprint[:_NAME_HASH_LEN]:
-            return record("MISMATCH", "filename/payload fingerprint disagree")
-        if payload.get("content_hash") != content_hash(payload):
-            return record("CHECKSUM", "content checksum mismatch")
-        return record("ok", fingerprint[:16])
+        return record(label, "ok", expected[:16])
 
     # -- maintenance -------------------------------------------------------
 
@@ -419,22 +386,17 @@ class RunStore:
                 continue
             if not isinstance(payload, dict) or not isinstance(fingerprint, str):
                 continue
-            kind = "checkpoint" if payload.get("kind") == "checkpoint" else "run"
             version = payload.get("schema_version")
-            if kind == "checkpoint":
-                label = _checkpoint_label(payload)
-            else:
-                label = _spec_label(payload.get("spec"))
             created = datetime.datetime.fromtimestamp(
                 stat.st_mtime).isoformat(timespec="seconds")
             flags = payload.get("flags")
             out.append(StoreEntry(
                 path=path, fingerprint=fingerprint,
-                label=label, size=stat.st_size,
+                label=_listing_label(payload), size=stat.st_size,
                 schema_version=version if isinstance(version, int) else None,
                 created=created,
                 flags=tuple(flags) if isinstance(flags, list) else (),
-                kind=kind))
+                kind=_kind(payload)))
         return out
 
     def gc(self, dry_run: bool = False) -> list[StoreEntry]:
@@ -461,9 +423,9 @@ class RunStore:
     def collect_tmp(self, dry_run: bool = False) -> list[tuple[pathlib.Path, int]]:
         """Reclaim ``*.tmp.<pid>`` files stranded by interrupted writes.
 
-        :meth:`put` stages each artifact in a temp file before the
-        atomic rename; a worker killed in that window leaves the temp
-        file behind forever.  Returns ``(path, size)`` pairs (removed,
+        :meth:`put` and :meth:`put_checkpoint` stage each payload in a
+        temp file before the atomic rename; a worker killed in that
+        window leaves the temp file behind forever.  Returns ``(path, size)`` pairs (removed,
         or merely found with *dry_run*).
 
         The listing sorts on (base name, numeric pid), not the raw

@@ -23,7 +23,7 @@
     python -m repro counters specint --grep mem.l2
     python -m repro counters specint --against specint-ss-full
     python -m repro diff specint-smt-app specint-smt-full --seeds 3
-    python -m repro flame apache --out apache.folded
+    python -m repro flame apache-smt-full --out apache.folded
     python -m repro diff apache-ss-full apache-smt-full --flame
     python -m repro bench --check
     python -m repro trace specint --out trace.json
@@ -74,6 +74,7 @@ import functools
 import sys
 
 from repro.analysis import metrics
+from repro.analysis.artifact import parse_run_label, run_label
 from repro.analysis.experiments import CANONICAL_SPECS, get_run
 
 #: Whole-run estimates a sampled run's summary prints, as named in the
@@ -141,7 +142,7 @@ def _cmd_run(args) -> int:
                 else TtyProgressSink())
         heartbeat = Heartbeat(
             sink, target_instructions=spec["instructions"],
-            label=f"{args.workload}-{args.cpu}-{args.os_mode}")
+            label=run_label(spec))
         rec = experiments.execute_spec(spec, heartbeat=heartbeat,
                                       checkpoint=args.checkpoint)
         RunStore().put(rec)
@@ -409,7 +410,7 @@ def _cmd_serve(args) -> int:
             specs, resume=args.resume, workers=args.workers,
             retries=args.retries, timeout=args.timeout,
             lease_s=args.lease, queue_limit=args.queue_limit,
-            priority=args.priority, deadline_s=args.deadline,
+            priority=args.priority,
             isolation=args.isolation, progress=args.progress,
             sigterm_drain=True)
     except ServiceError as exc:
@@ -519,13 +520,12 @@ def _resolve_run_arg(text: str, instructions, seed):
     rec = _load_artifact_file(text)
     if rec is not None:
         return rec
-    parts = text.split("-")
-    if len(parts) != 3:
+    run = parse_run_label(text)
+    if run is None:
         raise SystemExit(
             f"bad run {text!r}: want workload-cpu-os_mode "
             "(e.g. specint-smt-full) or a path to an artifact .json")
-    return get_run(parts[0], parts[1], parts[2],
-                   instructions=instructions, seed=seed)
+    return get_run(**run, instructions=instructions, seed=seed)
 
 
 def _cmd_diff(args) -> int:
@@ -550,12 +550,11 @@ def _cmd_diff(args) -> int:
                     f"(cannot re-seed {text!r})")
 
         def _side(text):
-            parts = text.split("-")
-            if len(parts) != 3:
+            run = parse_run_label(text)
+            if run is None:
                 raise SystemExit(
                     f"bad run {text!r}: want workload-cpu-os_mode")
-            return {"workload": parts[0], "cpu": parts[1],
-                    "os_mode": parts[2], "instructions": args.instructions,
+            return {**run, "instructions": args.instructions,
                     "seed": args.seed}
 
         arts_a, arts_b = seed_fanout(_side(args.run_a), _side(args.run_b),
@@ -1003,9 +1002,6 @@ def main(argv=None) -> int:
     p_serve.add_argument("--priority", type=int, default=0,
                          help="priority for this batch of submits "
                               "(higher claims first)")
-    p_serve.add_argument("--deadline", type=float, default=None, metavar="S",
-                         help="total latency budget per job from submit; "
-                              "expired jobs are quarantined unexecuted")
     p_serve.add_argument("--isolation",
                          choices=("auto", "process", "inline"),
                          default="auto",

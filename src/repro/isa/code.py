@@ -115,6 +115,13 @@ class CodeModelConfig:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("code model needs at least one segment")
+        # _build keys segments by name: a repeated name would drop the
+        # earlier segment and leave its blocks unbuilt.
+        names = [segment.name for segment in self.segments]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"code model {self.name!r} repeats segment "
+                             f"name(s) {repeated}")
 
 
 @dataclass

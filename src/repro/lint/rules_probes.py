@@ -4,9 +4,8 @@ The probe registry (:mod:`repro.obs.registry`) is addressed by string
 literals, and ``registry.counter(name)`` is register-or-fetch: a typo'd
 name does not fail, it silently creates a fresh zero counter.  The
 committed ``lint/probe_manifest.json`` lists every probe name the
-canonical machines and the run service register -- concrete names plus
-the prefixes of derived-probe families -- as a dump of their live
-registries (:func:`live_manifest`, written by ``repro lint --update``).
+canonical machines register -- concrete names plus the prefixes of
+derived-probe families -- as a dump of their live registries (:func:`live_manifest`, written by ``repro lint --update``).
 The rules check the tree's probe-name literals against that file, so
 checking stays pure :mod:`ast`:
 
@@ -29,11 +28,10 @@ import ast
 import json
 import pathlib
 import re
-import tempfile
 from typing import TYPE_CHECKING, Any
 
 from repro.lint.engine import FileContext, Finding, Rule
-from repro.obs.registry import HIERARCHY_ROOTS, ProbeRegistry
+from repro.obs.registry import HIERARCHY_ROOTS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lint.engine import LintEngine
@@ -50,21 +48,13 @@ _PERCENTILE_RE = re.compile(r"\.p\d{2}$")
 def live_manifest() -> dict[str, Any]:
     """The probe manifest as the live registries define it.
 
-    Builds (never runs) the eight canonical simulations and a throwaway
-    run service over a temporary store, and unions their registered
-    names and derived-family prefixes.  Imports the simulator lazily:
-    checking the tree never needs it.
+    Builds (never runs) the eight canonical simulations and unions
+    their registered names and derived-family prefixes.  Imports the
+    simulator lazily: checking the tree never needs it.
     """
     from repro.analysis.experiments import CANONICAL_SPECS, build_simulation
-    from repro.analysis.service import ReproService
-    from repro.analysis.store import RunStore
 
     registries = [build_simulation(*spec).obs for spec in CANONICAL_SPECS]
-    service = ProbeRegistry()
-    with tempfile.TemporaryDirectory() as store:
-        ReproService(RunStore(pathlib.Path(store)), registry=service,
-                     isolation="inline")
-    registries.append(service)
     return {"version": 2,
             "names": sorted({n for r in registries for n in r.names()}),
             "families": sorted({f for r in registries for f in r.families()})}

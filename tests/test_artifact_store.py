@@ -9,7 +9,9 @@ import pytest
 
 import repro.analysis.artifact as artifact_mod
 from repro.analysis import experiments, figures, tables
-from repro.analysis.artifact import ArtifactError, RunArtifact, run_fingerprint
+from repro.analysis.artifact import (ArtifactError, RunArtifact,
+                                     parse_run_label, run_fingerprint,
+                                     run_label)
 from repro.analysis.experiments import build_simulation, run_windowed
 from repro.analysis.store import RunStore
 from repro.core.simulator import Simulation, sim_params
@@ -67,6 +69,23 @@ def test_window_accessor(small_artifact):
     assert small_artifact.window("steady") is small_artifact.steady
     with pytest.raises(ValueError):
         small_artifact.window("warmup")
+
+
+def test_run_label_round_trips_canonical_runs():
+    labels = []
+    for workload, cpu, os_mode in experiments.CANONICAL_SPECS:
+        spec = experiments.run_spec(workload, cpu, os_mode)
+        label = run_label(spec)
+        assert label == f"{workload}-{cpu}-{os_mode}"
+        assert parse_run_label(label) == {"workload": workload, "cpu": cpu,
+                                          "os_mode": os_mode}
+        assert run_label(parse_run_label(label)) == label
+        labels.append(label)
+    assert len(set(labels)) == 8
+    assert parse_run_label("apache") is None
+    assert parse_run_label("apache-smt-full-11") is None
+    assert run_label({"workload": "apache"}) == "apache"
+    assert run_label(None) == run_label({}) == "run"
 
 
 # -- probe snapshots inside artifacts (observability layer) ---------------

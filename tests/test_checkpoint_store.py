@@ -6,8 +6,9 @@ import json
 
 import pytest
 
+from repro import faults
 from repro.analysis import artifact, store as store_mod
-from repro.analysis.artifact import SCHEMA_VERSION
+from repro.analysis.artifact import SCHEMA_VERSION, RunArtifact
 from repro.analysis.experiments import build_simulation, execute_spec, run_spec
 from repro.analysis.store import RunStore, content_hash
 from repro.core import checkpoint
@@ -20,6 +21,13 @@ def ckpt_payload():
     sim = build_simulation("specint", "smt", "full", seed=31)
     run_plan(sim, plan)
     return checkpoint.take(sim, plan)
+
+
+@pytest.fixture(autouse=True)
+def _disarmed():
+    faults.clear()
+    yield
+    faults.clear()
 
 
 def test_put_get_checkpoint_roundtrip(tmp_path, ckpt_payload):
@@ -46,6 +54,61 @@ def test_run_get_never_returns_a_checkpoint(tmp_path, ckpt_payload):
     store = RunStore(tmp_path)
     store.put_checkpoint(ckpt_payload)
     assert store.get(ckpt_payload["fingerprint"]) is None
+
+
+def test_checkpoint_get_never_returns_a_run(tmp_path):
+    store = RunStore(tmp_path)
+    run = RunArtifact(spec={"workload": "specint", "cpu": "smt",
+                            "os_mode": "full", "seed": 31},
+                      n_contexts=8, cycles=0, marks=[], startup={},
+                      steady={}, total={})
+    path = store.put(run)
+    assert store.get_checkpoint(run.fingerprint) is None
+    assert store.quarantined == [] and store.quarantine_entries() == []
+    assert path.exists()
+
+
+# -- the store's fault sites and quarantine, as for run artifacts ----------
+
+
+def test_torn_checkpoint_put_leaves_reclaimable_tmp(tmp_path, ckpt_payload):
+    store = RunStore(tmp_path)
+    faults.install(faults.FaultPlan(
+        sites=(faults.FaultSite("store.put.torn", times=1),)), env=False)
+    with pytest.raises(faults.InjectedFault):
+        store.put_checkpoint(ckpt_payload)
+    assert store.get_checkpoint(ckpt_payload["fingerprint"]) is None
+    (found,) = store.collect_tmp()
+    assert found[0].name.startswith("ckpt-") and ".tmp." in found[0].name
+    assert list(tmp_path.iterdir()) == []
+    # The retry (fault budget spent) completes and the store is whole.
+    store.put_checkpoint(ckpt_payload)
+    assert store.get_checkpoint(ckpt_payload["fingerprint"]) == ckpt_payload
+
+
+def test_corrupt_checkpoint_get_quarantines_and_misses(tmp_path,
+                                                       ckpt_payload):
+    store = RunStore(tmp_path)
+    path = store.put_checkpoint(ckpt_payload)
+    faults.install(faults.FaultPlan(
+        sites=(faults.FaultSite("store.get.corrupt", times=1),), seed=7),
+        env=False)
+    assert store.get_checkpoint(ckpt_payload["fingerprint"]) is None
+    assert not path.exists()
+    (entry,) = store.quarantine_entries()
+    assert entry.path.name == path.name
+    assert entry.reason in ("unparsable JSON", "content checksum mismatch")
+
+
+def test_unreadable_checkpoint_is_a_miss_left_in_place(tmp_path,
+                                                      ckpt_payload):
+    store = RunStore(tmp_path)
+    path = store.put_checkpoint(ckpt_payload)
+    path.unlink()
+    path.mkdir()  # reading it raises OSError (IsADirectoryError)
+    assert store.get_checkpoint(ckpt_payload["fingerprint"]) is None
+    assert path.is_dir()
+    assert store.quarantined == [] and store.quarantine_entries() == []
 
 
 def test_entries_report_checkpoint_kind(tmp_path, ckpt_payload):

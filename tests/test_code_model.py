@@ -43,6 +43,19 @@ def test_segments_validate():
         SegmentSpec("bad", 10, 11)
 
 
+def test_repeated_segment_name_rejected():
+    # Segments are keyed by name, so a second "a" would replace the first
+    # and leave its ten blocks unbuilt at PC 0 with empty bodies.
+    mix = InstructionMix(load=0.2, store=0.1, branch=0.15, fp=0.02)
+    with pytest.raises(ValueError, match=r"repeats segment name\(s\) \['a'\]"):
+        CodeModelConfig("m", 0x1000_0000, mix,
+                        segments=(SegmentSpec("a", 10, 4),
+                                  SegmentSpec("b", 10, 4),
+                                  SegmentSpec("a", 10, 4)))
+    CodeModelConfig("m", 0x1000_0000, mix,
+                    segments=(SegmentSpec("a", 10, 4), SegmentSpec("b", 10, 4)))
+
+
 def test_block_pcs_monotone_and_aligned():
     model = build_model()
     pcs = model.block_pc

@@ -127,6 +127,28 @@ def test_version_drift_refuses_to_replay(tmp_path):
         JobQueue(tmp_path / "q")
 
 
+def test_older_journal_with_deadlines_and_fail_records_replays(tmp_path):
+    # Version-1 journals written before per-job deadlines and the fail op
+    # were removed carry a deadline_s field and may hold fail records.
+    q = JobQueue(tmp_path / "q")
+    a, _ = q.submit(_spec())
+    q.claim("w0")
+    q.requeue(a.id, "retry")
+    records = _records(q)
+    records[0]["deadline_s"] = 30.0
+    records.insert(2, {"seq": 0, "op": "fail", "v": 1, "job": a.id,
+                       "error": "flaky", "kind": "transient", "attempt": 1})
+    for seq, body in enumerate(records, 1):
+        body["seq"] = seq
+        body["check"] = record_check(body)
+    q.journal_path.write_text(
+        "".join(json.dumps(body, sort_keys=True) + "\n" for body in records))
+    q2 = JobQueue(tmp_path / "q")
+    assert q2.replayed.records == 4 and q2.replayed.torn_records == 0
+    assert q2.jobs[a.id].to_public_dict() == a.to_public_dict()
+    assert q2.ledger() == q.ledger()
+
+
 # -- dedup / admission ------------------------------------------------------
 
 def test_identical_spec_coalesces(tmp_path):
@@ -160,12 +182,11 @@ def test_quarantined_spec_reopens_on_resubmit(tmp_path):
     replayed = JobQueue(tmp_path / "q").jobs[a.id]
     assert replayed.state == jobqueue.PENDING and replayed.error is None
     assert replayed.to_public_dict() == again.to_public_dict()
-    # An ordinary retry requeue keeps the last attempt's error visible.
+    # An ordinary retry requeue replays to the same state too.
     q.claim("w0")
-    q.fail(a.id, "flaky", "transient")
     q.requeue(a.id, "retry")
-    assert q.jobs[a.id].error == "flaky"
-    assert JobQueue(tmp_path / "q").jobs[a.id].error == "flaky"
+    replayed = JobQueue(tmp_path / "q").jobs[a.id]
+    assert replayed.to_public_dict() == q.jobs[a.id].to_public_dict()
 
 
 def test_backlog_limit_sheds(tmp_path):
@@ -204,18 +225,6 @@ def test_claimed_jobs_reported_as_orphans_on_replay(tmp_path):
     q2.requeue(a.id, "orphan")
     assert q2.jobs[a.id].state == jobqueue.PENDING
     assert q2.claim("w0").attempts == 2  # attempt count survived
-
-
-def test_fail_keeps_job_claimed_until_routed(tmp_path):
-    q = JobQueue(tmp_path / "q")
-    a, _ = q.submit(_spec())
-    q.claim("w0")
-    q.fail(a.id, "worker died", "transient")
-    assert a.state == jobqueue.CLAIMED and a.error == "worker died"
-    q.requeue(a.id, "retry")
-    assert a.state == jobqueue.PENDING
-    q2 = JobQueue(tmp_path / "q")
-    assert q2.jobs[a.id].state == jobqueue.PENDING
 
 
 def test_shutdown_marker_survives_replay(tmp_path):

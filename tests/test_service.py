@@ -1,6 +1,6 @@
 """Tests for the resilient simulation service (repro.analysis.service):
-admission control, warm hits, circuit breaker, drain, deadline budgets,
-retry exhaustion, and resume semantics."""
+admission control, warm hits, circuit breaker, drain, retry exhaustion,
+and resume semantics."""
 
 import multiprocessing
 import os
@@ -146,16 +146,6 @@ def test_backlog_limit_sheds_submit(tmp_path):
     assert any("shed" in line for line in report.transcript)
 
 
-def test_expired_deadline_quarantines_without_running(tmp_path):
-    store = RunStore(tmp_path / "store")
-    report = _serve(store, [_spec(1)], deadline_s=0.0, retries=0)
-    assert not report.ok
-    assert report.counts[jobqueue.QUARANTINED] == 1
-    (job,) = report.jobs
-    assert "deadline expired" in job["error"]
-    assert store.get(job["fingerprint"]) is None  # never executed
-
-
 def test_retry_exhaustion_quarantines_job_not_sweep(tmp_path):
     store = RunStore(tmp_path / "store")
     # times=0 = unlimited: every attempt of the -s1 job loses its worker.
@@ -223,21 +213,6 @@ def test_breaker_trip_fault_degrades_then_recovers(tmp_path):
     assert report.breaker["trips"] == 1
     assert report.breaker["state"] == CLOSED
     assert any("half-open -> closed" in line for line in report.transcript)
-
-
-def test_half_open_deadline_expiry_reopens_breaker(tmp_path):
-    store = RunStore(tmp_path / "store")
-    service = ReproService(store, isolation="inline")
-    job, _ = service.queue.submit(resolve_item(_spec()), deadline_s=0.0)
-    service.breaker.trip("storm")
-    while not service.breaker.allow():
-        pass
-    assert service.breaker.state == HALF_OPEN
-    claimed = service.queue.claim("w0")
-    assert service._start_leg(claimed, use_processes=False) is None
-    assert claimed.state == jobqueue.QUARANTINED
-    assert service.breaker.state == OPEN  # probe lost, not stuck half-open
-    assert service._free_slots == [0]
 
 
 def test_half_open_orphan_claim_reopens_breaker(tmp_path):

@@ -10,7 +10,6 @@ from repro.analysis import service as sup
 from repro.analysis.store import RunStore
 from repro.core.simulator import NoProgressError
 from repro.obs.events import ENGINE, EventBus
-from repro.obs.registry import ProbeRegistry
 
 
 @pytest.fixture(autouse=True)
@@ -87,19 +86,18 @@ def test_second_sweep_served_from_store(tmp_path):
 
 
 def test_retry_then_success_inline(tmp_path):
-    registry = ProbeRegistry()
     faults.install(faults.FaultPlan(
         sites=(faults.FaultSite("worker.crash", attempt=1),)), env=False)
     r = _one(sup.run_many(
         [_item()], isolation="inline", backoff_base=0.01,
-        store=RunStore(tmp_path / "s"), registry=registry))
-    assert r.ok and r.attempts == 2
+        store=RunStore(tmp_path / "s")))
+    assert r.ok and r.attempts == 2 and not r.quarantined
+    # One requeue, then one completion: nothing else happened to the job.
+    assert len(r.transcript) == 2
+    assert r.transcript[0].startswith(
+        "requeue specint-smt-app-s29 attempt 1: [transient] InjectedFault")
     assert "retrying in 0.01s" in r.transcript[0]
-    snap = registry.snapshot()
-    assert snap["core.service.requeued"] == 1
-    assert snap["core.service.claims"] == 2
-    assert snap["core.service.completed"] == 1
-    assert snap["core.service.quarantined"] == 0
+    assert r.transcript[1] == "complete specint-smt-app-s29 attempt 2"
 
 
 def test_permanent_error_fails_without_retry(tmp_path, monkeypatch):
@@ -213,15 +211,16 @@ def test_worker_hard_exit_is_retried(tmp_path):
 
 @needs_processes
 def test_hung_worker_times_out_and_recovers(tmp_path):
-    registry = ProbeRegistry()
     faults.install(faults.FaultPlan(
         sites=(faults.FaultSite("sim.hang", attempt=1),)))
     r = _one(sup.run_many(
         [_item()], isolation="process", timeout=2.0, backoff_base=0.01,
-        store=RunStore(tmp_path / "s"), registry=registry))
-    assert r.ok and r.attempts == 2
+        store=RunStore(tmp_path / "s")))
+    assert r.ok and r.attempts == 2 and not r.quarantined
+    assert len(r.transcript) == 2
+    assert r.transcript[0].startswith("requeue specint-smt-app-s29 attempt 1")
     assert "timed out after 2s" in r.transcript[0]
-    assert registry.snapshot()["core.service.requeued"] == 1
+    assert r.transcript[1] == "complete specint-smt-app-s29 attempt 2"
 
 
 # -- simulator guardrails --------------------------------------------------
