@@ -454,15 +454,19 @@ class RunStore:
                     pass
         return found
 
-    def clear(self) -> int:
-        """Delete every stored artifact; returns how many were removed."""
-        removed = 0
+    def clear(self) -> tuple[int, int]:
+        """Delete every stored artifact and checkpoint; returns how many
+        of each were removed, as ``(runs, checkpoints)``."""
+        runs = checkpoints = 0
         if not self.root.is_dir():
-            return removed
+            return runs, checkpoints
         for path in sorted(self.root.glob("*.json")):
             try:
                 path.unlink()
-                removed += 1
             except OSError:  # pragma: no cover - racing deletion
-                pass
-        return removed
+                continue
+            if path.name.startswith(_CHECKPOINT_PREFIX):
+                checkpoints += 1
+            else:
+                runs += 1
+        return runs, checkpoints

@@ -253,8 +253,9 @@ def _cmd_cache(args) -> int:
 
     store = RunStore()
     if args.cache_command == "clear":
-        removed = store.clear()
-        print(f"removed {removed} stored run(s) from {store.root}")
+        runs, checkpoints = store.clear()
+        print(f"removed {runs} stored run(s), {checkpoints} checkpoint(s) "
+              f"from {store.root}")
         return 0
     if args.cache_command == "ls" and args.verify:
         return _cache_verify(store)

@@ -12,8 +12,9 @@ three execution tiers over one :class:`~repro.core.simulator.Simulation`:
   state and *warm* the caches, TLBs and branch predictor without
   per-cycle pipeline simulation.  Instructions are pulled from the same
   context streams (so every kernel/scheduler/TLB semantic is preserved),
-  retire immediately, and charge a nominal clock of up to
-  ``fetch_width`` instructions per cycle;
+  retire immediately, and charge a nominal clock of
+  ``max(1, fetch_width // n_contexts)`` instructions per context per
+  cycle;
 * **sampled** -- :func:`build_plan` + :func:`run_plan`: alternate
   fast-forward legs of N instructions with detailed measurement legs of
   M instructions, capture a counter window per measured leg, and
@@ -112,7 +113,8 @@ def fast_forward(sim, max_instructions: int, max_cycles: int | None = None,
     branches still train the predictor/BTB/RAS, and cache/TLB contents
     are warmed via the hierarchy's warm-only path -- but no pipeline
     structure is modeled: instructions retire the cycle they are
-    produced, up to ``fetch_width`` per (nominal) cycle.
+    produced, up to ``max(1, fetch_width // n_contexts)`` per context
+    per (nominal) cycle.
 
     *stride* subsamples user-mode code: 1 in *stride* user instructions
     is materialized (and probes caches/TLBs/predictor) while the rest
@@ -153,34 +155,57 @@ def _fast_once(sim, max_instructions: int, max_cycles: int | None,
     line_shift = sim.hierarchy.config.line_size.bit_length() - 1
     tick_interval = sim.tick_interval
     width = sim.processor.config.fetch_width
+    # Each context owns per_ctx slots of a cycle; the rest of the width
+    # goes unused (2 of 8 slots on 3 contexts).
     per_ctx = max(1, width // n)
     last_line = sim._ff_last_line
+    # Width debt: the excess of a pull's weight over its context's slots
+    # consumes that context's slots of the following cycles, so for
+    # n <= width, retired minus outstanding debt advances by n * per_ctx
+    # a cycle whatever the stride.  Between legs the debt is kept as
+    # slots owed (sim._ff_debt).  Here each context keeps instead the
+    # cycle of its next pull and the residual (< per_ctx) it pays on
+    # that cycle, so a cycle passes over contexts still in debt without
+    # touching them.  The two forms convert exactly at any cycle
+    # boundary.
     debt = sim._ff_debt
+    now = sim._now
+    due = [now + d // per_ctx for d in debt]
+    residual = [d % per_ctx for d in debt]
+    # Rotation order of each cycle, by cycle % n.
+    orders = [[(start + k) % n for k in range(n)] for start in range(n)]
     # Observers: same mask test as the detailed loop, and jump blocks
     # clip at its boundaries (like the OS-tick clip), so telemetry
     # samples land on exactly the same cycles in both tiers.
     observe = sim._observe
     mask = sim._observer_mask()
-    # Interval charging, detailed-tier style: a stream's call path is
-    # settled only when the service it reports changes (current_attrib
-    # walks frames; doing it per charge costs ~10% of the fast loop).
-    # None forces a first switch for every stream, which is also the
-    # alignment sweep after a detailed leg ran in between.
+    # Interval charging, detailed-tier style: a context's call path is
+    # settled only when its service changes (current_attrib walks
+    # frames; doing it per charge costs ~10% of the fast loop).  The
+    # service is read inline with ContextStream.current_attrib's
+    # precedence: the CPU pseudo-thread's top frame, else the scheduled
+    # thread's top frame, "user" without one, "idle" without a thread.
+    # The pseudo-threads' frame lists and the scheduler's current-thread
+    # list are never rebound, so they are bound once here.  None forces
+    # a first switch for every context, which is also the alignment
+    # sweep after a detailed leg ran in between.
+    cpu_frames = [stream.cpu.frames for stream in streams]
+    current = os_.scheduler.current
+    ctxs = range(n)
     last_svc: list = [None] * n
     skip = stride - 1
 
-    now = sim._now
     limit_cycles = max_cycles if max_cycles is not None else (1 << 62)
     while stats.retired < max_instructions and now < limit_cycles:
         if now % tick_interval == 0:
             os_tick(now)
-        step = min(debt) // per_ctx
+        step = min(due) - now
         if step:
-            # Every context's next `step` cycles are fully consumed by
-            # width debt: nothing is pulled, so no architectural state
-            # changes and the service attribution is constant.  Advance
-            # them in one block, stopping at the next OS-tick (and
-            # observer) boundary so cadence is unchanged.
+            # No context is due in the next `step` cycles: their slots
+            # all pay debt and nothing is pulled, so no architectural
+            # state changes and the service attribution is constant.
+            # Advance them in one block, stopping at the next OS-tick
+            # (and observer) boundary so cadence is unchanged.
             room = tick_interval - now % tick_interval
             if step > room:
                 step = room
@@ -189,32 +214,34 @@ def _fast_once(sim, max_instructions: int, max_cycles: int | None,
             room = mask + 1 - (now & mask)
             if step > room:
                 step = room
-            pay = step * per_ctx
-            for i in range(n):
-                debt[i] -= pay
         else:
             step = 1
             delivered = 0
             materialized = 0
-            budget = width  # weight units left this cycle
             start = now % n
-            for k in range(n):
-                stream = streams[(start + k) % n]
-                ctx = stream.ctx
-                ctx_budget = per_ctx if per_ctx < budget else budget
-                d = debt[ctx]
-                if d:
-                    # A previous pull's weight exceeded its cycle budget:
-                    # the excess consumes this cycle's slots without a
-                    # new pull, keeping the nominal clock at `width`
-                    # retires per cycle whatever the stride.
-                    pay = d if d < ctx_budget else ctx_budget
-                    debt[ctx] = d - pay
-                    ctx_budget -= pay
-                    budget -= pay
-                while ctx_budget > 0:
+            # Ring positions this cycle's width reaches.  It can run out
+            # before the ring only when n > width, where per_ctx is 1:
+            # each position takes one slot, except a context whose pull
+            # came back empty, which passes its slot on.  For n <= width
+            # it starts at or past n and cuts nothing.
+            reach = width
+            for ctx in orders[start]:
+                if due[ctx] != now:
+                    continue  # still paying debt: per_ctx slots, no pull
+                k = ctx - start
+                if k < 0:
+                    k += n
+                if k >= reach:
+                    break
+                stream = streams[ctx]
+                # The residual debt is paid first, then the context pulls
+                # until its slots are used up.
+                ctx_budget = per_ctx - residual[ctx]
+                over = 0
+                while True:
                     instr, weight = stream.next_fast(now, skip)
                     if instr is None:
+                        reach += ctx_budget
                         break
                     itype = instr.itype
                     kind = MODE_KIND[instr.mode]
@@ -240,32 +267,46 @@ def _fast_once(sim, max_instructions: int, max_cycles: int | None,
                     retire_bulk(instr, weight)
                     delivered += weight
                     materialized += 1
-                    if weight > ctx_budget:
-                        debt[ctx] = weight - ctx_budget
-                        budget -= ctx_budget
-                        ctx_budget = 0
-                    else:
-                        ctx_budget -= weight
-                        budget -= weight
-                if budget <= 0:
-                    break
+                    if weight >= ctx_budget:
+                        over = weight - ctx_budget
+                        break
+                    ctx_budget -= weight
+                due[ctx] = now + 1 + over // per_ctx
+                residual[ctx] = over % per_ctx
+            if reach < n:
+                # The width ran out before the ring did: the contexts it
+                # did not reach neither pulled nor paid this cycle.
+                order = orders[start]
+                for k in range(reach, n):
+                    due[order[k]] += 1
             tier.fast_instructions += delivered
             tier.fast_materialized += materialized
-        for i in range(n):
-            stream = streams[i]
-            svc = stream.current_service
-            if svc != last_svc[i]:
+        for ctx in ctxs:
+            frames = cpu_frames[ctx]
+            if frames:
+                svc = frames[-1].service
+            else:
+                thread = current[ctx]
+                if thread is None:
+                    svc = "idle"
+                else:
+                    frames = thread.frames
+                    svc = frames[-1].service if frames else "user"
+            if svc != last_svc[ctx]:
                 # os_tick above may have delivered interrupts (new
-                # frames + spans): settle whenever the observed service
-                # moved, so each interval matches the cycles charged.
-                last_svc[i] = svc
-                switch(stream.ctx, stream.current_attrib[1])
+                # frames + spans) to any context, pulled or not: settle
+                # whenever the observed service moved, so each interval
+                # matches the cycles charged.
+                last_svc[ctx] = svc
+                switch(ctx, streams[ctx].current_attrib[1])
         charge(step)
         tier.fast_cycles += step
         now += step
         if now & mask == 0:
             observe(now)
     sim._now = now
+    for ctx in ctxs:
+        debt[ctx] = (due[ctx] - now) * per_ctx + residual[ctx]
     return sim._result()
 
 

@@ -47,8 +47,6 @@ class ContextStream:
         self.os = os
         self.ctx = ctx
         self.cpu = os.cpu_threads[ctx]
-        #: The scheduler's per-context current-thread list (never rebound).
-        self._current = os.scheduler.current
         #: Correct-path instructions squashed by the core, awaiting replay.
         self.replay: deque[Instruction] = deque()
         self._spin_toggle = False
@@ -139,23 +137,14 @@ class ContextStream:
         self.replay.extend(instructions)
 
     @property
-    def current_service(self) -> str:
-        """Attribution label for cycle accounting of stalls."""
-        frames = self.cpu.frames
-        if frames:
-            return frames[-1].service
-        thread = self._current[self.ctx]
-        if thread is None:
-            return "idle"
-        frames = thread.frames
-        return frames[-1].service if frames else "user"
-
-    @property
     def current_attrib(self) -> tuple[str, str]:
-        """``(service, call_path)`` for cycle attribution -- the same label
-        :attr:`current_service` returns plus the owning thread's open span
-        chain with that label as the leaf (see
-        :meth:`~repro.os_model.thread.SoftwareThread.service_path`)."""
+        """``(service, call_path)`` for cycle attribution: the service of
+        the CPU pseudo-thread's top frame, else of the scheduled thread's
+        top frame ("user" without one, "idle" without a thread), plus
+        the owning thread's open span chain with that label as the leaf
+        (see :meth:`~repro.os_model.thread.SoftwareThread.service_path`).
+        The fast tier's service scan (:func:`repro.core.engine._fast_once`)
+        reads the label inline with the same precedence."""
         if self.cpu.frames:
             fr = self.cpu.frames[-1]
             return fr.service, self.cpu.service_path(fr.service)

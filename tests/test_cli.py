@@ -443,6 +443,26 @@ def test_cli_cache_ls_shows_checkpoint_kind(tmp_path, monkeypatch, capsys):
     assert "no stale-schema entries" in capsys.readouterr().out
 
 
+def test_cli_cache_clear_counts_runs_and_checkpoints_apart(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    experiments.clear_cache()
+    assert cli.main(["run", "specint", "--instructions", "12000",
+                     "--mode", "sampled", "--warmup", "4000",
+                     "--sample", "4000:2000", "--checkpoint"]) == 0
+    assert cli.main(["run", "specint", "--instructions", "12000",
+                     "--mode", "fast"]) == 0
+    capsys.readouterr()
+    assert cli.main(["cache", "ls"]) == 0
+    assert "2 stored run(s), 1 checkpoint(s)" in capsys.readouterr().out
+
+    assert cli.main(["cache", "clear"]) == 0
+    assert (f"removed 2 stored run(s), 1 checkpoint(s) from {tmp_path}"
+            in capsys.readouterr().out)
+    assert cli.main(["cache", "ls"]) == 0
+    assert "empty" in capsys.readouterr().out
+
+
 # -- resilient service surface -----------------------------------------------
 
 

@@ -11,6 +11,7 @@ import pytest
 from repro.analysis.artifact import SCHEMA_VERSION
 from repro.analysis.experiments import build_simulation
 from repro.analysis.snapshot import capture, diff, merge_windows
+from repro.analysis.sweeps import build_context_sim
 from repro.core import checkpoint
 from repro.core.engine import (FF_STRIDE_DEFAULT, Leg, build_plan,
                                extrapolate, run_plan)
@@ -62,19 +63,23 @@ def test_build_plan_rejects_bad_inputs():
 
 
 def test_fast_forward_pins_ipc_at_fetch_width():
-    # The nominal clock consumes exactly fetch_width slots per cycle; a
-    # pull whose weight exceeds its slot becomes width debt consuming
-    # later cycles, so retired minus outstanding debt is pinned to
-    # cycles * width at any stride (fast-mode cycle counts are
-    # stride-stable to within the final cycle's debt).
-    for stride in (1, 4, 16):
-        sim = _sim()
-        sim.run_fast(max_instructions=20_000, stride=stride)
-        width = sim.processor.config.fetch_width
-        assert (sim.stats.retired - sum(sim._ff_debt)
-                == sim.stats.cycles * width)
-        assert sim.stats.retired / sim.stats.cycles == pytest.approx(
-            width, rel=0.01)
+    # Each of n contexts owns per_ctx = max(1, fetch_width // n) slots
+    # of a nominal cycle and the rest of the width goes unused, so for
+    # n <= fetch_width the clock consumes n * per_ctx slots per cycle:
+    # all 8 on 1 or 8 contexts, 6 on 3.  A pull whose weight exceeds its
+    # slots becomes width debt consuming later cycles, so retired minus
+    # outstanding debt is pinned to cycles * n * per_ctx at any stride
+    # (fast-mode cycle counts are stride-stable to within the final
+    # cycle's debt).
+    for n in (1, 3, 8):
+        for stride in (1, 4, 16):
+            sim = build_context_sim("specint", n)
+            sim.run_fast(max_instructions=20_000, stride=stride)
+            slots = n * max(1, sim.processor.config.fetch_width // n)
+            assert (sim.stats.retired - sum(sim._ff_debt)
+                    == sim.stats.cycles * slots)
+            assert sim.stats.retired / sim.stats.cycles == pytest.approx(
+                slots, rel=0.01)
 
 
 def test_fast_forward_stride_subsamples_but_accounts_fully():
@@ -92,6 +97,72 @@ def test_fast_forward_rejects_bad_stride():
     sim = _sim()
     with pytest.raises(ValueError):
         sim.run_fast(max_instructions=1_000, stride=0)
+
+
+#: (workload, n_contexts) -> (sim.now, sim._ff_debt, state digests) at
+#: seed 11 after a fast leg at stride 8, a detailed leg and a fast leg at
+#: stride 4 (see test_fast_tier_state_is_pinned).
+PINNED_FAST_STATE = {
+    ("apache", 1): (
+        7949, [0],
+        {"probes": "54c6c61ff8c1ba5585fc47e4d2d11012141a8f2a546347c86fae68bb38f697f3",
+         "kernel": "bea5918f12d6f052e4f569f1ec3bc41660eb17daf1e4f6bf0537b1efba5438b5",
+         "memory": "0117a304639e7368ea9c23f99ebfeb64c48e42bb74f97d19aadf68167bab0a54"}),
+    ("apache", 3): (
+        7360, [0, 0, 2],
+        {"probes": "ae3f8d24dfbdeda497c82426ad3dc2f3cb796703080ddc64c47dd333d4907235",
+         "kernel": "9aba979dc6c80dbd8246b5df6c8747ed095b830a640d129130461cc1cff73378",
+         "memory": "590d8d8c564deabac22de3b4dba3a721f72236ccd2f2c7a49bfc6c130cb34807"}),
+    ("apache", 8): (
+        5258, [0, 0, 0, 1, 0, 0, 0, 0],
+        {"probes": "6949e3d5e0ccaf48f0669fc863992d047cd56482f541d70ccd0a59887b1626e8",
+         "kernel": "41f9937c356f107814cfb0c858df0f9b400224a529deb7fdcbba493ec75a2caa",
+         "memory": "c1da25c92f40e7b79e07796c5441a01ac00dd4c920660ceebd31ea45b71df4cc"}),
+    ("apache", 12): (
+        5258, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        {"probes": "5e883014f9032d11c937ca77b20cd1befdb062eeec666d349e70fc6408720ec1",
+         "kernel": "53ef33e6a2e28bd914d58bf352490bf9578b47f242d16157d554b2e720db7df8",
+         "memory": "4e3b4c66198052757e3a60d442e91a6cd45eb8ff1ad25a9a3c54965720df5532"}),
+    ("specint", 1): (
+        9644, [0],
+        {"probes": "8bfbec4c9645b8f261cea6f45badad89bd53970bb79f10deba6fbc10c0dc7be0",
+         "kernel": "baa9a549b9dfffb798c564f02d1ed817bb05a5bf32994ed290246f534e55c40b",
+         "memory": "c919b964695382a86c5e45087d730f48638dda1f4b68097dddb899366ba1db99"}),
+    ("specint", 3): (
+        7529, [2, 1, 2],
+        {"probes": "7414cafe54469f07e430b08c15598fa9bdaac6c34ac3fa12ea62495c53be776c",
+         "kernel": "956b8632dfde4015b6cfecc74ce8ada5ab4cefd80b42f2c53d4b9a70ccfd9092",
+         "memory": "dac503dde8202b2b53b73179fd0b493655053dad5ab942f04e48f46032f3d4c0"}),
+    ("specint", 8): (
+        5733, [3, 0, 1, 2, 3, 3, 3, 0],
+        {"probes": "e42af189e7f122c9d29f2a6f67bbb74fae1f6e90d4c6c5e6837356a7ef04ba7e",
+         "kernel": "c96edf6d23cd8e63321d87083505f1bbe0592faa49f45c67a0abfda4023d633b",
+         "memory": "b4b9612a750f6c7d6c41d91aeaa7d10af69b365b7786403788730c0f3718ffb6"}),
+    ("specint", 12): (
+        5257, [3, 0, 0, 0, 0, 0, 2, 1, 0, 0, 2, 0],
+        {"probes": "8106c1e0c63e04e0bd944147b9dd00d9ae200606f1cc64e939143aca00d4362e",
+         "kernel": "61ade56af3146d7da929f0b648a6b3727a46c6c3bc524629161f1ca1b0a8528b",
+         "memory": "45261aaa58d773764e75ed2acbe32900e461b96b59f3bd4f8811a3d78e5f6c8f"}),
+}
+
+
+@pytest.mark.parametrize("workload,n", sorted(PINNED_FAST_STATE))
+def test_fast_tier_state_is_pinned(workload, n):
+    # The golden digests run fast legs only on the 8-context SMT.  These
+    # machines pin the width-debt cases it does not reach: one context's
+    # residual debt (8 slots a cycle), three contexts' (2 slots each),
+    # and 12 contexts on an 8-wide fetch, whose width runs out before
+    # the rotation reaches every context.  Most end a leg in debt, so
+    # the debt carried between legs is pinned too.
+    sim = build_context_sim(workload, n)
+    sim.run_fast(max_instructions=20_000, stride=8)
+    sim.run(max_instructions=22_000)
+    sim.processor.flush_to_streams()
+    sim.run_fast(max_instructions=40_000, stride=4)
+    now, debt, digests = PINNED_FAST_STATE[workload, n]
+    assert sim.now == now
+    assert sim._ff_debt == debt
+    assert checkpoint.state_digests(sim) == digests
 
 
 def test_fast_forward_warms_caches_and_predictor():

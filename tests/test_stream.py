@@ -114,9 +114,26 @@ def test_stream_switches_away_from_blocked_thread(osk):
 
 
 def test_current_service_reflects_frames(osk):
+    # The attributed service: the CPU pseudo-thread's top frame, else the
+    # scheduled thread's top frame, "user" without one, "idle" without a
+    # thread; the call path always ends in it.
     stream = osk.streams[0]
-    stream.next_instruction(0)
-    assert isinstance(stream.current_service, str)
+    seen = set()
+    for i in range(3000):
+        stream.next_instruction(i)
+        service, path = stream.current_attrib
+        thread = osk.scheduler.current[0]
+        if stream.cpu.frames:
+            assert service == stream.cpu.frames[-1].service
+        elif thread is None:
+            assert service == "idle"
+        elif thread.frames:
+            assert service == thread.frames[-1].service
+        else:
+            assert service == "user"
+        assert path.split(";")[-1] == service
+        seen.add(service)
+    assert len(seen) > 1
 
 
 def test_app_only_stream_never_emits_kernel():
