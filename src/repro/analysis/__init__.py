@@ -21,7 +21,7 @@ artifact's windowed counters.
 """
 
 from repro.analysis.artifact import RunArtifact
-from repro.analysis.experiments import RunRecord, clear_cache, get_run
+from repro.analysis.experiments import clear_cache, get_run
 from repro.analysis.snapshot import capture, diff
 from repro.analysis.store import RunStore
 from repro.analysis import export, figures, metrics, paper, report, sweeps, tables
@@ -30,7 +30,6 @@ __all__ = [
     "capture",
     "diff",
     "RunArtifact",
-    "RunRecord",
     "RunStore",
     "get_run",
     "clear_cache",

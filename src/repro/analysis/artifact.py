@@ -112,13 +112,13 @@ class RunArtifact:
     ``spec`` is the full run specification (labels plus the simulator's
     config fingerprint params); ``startup``/``steady``/``total`` are the
     counter windows; ``marks`` is a list of ``[thread, label, cycle]``
-    phase marks.  ``flags`` marks degraded provenance (``"truncated"`` when a
-    max-cycle budget cut the run short of its instruction budget); a
-    normal run's flags are empty.  ``mode`` is the execution tier the
-    run used (see :mod:`repro.core.engine`) and ``sampling`` records a
-    tiered run's leg plan, extrapolated probe estimates, and checkpoint
-    provenance; plain detailed runs carry ``mode="full"`` and no
-    sampling record.
+    phase marks.  ``flags`` marks degraded provenance
+    (``"timeline_truncated"`` when the interval telemetry hit its sample
+    cap); a normal run's flags are empty.  ``mode`` is the execution
+    tier the run used (see :mod:`repro.core.engine`) and ``sampling``
+    records a tiered run's leg plan, extrapolated probe estimates, and
+    checkpoint provenance; plain detailed runs carry ``mode="full"`` and
+    no sampling record.
 
     Each window holds the machine's ``cycles`` and ``retired`` totals,
     the per-service cycle fold ``service_cycles``, the call-path
@@ -129,8 +129,8 @@ class RunArtifact:
     columns of headline probes and of the per-service cycle fold,
     captured every N simulated cycles by :mod:`repro.obs.timeline`.
     Figures 1/5 fold its ``svc.*`` columns by mode class, and
-    ``repro timeline`` renders it.  ``None`` when interval telemetry
-    was disabled for the run.
+    ``repro timeline`` renders it.  Every simulation records one; an
+    artifact built by hand may carry ``None``.
     """
 
     spec: dict
@@ -162,11 +162,6 @@ class RunArtifact:
             self.fingerprint = run_fingerprint(self.spec)
 
     # -- identity ----------------------------------------------------------
-
-    @property
-    def key(self) -> str:
-        """The store key (alias for the fingerprint)."""
-        return self.fingerprint
 
     @property
     def label(self) -> str:

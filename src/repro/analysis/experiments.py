@@ -45,10 +45,6 @@ from repro.os_model.kernel import OSMode
 from repro.workloads.apache import ApacheWorkload
 from repro.workloads.specint import SpecIntWorkload
 
-#: Backwards-compatible alias: analysis code that used to receive a
-#: ``RunRecord`` (live handles) now receives a plain-data artifact.
-RunRecord = RunArtifact
-
 #: Default retired-instruction budgets per (workload, cpu).  Scaled runs;
 #: the paper simulated 0.65-1G+ instructions, and -- like us -- ran its
 #: superscalar experiments shorter than its SMT ones (Section 2.3).
@@ -65,6 +61,15 @@ DEFAULT_INSTRUCTIONS = {
 STARTUP_BUDGET_CAP = 0.75
 
 _WARMUP_CHUNK = 25_000
+
+#: The no-progress window every executed run arms (see
+#: :meth:`~repro.core.simulator.Simulation.attach_watchdog`): a run
+#: whose core retires nothing for this many cycles raises
+#: :class:`~repro.core.simulator.NoProgressError` instead of spinning
+#: on.  Far above any legitimate stretch without a retire: each
+#: context's idle loop retires 48 instructions, then halts for 240
+#: cycles.
+WATCHDOG_CYCLES = 1_000_000
 
 #: In-process memo: fingerprint -> artifact (layer above the disk store).
 _MEMO: dict[str, RunArtifact] = {}
@@ -212,52 +217,40 @@ def build_simulation(workload: str, cpu: str, os_mode: str, seed: int = 11) -> S
     )
 
 
-def run_windowed(sim: Simulation, budget: int,
-                 max_cycles: int | None = None) -> tuple[dict, dict, dict]:
-    """Run *sim* for *budget* instructions, splitting at workload warm-up.
-
-    With *max_cycles* (an absolute cycle budget), the run is truncated
-    gracefully once that many cycles elapse, whatever window it is in;
-    the caller is responsible for flagging the resulting artifact.
-    """
+def run_windowed(sim: Simulation, budget: int) -> tuple[dict, dict, dict]:
+    """Run *sim* for *budget* instructions, splitting at workload warm-up."""
     boot = capture(sim)
     cap = int(budget * STARTUP_BUDGET_CAP)
     while not sim.workload.warmed_up(sim.os) and sim.stats.retired < cap:
-        if max_cycles is not None and sim.now >= max_cycles:
-            break
-        sim.run(max_instructions=min(cap, sim.stats.retired + _WARMUP_CHUNK),
-                max_cycles=max_cycles)
+        sim.run(max_instructions=min(cap, sim.stats.retired + _WARMUP_CHUNK))
     mid = capture(sim)
-    sim.run(max_instructions=budget, max_cycles=max_cycles)
+    sim.run(max_instructions=budget)
     end = capture(sim)
     return diff(mid, boot), diff(end, mid), diff(end, boot)
 
 
-def execute_spec(spec: dict, heartbeat=None, max_cycles: int | None = None,
-                 watchdog_cycles: int | None = None,
-                 checkpoint: bool = False) -> RunArtifact:
+def execute_spec(spec: dict, heartbeat=None,
+                 checkpoint_store: RunStore | None = None) -> RunArtifact:
     """Execute one run spec and freeze it into an artifact (no caching).
 
     This is the unit of work the run engine ships to worker
     processes; :func:`get_run` calls it on a cache miss.  With
     *heartbeat* (a :class:`~repro.obs.live.Heartbeat`), the simulation
-    emits live progress samples while it runs.  *max_cycles* /
-    *watchdog_cycles* are supervision guardrails (see
-    :mod:`repro.analysis.service`): the former truncates gracefully
-    at an absolute cycle budget and flags the artifact ``"truncated"``,
-    the latter turns a zero-progress machine into a diagnostic
-    :class:`~repro.core.simulator.NoProgressError`.  Neither enters the
-    fingerprint: a truncated artifact is flagged, never mistaken for a
-    full run by content.
+    emits live progress samples while it runs.  Every run arms the
+    :data:`WATCHDOG_CYCLES` no-progress watchdog, so a machine that
+    stops retiring raises a diagnostic
+    :class:`~repro.core.simulator.NoProgressError` instead of spinning;
+    watching never changes what a run computes.
 
     Specs carrying tier keys (``mode``/``warmup``/``sample``/``stride``,
     see :func:`run_spec`) execute their leg plan through
     :mod:`repro.core.engine` instead of the plain windowed run.  With
-    *checkpoint* (an execution option, never part of the fingerprint),
-    a run with a warm-up prefix saves the warmed state as a store-backed
-    checkpoint on first execution and verify-restores it on later ones;
-    restored runs are byte-identical to straight-through ones, with the
-    provenance recorded under the artifact's ``sampling`` metadata.
+    *checkpoint_store* (an execution option, never part of the
+    fingerprint), a run with a warm-up prefix saves the warmed state as
+    a checkpoint in that store on first execution and verify-restores
+    it on later ones; restored runs are byte-identical to
+    straight-through ones, with the provenance recorded under the
+    artifact's ``sampling`` metadata.
     """
     from repro import faults
 
@@ -272,16 +265,13 @@ def execute_spec(spec: dict, heartbeat=None, max_cycles: int | None = None,
         if heartbeat.target is None:
             heartbeat.target = spec["instructions"]
         sim.attach_heartbeat(heartbeat)
-    if watchdog_cycles is not None:
-        sim.attach_watchdog(watchdog_cycles)
+    sim.attach_watchdog(WATCHDOG_CYCLES)
     stall = faults.fire("sim.stall", label)
     if stall is not None:
-        # Starve the core: cycles elapse, nothing retires.  Without a
-        # watchdog this would spin to the cycle/instruction limit, so
-        # arm a default one to make the scenario self-terminating.
+        # Starve the core: cycles elapse, nothing retires.  A short
+        # window keeps the scenario quick.
         sim.processor.cycle = lambda now: None
-        if sim.watchdog_cycles is None:
-            sim.attach_watchdog(stall.arg or 20_000)
+        sim.attach_watchdog(stall.arg or 20_000)
     boom = faults.fire("sim.exception", label)
     if boom is not None:
         sim.run(max_instructions=spec["instructions"],
@@ -294,23 +284,17 @@ def execute_spec(spec: dict, heartbeat=None, max_cycles: int | None = None,
     tiered = spec.get("mode", "full") != "full" or spec.get("warmup")
     if tiered:
         startup, steady, total, sampling = _execute_tiered(
-            sim, spec, max_cycles=max_cycles, use_checkpoint=checkpoint)
+            sim, spec, checkpoint_store)
     else:
-        cycle_cap = {} if max_cycles is None else {"max_cycles": max_cycles}
-        startup, steady, total = run_windowed(sim, spec["instructions"],
-                                              **cycle_cap)
+        startup, steady, total = run_windowed(sim, spec["instructions"])
         sampling = None
     if heartbeat is not None:
         heartbeat.close()
-    flags = []
-    if sim.stats.retired < spec["instructions"]:
-        flags.append("truncated")
     artifact = sim.to_artifact(
         startup, steady, total,
         spec_extra={k: spec[k] for k in
                     ("workload", "cpu", "os_mode", "instructions", "seed",
                      "mode", "warmup", "sample", "stride") if k in spec},
-        flags=flags,
         mode=spec.get("mode", "full"),
         sampling=sampling,
     )
@@ -322,15 +306,15 @@ def execute_spec(spec: dict, heartbeat=None, max_cycles: int | None = None,
 
 
 def _execute_tiered(sim: Simulation, spec: dict,
-                    max_cycles: int | None = None,
-                    use_checkpoint: bool = False):
+                    checkpoint_store: RunStore | None):
     """Run a tiered spec's leg plan and assemble its counter windows.
 
     Window semantics for tiered runs: *startup* covers boot through the
     warm-up prefix (empty when the spec has no warm-up), *total* covers
     the whole run, and *steady* is the rest -- except for sampled runs,
     where it is the merged union of the detailed measurement legs (the
-    only windows with real pipeline timing in them).
+    only windows with real pipeline timing in them).  The warm-up's
+    checkpoint, if any, is read from and saved to *checkpoint_store*.
 
     Returns ``(startup, steady, total, sampling_meta)``; the metadata
     records the executed legs, the stride, the extrapolated whole-run
@@ -350,33 +334,28 @@ def _execute_tiered(sim: Simulation, spec: dict,
     rest = plan
     if warmup:
         prefix, rest = [plan[0]], plan[1:]
-        if use_checkpoint:
-            store = RunStore()
+        payload = None
+        if checkpoint_store is not None:
             fingerprint = ckpt.checkpoint_fingerprint(
                 sim.params, prefix, stride)
-            payload = store.get_checkpoint(fingerprint)
-            if payload is not None:
-                ckpt.restore(sim, payload, max_cycles=max_cycles)
-                records.append({"mode": "fast", "target": warmup,
-                                "retired": sim.stats.retired,
-                                "cycles": sim.now})
-                ckpt_meta = {"fingerprint": fingerprint, "restored": True,
-                             "boundary": payload["boundary"]}
-            else:
-                leg_records, _ = run_plan(sim, prefix, max_cycles=max_cycles,
-                                          stride=stride)
-                records.extend(leg_records)
+            payload = checkpoint_store.get_checkpoint(fingerprint)
+        if payload is not None:
+            ckpt.restore(sim, payload)
+            records.append({"mode": "fast", "target": warmup,
+                            "retired": sim.stats.retired,
+                            "cycles": sim.now})
+            ckpt_meta = {"fingerprint": fingerprint, "restored": True,
+                         "boundary": payload["boundary"]}
+        else:
+            leg_records, _ = run_plan(sim, prefix, stride=stride)
+            records.extend(leg_records)
+            if checkpoint_store is not None:
                 saved = ckpt.take(sim, prefix, stride)
-                store.put_checkpoint(saved)
+                checkpoint_store.put_checkpoint(saved)
                 ckpt_meta = {"fingerprint": fingerprint, "restored": False,
                              "boundary": saved["boundary"]}
-        else:
-            leg_records, _ = run_plan(sim, prefix, max_cycles=max_cycles,
-                                      stride=stride)
-            records.extend(leg_records)
     mid = capture(sim)
-    leg_records, samples = run_plan(sim, rest, max_cycles=max_cycles,
-                                    stride=stride)
+    leg_records, samples = run_plan(sim, rest, stride=stride)
     records.extend(leg_records)
     end = capture(sim)
     startup = diff(mid, boot)
@@ -441,16 +420,19 @@ def get_run(
 
     *mode*/*warmup*/*sample*/*stride* select the execution tier (they
     are part of the spec and therefore the store key); *checkpoint* is
-    an execution option only -- whether a cache-missing run may reuse a
-    stored warm-up checkpoint -- and never changes the key.
+    an execution option only -- whether a cache-missing run may reuse
+    (or save) a warm-up checkpoint in the store -- and never changes
+    the key.
     """
     spec = run_spec(workload, cpu, os_mode, instructions, seed,
                     mode=mode, warmup=warmup, sample=sample, stride=stride)
     fingerprint = run_fingerprint(spec)
     artifact = cached_artifact(fingerprint)
     if artifact is None:
-        artifact = execute_spec(spec, checkpoint=checkpoint)
-        RunStore().put(artifact)
+        store = RunStore()
+        artifact = execute_spec(
+            spec, checkpoint_store=store if checkpoint else None)
+        store.put(artifact)
         _MEMO[fingerprint] = artifact
     return artifact
 

@@ -93,8 +93,8 @@ def probe_timeline_to_csv(record, path) -> pathlib.Path:
     dict (see :func:`repro.obs.timeline.timeline_record`).  Rows carry the
     end-of-interval cycle stamp plus the raw per-interval delta for every
     column, in sorted column order.  Raises :class:`ValueError` naming the
-    cause when there are no samples to write (telemetry was disabled, or
-    the run ended within its first sample interval).
+    cause when there are no samples to write (the artifact carries no
+    timeline, or the run ended within its first sample interval).
     """
     from repro.obs.timeline import (missing_timeline_cause, sample_cycles,
                                     timeline_record)

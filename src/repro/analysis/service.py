@@ -81,6 +81,11 @@ DEFAULT_RETRIES = 2
 DEFAULT_BACKOFF_BASE = 0.25
 BACKOFF_CAP = 8.0
 
+#: Seconds the main loop waits for a worker exit before it checks
+#: deadlines and leases again (and its sleep while every job backs off
+#: or the breaker is open).
+POLL_INTERVAL = 0.05
+
 #: Circuit breaker states.
 CLOSED = "closed"
 OPEN = "open"
@@ -202,8 +207,6 @@ class _StallingSink:
 
 def _run_attempt(spec: dict, store_root: str, attempt: int, *,
                  progress_path: str | None = None, on_beat=None,
-                 max_cycles: int | None = None,
-                 watchdog_cycles: int | None = None,
                  checkpoint: bool = False,
                  allow_exit: bool = False) -> RunArtifact:
     """One attempt's body, shared by worker processes and inline
@@ -212,7 +215,7 @@ def _run_attempt(spec: dict, store_root: str, attempt: int, *,
     With *progress_path*, a heartbeat overwrites that file with the
     latest progress sample (*on_beat* runs after each write); with
     *checkpoint*, tiered specs reuse/save warm-up checkpoints in the
-    store (see :mod:`repro.core.checkpoint`).
+    store under *store_root* (see :mod:`repro.core.checkpoint`).
     """
     faults.set_attempt(attempt)
     faults.reset_fired()
@@ -236,17 +239,16 @@ def _run_attempt(spec: dict, store_root: str, attempt: int, *,
             sink = _StallingSink(sink, after_beats=stall.arg or 1)
         heartbeat = Heartbeat(sink, target_instructions=spec["instructions"],
                               label=label)
-    artifact = experiments.execute_spec(spec, heartbeat=heartbeat,
-                                        max_cycles=max_cycles,
-                                        watchdog_cycles=watchdog_cycles,
-                                        checkpoint=checkpoint)
-    RunStore(store_root).put(artifact)
+    store = RunStore(store_root)
+    artifact = experiments.execute_spec(
+        spec, heartbeat=heartbeat,
+        checkpoint_store=store if checkpoint else None)
+    store.put(artifact)
     return artifact
 
 
 def _supervised_worker(spec: dict, store_root: str, attempt: int,
                        err_path: str, progress_path=None,
-                       max_cycles=None, watchdog_cycles=None,
                        checkpoint: bool = False) -> None:
     """Process target: run one attempt, report failure via *err_path*.
 
@@ -256,7 +258,6 @@ def _supervised_worker(spec: dict, store_root: str, attempt: int,
     """
     try:
         _run_attempt(spec, store_root, attempt, progress_path=progress_path,
-                     max_cycles=max_cycles, watchdog_cycles=watchdog_cycles,
                      checkpoint=checkpoint, allow_exit=True)
     except BaseException as exc:  # noqa: BLE001 - report, then die
         record = {"type": type(exc).__name__, "message": str(exc),
@@ -473,11 +474,9 @@ class ReproService:
     worker may go without a heartbeat before its lease is revoked.
     *isolation* is ``"auto"`` (worker processes when available),
     ``"process"``, or ``"inline"``.  *checkpoint* lets tiered specs
-    reuse/save warm-up checkpoints; *max_cycles_per_run* /
-    *watchdog_cycles* arm the simulator guardrails in every attempt.
-    *on_complete* is called with each finished
-    :class:`~repro.analysis.queue.Job` (used by chaos scenarios to
-    trigger drains mid-sweep).
+    reuse/save warm-up checkpoints in the store.  *on_complete* is
+    called with each finished :class:`~repro.analysis.queue.Job` (used
+    by chaos scenarios to trigger drains mid-sweep).
     """
 
     def __init__(self, store: RunStore | None = None,
@@ -485,13 +484,10 @@ class ReproService:
                  workers: int = 1, retries: int = DEFAULT_RETRIES,
                  timeout: float | None = None,
                  backoff_base: float = DEFAULT_BACKOFF_BASE,
-                 poll_interval: float = 0.05, isolation: str = "auto",
-                 breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
+                 isolation: str = "auto",
                  breaker_cooldown: int = DEFAULT_BREAKER_COOLDOWN,
                  events=None, on_complete=None,
-                 progress: bool = False, checkpoint: bool = False,
-                 max_cycles_per_run: int | None = None,
-                 watchdog_cycles: int | None = None) -> None:
+                 progress: bool = False, checkpoint: bool = False) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if retries < 0:
@@ -505,15 +501,12 @@ class ReproService:
         self.retries = retries
         self.timeout = timeout
         self.backoff_base = backoff_base
-        self.poll_interval = poll_interval
         self.isolation = isolation
         self.events = events
         self.on_complete = on_complete
         self.progress = progress
         self.checkpoint = checkpoint
-        self.max_cycles_per_run = max_cycles_per_run
-        self.watchdog_cycles = watchdog_cycles
-        self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown,
+        self.breaker = CircuitBreaker(cooldown=breaker_cooldown,
                                       on_transition=self._breaker_moved)
         self._breaker_fault_seen = False
         self.draining = False
@@ -715,11 +708,11 @@ class ReproService:
                     break
                 if soonest is not None:
                     time.sleep(min(max(0.0, soonest - time.monotonic()),
-                                   self.poll_interval * 4))
+                                   POLL_INTERVAL * 4))
                 else:
                     # Breaker open: denials are counted per pass, and
                     # every `cooldown` of them admits a half-open probe.
-                    time.sleep(self.poll_interval)
+                    time.sleep(POLL_INTERVAL)
             if self.progress:
                 self._aggregator.refresh()
         if self.progress:
@@ -796,8 +789,7 @@ class ReproService:
         proc = ctx.Process(
             target=_supervised_worker,
             args=(job.spec, str(self.store.root), job.attempts, err_path,
-                  progress_path, self.max_cycles_per_run,
-                  self.watchdog_cycles, self.checkpoint),
+                  progress_path, self.checkpoint),
             daemon=True)
         proc.start()
         if faults.fire("service.worker.lost", job.label) is not None:
@@ -818,7 +810,7 @@ class ReproService:
                      for jid, leg in self._active.items()}
         try:
             ready = multiprocessing.connection.wait(
-                list(sentinels), timeout=self.poll_interval)
+                list(sentinels), timeout=POLL_INTERVAL)
         except OSError:  # pragma: no cover - sentinel raced closed
             ready = []
         for sentinel in ready:
@@ -895,8 +887,6 @@ class ReproService:
                     f"injected worker loss ({job.label})")
             artifact = _run_attempt(
                 job.spec, str(self.store.root), job.attempts,
-                max_cycles=self.max_cycles_per_run,
-                watchdog_cycles=self.watchdog_cycles,
                 checkpoint=self.checkpoint, **beats)
         except Exception as exc:  # noqa: BLE001 - taxonomy below
             error = f"{type(exc).__name__}: {exc}"
@@ -1005,10 +995,8 @@ def run_service(specs=None, *, store: RunStore | None = None,
                 isolation: str = "auto", force: bool = False,
                 events=None, on_complete=None,
                 progress: bool = False, sigterm_drain: bool = False,
-                breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-                breaker_cooldown: int = DEFAULT_BREAKER_COOLDOWN,
-                max_cycles_per_run: int | None = None,
-                watchdog_cycles: int | None = None) -> ServiceReport:
+                breaker_cooldown: int = DEFAULT_BREAKER_COOLDOWN
+                ) -> ServiceReport:
     """One ``repro serve`` incarnation: admit *specs*, run to empty/drain.
 
     The service drains the durable queue under ``<store>/queue``.
@@ -1025,11 +1013,8 @@ def run_service(specs=None, *, store: RunStore | None = None,
                         lease_s=lease_s),
         workers=workers, retries=retries, timeout=timeout,
         backoff_base=backoff_base, isolation=isolation,
-        breaker_threshold=breaker_threshold,
         breaker_cooldown=breaker_cooldown, events=events,
-        on_complete=on_complete, progress=progress,
-        max_cycles_per_run=max_cycles_per_run,
-        watchdog_cycles=watchdog_cycles)
+        on_complete=on_complete, progress=progress)
     unfinished = (service.queue.counts()[jobqueue.PENDING]
                   + service.queue.counts()[jobqueue.CLAIMED])
     if unfinished and not resume:

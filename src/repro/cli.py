@@ -143,9 +143,11 @@ def _cmd_run(args) -> int:
         heartbeat = Heartbeat(
             sink, target_instructions=spec["instructions"],
             label=run_label(spec))
-        rec = experiments.execute_spec(spec, heartbeat=heartbeat,
-                                      checkpoint=args.checkpoint)
-        RunStore().put(rec)
+        store = RunStore()
+        rec = experiments.execute_spec(
+            spec, heartbeat=heartbeat,
+            checkpoint_store=store if args.checkpoint else None)
+        store.put(rec)
         experiments.register_artifact(rec)
     else:
         rec = get_run(args.workload, args.cpu, args.os_mode,
@@ -379,13 +381,7 @@ def _cmd_chaos(args) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
     if args.json:
-        import json as _json
-
-        _guard_overwrite(args.json, args.force)
-        with open(args.json, "w") as f:
-            _json.dump(report.to_json_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, report.to_json_dict(), args.force)
     print(report.render())
     return 0 if report.survived else 1
 
@@ -417,13 +413,7 @@ def _cmd_serve(args) -> int:
     except ServiceError as exc:
         raise SystemExit(str(exc))
     if args.json:
-        import json as _json
-
-        _guard_overwrite(args.json, args.force)
-        with open(args.json, "w") as f:
-            _json.dump(report.to_json_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, report.to_json_dict(), args.force)
     print(report.render())
     return 0 if report.ok else 1
 
@@ -577,13 +567,7 @@ def _cmd_diff(args) -> int:
                 print(f"note: {art.label} carries no probe timeline: "
                       f"{missing_timeline_cause(art)}")
     if args.json:
-        import json as _json
-
-        _guard_overwrite(args.json, args.force)
-        with open(args.json, "w") as f:
-            _json.dump(report.to_json_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, report.to_json_dict(), args.force)
     print(report.render(n=args.top, key=args.sort, show_all=args.all))
     return 0
 
@@ -619,16 +603,11 @@ def _cmd_flame(args) -> int:
             f.write(folded)
         print(f"wrote {args.out} ({folded.count(chr(10))} folded path(s))")
     if args.json:
-        import json as _json
-
-        _guard_overwrite(args.json, args.force)
-        payload = {"label": rec.label, "fingerprint": rec.fingerprint,
-                   "window": args.window, "grep": args.grep,
-                   "attribution": {k: v for k, v in sorted(paths.items())}}
-        with open(args.json, "w") as f:
-            _json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, {
+            "label": rec.label, "fingerprint": rec.fingerprint,
+            "window": args.window, "grep": args.grep,
+            "attribution": {k: v for k, v in sorted(paths.items())}},
+            args.force)
     print(flame.render_table(paths, top=args.top, grep=args.grep))
     print(f"[{args.window} window] {rec.label} ({rec.fingerprint[:12]})")
     dropped = window.get("probes", {}).get("core.events.dropped", 0)
@@ -645,8 +624,6 @@ def _cmd_timeline(args) -> int:
     kernel-cycle share, miss rates, ...), detected phase boundaries, and
     optional CSV/JSON exports of the raw record.
     """
-    import json as _json
-
     from repro.analysis.export import probe_timeline_to_csv
     from repro.analysis.render import sparkline
     from repro.obs import timeline as tl
@@ -665,14 +642,10 @@ def _cmd_timeline(args) -> int:
         print(f"wrote {args.csv} ({record['samples']} sample(s), "
               f"{len(record['columns'])} column(s))")
     if args.json:
-        _guard_overwrite(args.json, args.force)
-        payload = {"label": rec.label, "fingerprint": rec.fingerprint,
-                   "record": record,
-                   "phases": tl.detect_phases(record)}
-        with open(args.json, "w") as f:
-            _json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, {
+            "label": rec.label, "fingerprint": rec.fingerprint,
+            "record": record, "phases": tl.detect_phases(record)},
+            args.force)
 
     series = dict(tl.derived_series(record))
     series.update(tl.service_share_series(record))
@@ -713,8 +686,8 @@ def _cmd_timeline(args) -> int:
     if record["dropped"]:
         print(f"warning: sample cap hit; the last {record['dropped']} "
               "interval(s) were not recorded and the series is truncated "
-              "(raise max_samples via Simulation.configure_timeline, or "
-              "widen the interval)")
+              "(a ProbeTimeline with a larger max_samples or a wider "
+              "interval records them)")
     return 0
 
 
@@ -765,6 +738,18 @@ def _guard_overwrite(path: str, force: bool) -> None:
     if _os.path.exists(path) and not force:
         raise SystemExit(
             f"refusing to overwrite existing {path!r} (use --force)")
+
+
+def _write_json(path: str, payload, force: bool) -> None:
+    """Write a command's ``--json`` output: the overwrite guard, indented
+    sorted JSON with a trailing newline, and a ``wrote`` line."""
+    import json as _json
+
+    _guard_overwrite(path, force)
+    with open(path, "w") as f:
+        _json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+    print(f"wrote {path}")
 
 
 def _cmd_trace(args) -> int:
@@ -886,9 +871,10 @@ def main(argv=None) -> int:
                        help="fast-mode frame subsampling stride "
                             "(default 8; 1 = materialize everything)")
     p_run.add_argument("--checkpoint", action="store_true",
-                       help="reuse/save a store-backed warm-up checkpoint "
-                            "for tiered runs (execution option only; "
-                            "results and store keys are unchanged)")
+                       help="verify a tiered run's warm-up against a "
+                            "replay recipe stored on first use (the "
+                            "warm-up still runs; results and store keys "
+                            "are unchanged)")
     p_run.add_argument("--progress", action="store_true",
                        help="execute fresh (even if stored) with a live "
                             "progress line")

@@ -50,9 +50,11 @@ def state_digests(sim) -> dict:
 
     The ``core.timeline.*`` counters are excluded from the probes
     digest: they mirror the interval telemetry sampler's progress
-    (:mod:`repro.obs.timeline`), which is an execution option --
-    a checkpoint saved under one telemetry config must verify-restore
-    under any other, just as telemetry never enters run fingerprints.
+    (:mod:`repro.obs.timeline`), which is observation, not machine
+    state.  Stored checkpoints were digested without them, and a
+    checkpoint verify-restores into a simulation whose sampler was
+    replaced (another interval), just as telemetry never enters run
+    fingerprints.
     """
     from repro.analysis.artifact import canonical_json
     from repro.analysis.snapshot import capture
@@ -103,7 +105,6 @@ def take(sim, plan: list[Leg], stride: int = FF_STRIDE_DEFAULT) -> dict:
     """
     from repro.analysis.artifact import SCHEMA_VERSION
 
-    sim.tier.checkpoints_saved += 1
     return {
         "kind": "checkpoint",
         "schema_version": SCHEMA_VERSION,
@@ -117,7 +118,7 @@ def take(sim, plan: list[Leg], stride: int = FF_STRIDE_DEFAULT) -> dict:
     }
 
 
-def restore(sim, ckpt: dict, max_cycles: int | None = None):
+def restore(sim, ckpt: dict):
     """Replay *ckpt*'s plan on a freshly built *sim* and verify it.
 
     Raises :class:`CheckpointError` if the checkpoint's schema or config
@@ -135,7 +136,7 @@ def restore(sim, ckpt: dict, max_cycles: int | None = None):
     if canonical_json(ckpt["params"]) != canonical_json(sim.params):
         raise CheckpointError("checkpoint config does not match simulation")
     plan = [Leg(mode, instructions) for mode, instructions in ckpt["plan"]]
-    run_plan(sim, plan, max_cycles=max_cycles, stride=ckpt["stride"])
+    run_plan(sim, plan, stride=ckpt["stride"])
     if sim.stats.retired != ckpt["boundary"] or sim.now != ckpt["cycle"]:
         raise CheckpointError(
             f"replay landed at retired={sim.stats.retired:,} "
@@ -146,5 +147,4 @@ def restore(sim, ckpt: dict, max_cycles: int | None = None):
     if drifted:
         raise CheckpointError(
             f"state digest drift after replay: {', '.join(drifted)}")
-    sim.tier.checkpoints_restored += 1
     return sim

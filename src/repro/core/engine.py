@@ -66,8 +66,6 @@ class TierStats:
         "samples",
         "pipeline_flushes",
         "flushed_instructions",
-        "checkpoints_saved",
-        "checkpoints_restored",
     )
 
     def __init__(self) -> None:
@@ -80,18 +78,15 @@ class TierStats:
         self.samples = 0
         self.pipeline_flushes = 0
         self.flushed_instructions = 0
-        self.checkpoints_saved = 0
-        self.checkpoints_restored = 0
 
     def register_probes(self, registry) -> None:
         """Register the engine's probe subtree (``core.mode.*``).
 
-        The checkpoint counters are deliberately *not* probes: probe
-        snapshots are pure functions of the executed trajectory, while
-        saving vs. restoring a checkpoint is harness provenance (a
+        Whether a warm-up checkpoint was saved or restored is not a
+        probe: probe snapshots are pure functions of the executed
+        trajectory, while saving vs. restoring is harness provenance (a
         restored run must stay byte-identical to a straight-through
-        one).  They are reported via artifact ``sampling`` metadata
-        instead.
+        one).  The artifact's ``sampling`` metadata records it instead.
         """
         for name in ("fast_instructions", "fast_materialized", "fast_cycles",
                      "detailed_instructions", "detailed_cycles", "legs",
@@ -369,8 +364,7 @@ def build_plan(mode: str, instructions: int, warmup: int = 0,
     return legs
 
 
-def run_plan(sim, plan: list[Leg], max_cycles: int | None = None,
-             stride: int = FF_STRIDE_DEFAULT):
+def run_plan(sim, plan: list[Leg], stride: int = FF_STRIDE_DEFAULT):
     """Execute *plan* on *sim* leg by leg.
 
     Returns ``(records, samples)``: one record per executed leg
@@ -387,8 +381,6 @@ def run_plan(sim, plan: list[Leg], max_cycles: int | None = None,
     samples: list[dict] = []
     prev_mode = None
     for leg in plan:
-        if max_cycles is not None and sim.now >= max_cycles:
-            break
         if prev_mode == "full" and leg.mode == "fast":
             flushed = sim.processor.flush_to_streams()
             tier.pipeline_flushes += 1
@@ -397,10 +389,10 @@ def run_plan(sim, plan: list[Leg], max_cycles: int | None = None,
         leg_retired = sim.stats.retired
         leg_cycles = sim.now
         if leg.mode == "fast":
-            fast_forward(sim, target, max_cycles, stride)
+            fast_forward(sim, target, stride=stride)
         else:
             before = capture(sim)
-            sim.run(max_instructions=target, max_cycles=max_cycles)
+            sim.run(max_instructions=target)
             samples.append(diff(capture(sim), before))
             tier.samples += 1
             tier.detailed_instructions += sim.stats.retired - leg_retired

@@ -13,7 +13,7 @@ import random
 from dataclasses import asdict, dataclass
 
 from repro.core.config import MachineConfig
-from repro.core.engine import FF_STRIDE_DEFAULT, TierStats, fast_forward
+from repro.core.engine import TierStats
 from repro.core.processor import Processor
 from repro.core.stats import SimStats
 from repro.memory.hierarchy import MemoryHierarchy
@@ -176,22 +176,17 @@ class Simulation:
         self.tier = TierStats()
         self.tier.register_probes(self.obs)
         # Interval probe telemetry (repro.obs.timeline): snapshots the
-        # headline probe subset every 2^k cycles in both tiers.  Default
-        # -on like attribution -- pure observation, no RNG draws, no
-        # timing effects -- and reconfigured post-construction
-        # (configure_timeline), so, like the heartbeat and watchdog, it
+        # headline probe subset every 2^k cycles in both tiers.  Always
+        # on like attribution -- pure observation, no RNG draws, no
+        # timing effects -- so, like the heartbeat and watchdog, it
         # never enters the fingerprint.
         from repro.obs.timeline import ProbeTimeline
 
         self.probe_timeline = ProbeTimeline(self)
-        self.obs.derive(
-            "core.timeline.samples",
-            lambda: (self.probe_timeline.samples
-                     if self.probe_timeline is not None else 0))
-        self.obs.derive(
-            "core.timeline.dropped",
-            lambda: (self.probe_timeline.dropped
-                     if self.probe_timeline is not None else 0))
+        self.obs.derive("core.timeline.samples",
+                        lambda: self.probe_timeline.samples)
+        self.obs.derive("core.timeline.dropped",
+                        lambda: self.probe_timeline.dropped)
         # Fast-forward I-line tracking and width-debt carry, one entry
         # per hardware context (the fast engine's analogues of the
         # pipeline's ctx.last_line and of slot occupancy).
@@ -252,40 +247,6 @@ class Simulation:
                 f"watchdog stall_cycles must be >= 1, got {stall_cycles}")
         self.watchdog_cycles = stall_cycles
 
-    def configure_timeline(self, interval: int | None = None,
-                           probes: tuple | None = None,
-                           max_samples: int | None = None,
-                           enabled: bool = True):
-        """Replace the interval telemetry sampler (see repro.obs.timeline).
-
-        Call before running.  A telemetry option, not a config knob: two
-        runs differing only here follow byte-identical trajectories and
-        share a fingerprint/store key -- only the artifact's
-        ``probe_timeline`` record and the ``core.timeline.*`` probes
-        differ.  Checkpoint state digests exclude those probes
-        (:func:`repro.core.checkpoint.state_digests`), so a checkpoint
-        saved under one telemetry config verify-restores under any
-        other.  ``enabled=False`` removes the sampler entirely: the
-        artifact carries no ``probe_timeline``, so Figures 1 and 5,
-        which draw from it, render no rows.
-        """
-        if not enabled:
-            self.probe_timeline = None
-        else:
-            from repro.obs.timeline import ProbeTimeline
-
-            kwargs = {}
-            if interval is not None:
-                kwargs["interval"] = interval
-            if probes is not None:
-                kwargs["probes"] = probes
-            if max_samples is not None:
-                kwargs["max_samples"] = max_samples
-            self.probe_timeline = ProbeTimeline(self, **kwargs)
-        if self.heartbeat is not None:
-            self.heartbeat.timeline = self.probe_timeline
-        return self.probe_timeline
-
     def run(
         self,
         max_instructions: int = 300_000,
@@ -332,17 +293,17 @@ class Simulation:
         Both run loops call :meth:`_observe` when ``now & mask == 0``.
         The interval telemetry sampler and the heartbeat both sample on
         power-of-two intervals, so the finer of their masks marks every
-        boundary of either.  With neither attached, the mask has 62 bits
-        set, so the test never fires.
+        boundary of either.
         """
-        masks = [o.mask for o in (self.probe_timeline, self.heartbeat)
-                 if o is not None]
-        return min(masks, default=(1 << 62) - 1)
+        mask = self.probe_timeline.mask
+        if self.heartbeat is not None:
+            mask = min(mask, self.heartbeat.mask)
+        return mask
 
     def _observe(self, now: int) -> None:
-        """Sample whichever attached observer is due at cycle *now*."""
+        """Sample whichever observer is due at cycle *now*."""
         timeline = self.probe_timeline
-        if timeline is not None and now & timeline.mask == 0:
+        if now & timeline.mask == 0:
             timeline.tick(now)
         heartbeat = self.heartbeat
         if heartbeat is not None and now & heartbeat.mask == 0:
@@ -376,19 +337,6 @@ class Simulation:
         self._now = now
         return self._result()
 
-    def run_fast(self, max_instructions: int = 300_000,
-                 max_cycles: int | None = None,
-                 stride: int = FF_STRIDE_DEFAULT) -> SimResult:
-        """Run in fast-functional mode until *max_instructions* retire.
-
-        Full semantics (scheduler, kernel frames, TLB interception) with
-        cache/TLB/branch-predictor warming but no pipeline timing; user
-        code is subsampled at *stride* (kernel/PAL stay exact); see
-        :func:`repro.core.engine.fast_forward`.  Honors an attached
-        heartbeat and watchdog like :meth:`run`.
-        """
-        return fast_forward(self, max_instructions, max_cycles, stride)
-
     def _result(self) -> SimResult:
         return SimResult(
             machine=self.machine,
@@ -403,7 +351,6 @@ class Simulation:
 
     def to_artifact(self, startup: dict, steady: dict, total: dict,
                     spec_extra: dict | None = None,
-                    flags: list | None = None,
                     mode: str = "full",
                     sampling: dict | None = None):
         """Freeze this simulation into a plain-data run artifact.
@@ -411,13 +358,11 @@ class Simulation:
         ``startup``/``steady``/``total`` are the counter windows produced
         by :func:`repro.analysis.snapshot.diff`; ``spec_extra`` adds
         identifying labels (workload/cpu/os_mode names, instruction
-        budget) on top of the full config fingerprint in ``self.params``;
-        ``flags`` marks degraded provenance (e.g. ``["truncated"]`` when
-        a max-cycle budget cut the run short; ``"timeline_truncated"``
-        is appended here when the interval telemetry hit its sample
-        cap).  ``mode`` and ``sampling`` record the execution tier and
-        its leg plan / extrapolation / checkpoint provenance for tiered
-        runs.
+        budget) on top of the full config fingerprint in ``self.params``.
+        The artifact is flagged ``"timeline_truncated"`` when the
+        interval telemetry hit its sample cap.  ``mode`` and
+        ``sampling`` record the execution tier and its leg plan /
+        extrapolation / checkpoint provenance for tiered runs.
         """
         from repro.analysis.artifact import RunArtifact
 
@@ -427,12 +372,8 @@ class Simulation:
             [name, label, cycle]
             for (name, label), cycle in self.os.marks.items()
         )
-        flags = list(flags or [])
         timeline = self.probe_timeline
-        probe_timeline = timeline.to_record() if timeline is not None else None
-        if (timeline is not None and timeline.dropped
-                and "timeline_truncated" not in flags):
-            flags.append("timeline_truncated")
+        flags = ["timeline_truncated"] if timeline.dropped else []
         return RunArtifact(
             spec=spec,
             n_contexts=self.machine.cpu.n_contexts,
@@ -444,5 +385,5 @@ class Simulation:
             flags=flags,
             mode=mode,
             sampling=sampling,
-            probe_timeline=probe_timeline,
+            probe_timeline=timeline.to_record(),
         )

@@ -1,6 +1,7 @@
 """Unified observability layer.
 
-Cooperating pieces, all optional and all cheap when unused:
+Cooperating pieces; all but the probe registry are optional and cheap
+when unused:
 
 * :mod:`repro.obs.registry` -- a hierarchical probe/counter registry.
   Components register named counters and histograms once
@@ -33,7 +34,6 @@ from repro.obs.events import EventBus, SimEvent
 from repro.obs.live import Heartbeat, ProgressAggregator
 from repro.obs.profile import ScopeProfiler, profile_simulation
 from repro.obs.registry import (
-    NULL_REGISTRY,
     Counter,
     CounterGroup,
     Histogram,
@@ -48,7 +48,6 @@ __all__ = [
     "EventBus",
     "Heartbeat",
     "Histogram",
-    "NULL_REGISTRY",
     "ProbeDelta",
     "ProbeRegistry",
     "ProgressAggregator",

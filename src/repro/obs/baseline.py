@@ -113,17 +113,16 @@ def _measure_sim(workload: str, instructions: int) -> dict:
         "nested_cycles": int(sum(
             v for p, v in attribution.items() if ";" in p)),
     }
-    # Interval telemetry (repro.obs.timeline): default-on, so every
+    # Interval telemetry (repro.obs.timeline): always on, so every
     # bench run exercises it -- the host ips gate is what enforces its
     # <2% overhead budget.
     timeline = sim.probe_timeline
-    if timeline is not None:
-        sim_section["timeline"] = {
-            "interval": timeline.interval,
-            "samples": timeline.samples,
-            "dropped": timeline.dropped,
-            "columns": len(timeline.columns),
-        }
+    sim_section["timeline"] = {
+        "interval": timeline.interval,
+        "samples": timeline.samples,
+        "dropped": timeline.dropped,
+        "columns": len(timeline.columns),
+    }
     host = {"build_s": round(build, 3), "wall_s": round(wall, 3),
             "ips": round(retired / wall, 1) if wall > 0 else 0.0}
     rss = _max_rss_kb()

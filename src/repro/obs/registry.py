@@ -21,11 +21,6 @@ Three probe flavors cover every counter in the simulator:
   counters -- the cheapest bump Python offers -- and expose them through
   the registry with *zero* steady-state cost.
 
-A disabled registry (``ProbeRegistry(enabled=False)``, or the module
-singleton :data:`NULL_REGISTRY`) hands out a shared no-op counter and
-drops derived registrations, so instrumented components pay one dead
-method call at most when observability is off.
-
 ``snapshot()`` flattens the whole tree into ``{name: number-or-dict}``
 with deterministically sorted keys; :func:`repro.analysis.snapshot.capture`
 embeds it in every counter window, which is how probe values end up inside
@@ -65,20 +60,6 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Counter {self.name}={self.value}>"
-
-
-class _NullCounter(Counter):
-    """Shared sink for disabled registries: ``add`` is a no-op."""
-
-    __slots__ = ()
-
-    def add(self, n: int = 1) -> None:
-        pass
-
-    inc = add
-
-
-NULL_COUNTER = _NullCounter("null")
 
 
 class Histogram:
@@ -172,21 +153,10 @@ def snapshot_percentile(snap: dict, q: float) -> float:
     return bucket_percentile(snap.get("buckets", []), bounds, q)
 
 
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-NULL_HISTOGRAM = _NullHistogram("null")
-
-
 class ProbeRegistry:
     """One machine's probe tree: counters, histograms, derived probes."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
         self._derived: dict[str, Callable[[], float]] = {}
@@ -205,8 +175,6 @@ class ProbeRegistry:
 
     def counter(self, name: str) -> Counter:
         """Register (or fetch) the counter *name*.  Idempotent."""
-        if not self.enabled:
-            return NULL_COUNTER
         probe = self._counters.get(name)
         if probe is None:
             self._check_name(name)
@@ -217,8 +185,6 @@ class ProbeRegistry:
     def histogram(self, name: str,
                   bounds: tuple[int, ...] = DEFAULT_BUCKETS) -> Histogram:
         """Register (or fetch) the histogram *name*.  Idempotent."""
-        if not self.enabled:
-            return NULL_HISTOGRAM
         probe = self._histograms.get(name)
         if probe is None:
             self._check_name(name)
@@ -228,8 +194,6 @@ class ProbeRegistry:
 
     def derive(self, name: str, fn: Callable[[], float]) -> None:
         """Register a probe whose value is computed at snapshot time."""
-        if not self.enabled:
-            return
         self._check_name(name)
         self._reserve(name)
         self._derived[name] = fn
@@ -242,8 +206,6 @@ class ProbeRegistry:
         counter dicts (per-syscall counts, per-lock contention) whose key
         sets are not known at registration time.
         """
-        if not self.enabled:
-            return
         self._check_name(prefix)
         if prefix in self._derived_maps:
             raise ValueError(f"duplicate probe family {prefix!r}")
@@ -306,27 +268,17 @@ class ProbeRegistry:
         return len(self.snapshot())
 
 
-#: Shared disabled registry: components constructed without an explicit
-#: registry attach here and pay (at most) one no-op call per bump.
-NULL_REGISTRY = ProbeRegistry(enabled=False)
-
-
 class CounterGroup(MutableMapping):
     """Dict-compatible facade over a family of registry counters.
 
     Lets legacy call sites keep their idiom (``counters["x"] += 1``,
     ``dict(counters)``) while the underlying counts live in the registry
-    tree.  The key set is fixed at construction; when the registry is
-    disabled the group falls back to private counters so the counts
-    themselves never disappear (analysis code depends on them).
+    tree.  The key set is fixed at construction.
     """
 
     def __init__(self, registry: ProbeRegistry, prefix: str,
                  names: tuple[str, ...]) -> None:
-        if registry.enabled:
-            self._counters = {n: registry.counter(f"{prefix}.{n}") for n in names}
-        else:
-            self._counters = {n: Counter(f"{prefix}.{n}") for n in names}
+        self._counters = {n: registry.counter(f"{prefix}.{n}") for n in names}
 
     def raw(self, key: str) -> Counter:
         """The underlying :class:`Counter` (for hot call sites that keep

@@ -38,12 +38,13 @@ runs' timelines interval by interval through the same
 (:func:`timeline_view`).
 
 ``repro timeline <run>`` and ``repro diff --timeline`` are the CLI entry
-points.  Telemetry is default-on (the per-cycle cost is one mask test;
-samples are ~30 dict reads every ``interval`` cycles) and -- like the
-heartbeat and watchdog -- is configured *post-construction*
-(:meth:`~repro.core.simulator.Simulation.configure_timeline`), so it
-never enters the configuration fingerprint: two runs differing only in
-telemetry options share a store key.
+points.  Every :class:`~repro.core.simulator.Simulation` builds a
+default sampler (the per-cycle cost is one mask test; samples are ~30
+dict reads every ``interval`` cycles).  Like the heartbeat and
+watchdog, telemetry never enters the configuration fingerprint: a
+caller that wants another interval or probe set assigns its own
+:class:`ProbeTimeline` to ``sim.probe_timeline`` before running, and
+the run keeps its store key.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ class ProbeTimeline:
     multiple of the interval whatever mix of tiers executed it --
     :meth:`tick` verifies that alignment and raises if a loop edit ever
     breaks it.  Sampling is pure observation: no RNG draws, no timing
-    effects, so the simulated trajectory is byte-identical with
-    telemetry on, off, or reconfigured.
+    effects, so the simulated trajectory is byte-identical under any
+    sampler configuration.
     """
 
     def __init__(self, sim, interval: int = DEFAULT_TIMELINE_INTERVAL,
@@ -226,8 +227,8 @@ def class_share_series(record: dict | None) -> list[list]:
     idle]], ...]``, the rows Figures 1 and 5 plot.
 
     Each row is one interval's context-cycles split by mode class, with
-    the same arithmetic as :func:`derived_series`' ``kernel_share``.  A
-    run without a probe timeline (telemetry disabled) has no rows.
+    the same arithmetic as :func:`derived_series`' ``kernel_share``.  An
+    artifact without a probe timeline has no rows.
     """
     split = _class_split(record) if record is not None else None
     if split is None:
@@ -397,7 +398,7 @@ def missing_timeline_cause(artifact) -> str:
     """Why :func:`timeline_record` returns None for *artifact*."""
     record = getattr(artifact, "probe_timeline", None)
     if not isinstance(record, dict):
-        return "interval telemetry was disabled for this run"
+        return "the artifact was built without one"
     return (f"the run lasted {artifact.cycles:,} cycles, less than one "
             f"{record['interval']:,}-cycle sample interval")
 

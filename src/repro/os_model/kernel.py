@@ -198,11 +198,10 @@ class MiniDUX:
         # The kernel's event counters live in the probe registry (one
         # queryable tree, ``os.*``); the CounterGroup keeps the historical
         # dict idiom (``counters["x"] += 1``) working for call sites and
-        # analysis code.  Without a registry they fall back to private
-        # counters, so direct MiniDUX construction still counts.
-        from repro.obs.registry import CounterGroup, NULL_REGISTRY
+        # analysis code.  A kernel built without a registry gets its own.
+        from repro.obs.registry import CounterGroup, ProbeRegistry
 
-        obs = registry if registry is not None else NULL_REGISTRY
+        obs = registry if registry is not None else ProbeRegistry()
         self.obs = obs
         self.counters = CounterGroup(obs, "os", (
             "dtlb_miss_events",

@@ -162,10 +162,10 @@ def test_schema_bump_retires_checkpoints(tmp_path, monkeypatch):
     # saved under an older artifact layout cannot verify-restore under
     # the new one.  The layout version retires it: the run misses,
     # replays its warm-up and saves a fresh checkpoint.
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    store = RunStore(tmp_path)
     spec = run_spec("specint", "smt", "full", 12_000, seed=37, mode="sampled",
                     warmup=6_000, sample=(3_000, 1_000))
-    first = execute_spec(spec, checkpoint=True)
+    first = execute_spec(spec, checkpoint_store=store)
     assert first.sampling["checkpoint"]["restored"] is False
     (old_path,) = tmp_path.glob("ckpt-*.json")
     payload = json.loads(old_path.read_text())
@@ -175,10 +175,9 @@ def test_schema_bump_retires_checkpoints(tmp_path, monkeypatch):
 
     for module in (artifact, store_mod):
         monkeypatch.setattr(module, "SCHEMA_VERSION", SCHEMA_VERSION + 1)
-    again = execute_spec(spec, checkpoint=True)
+    again = execute_spec(spec, checkpoint_store=store)
     assert again.sampling["checkpoint"]["restored"] is False
     assert again.total == first.total
-    store = RunStore(tmp_path)
     assert [entry.path for entry in store.gc(dry_run=True)] == [old_path]
     new_fingerprint = again.sampling["checkpoint"]["fingerprint"]
     assert store.get_checkpoint(new_fingerprint)["schema_version"] \

@@ -9,6 +9,7 @@ assumption."""
 from repro.analysis.artifact import canonical_json
 from repro.analysis.experiments import build_simulation
 from repro.analysis.snapshot import capture
+from repro.core.engine import fast_forward
 
 
 def _snapshot_bytes(workload, cpu, os_mode, seed, instructions):
@@ -45,7 +46,7 @@ def test_different_seeds_actually_differ():
 
 def _fast_snapshot_bytes(seed, instructions, stride):
     sim = build_simulation("specint", "smt", "full", seed=seed)
-    sim.run_fast(max_instructions=instructions, stride=stride)
+    fast_forward(sim, max_instructions=instructions, stride=stride)
     return canonical_json(capture(sim)["probes"]).encode()
 
 
@@ -102,19 +103,21 @@ def test_checkpoint_restore_then_run_matches_straight_through():
     assert a == b
 
 
-def test_checkpointed_artifact_equals_straight_through(tmp_path, monkeypatch):
+def test_checkpointed_artifact_equals_straight_through(tmp_path):
     # End to end through the store: executing the same tiered spec with
     # and without checkpoint reuse yields byte-identical artifacts
     # (checkpointing is an execution option, never part of the result).
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     from repro.analysis import experiments
+    from repro.analysis.store import RunStore
 
     spec = experiments.run_spec("specint", "smt", "full", 12_000, seed=11,
                                 mode="sampled", warmup=4_000,
                                 sample=(4_000, 2_000))
     plain = experiments.execute_spec(spec)
-    saved = experiments.execute_spec(spec, checkpoint=True)   # saves
-    restored = experiments.execute_spec(spec, checkpoint=True)  # restores
+    store = RunStore(tmp_path)
+    saved = experiments.execute_spec(spec, checkpoint_store=store)  # saves
+    restored = experiments.execute_spec(spec,
+                                        checkpoint_store=store)  # restores
     assert saved.sampling["checkpoint"]["restored"] is False
     assert restored.sampling["checkpoint"]["restored"] is True
     for window in ("startup", "steady", "total"):

@@ -14,7 +14,7 @@ from repro.analysis.snapshot import capture, diff, merge_windows
 from repro.analysis.sweeps import build_context_sim
 from repro.core import checkpoint
 from repro.core.engine import (FF_STRIDE_DEFAULT, Leg, build_plan,
-                               extrapolate, run_plan)
+                               extrapolate, fast_forward, run_plan)
 
 
 def _sim(workload="specint", seed=11):
@@ -74,7 +74,7 @@ def test_fast_forward_pins_ipc_at_fetch_width():
     for n in (1, 3, 8):
         for stride in (1, 4, 16):
             sim = build_context_sim("specint", n)
-            sim.run_fast(max_instructions=20_000, stride=stride)
+            fast_forward(sim, max_instructions=20_000, stride=stride)
             slots = n * max(1, sim.processor.config.fetch_width // n)
             assert (sim.stats.retired - sum(sim._ff_debt)
                     == sim.stats.cycles * slots)
@@ -84,7 +84,7 @@ def test_fast_forward_pins_ipc_at_fetch_width():
 
 def test_fast_forward_stride_subsamples_but_accounts_fully():
     sim = _sim()
-    sim.run_fast(max_instructions=20_000, stride=8)
+    fast_forward(sim, max_instructions=20_000, stride=8)
     tier = sim.tier
     assert tier.fast_instructions >= 20_000
     assert tier.fast_materialized < tier.fast_instructions
@@ -96,7 +96,7 @@ def test_fast_forward_stride_subsamples_but_accounts_fully():
 def test_fast_forward_rejects_bad_stride():
     sim = _sim()
     with pytest.raises(ValueError):
-        sim.run_fast(max_instructions=1_000, stride=0)
+        fast_forward(sim, max_instructions=1_000, stride=0)
 
 
 #: (workload, n_contexts) -> (sim.now, sim._ff_debt, state digests) at
@@ -155,10 +155,10 @@ def test_fast_tier_state_is_pinned(workload, n):
     # the rotation reaches every context.  Most end a leg in debt, so
     # the debt carried between legs is pinned too.
     sim = build_context_sim(workload, n)
-    sim.run_fast(max_instructions=20_000, stride=8)
+    fast_forward(sim, max_instructions=20_000, stride=8)
     sim.run(max_instructions=22_000)
     sim.processor.flush_to_streams()
-    sim.run_fast(max_instructions=40_000, stride=4)
+    fast_forward(sim, max_instructions=40_000, stride=4)
     now, debt, digests = PINNED_FAST_STATE[workload, n]
     assert sim.now == now
     assert sim._ff_debt == debt
@@ -167,7 +167,7 @@ def test_fast_tier_state_is_pinned(workload, n):
 
 def test_fast_forward_warms_caches_and_predictor():
     sim = _sim()
-    sim.run_fast(max_instructions=20_000)
+    fast_forward(sim, max_instructions=20_000)
     probes = capture(sim)["probes"]
     assert probes["mem.l1i.accesses.kernel"] > 0
     assert probes["mem.l1d.accesses.kernel"] > 0

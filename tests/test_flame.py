@@ -11,6 +11,7 @@ import pytest
 from repro import cli
 from repro.analysis import experiments
 from repro.analysis.snapshot import capture
+from repro.analysis.store import RunStore
 from repro.core.simulator import Simulation
 from repro.obs import flame
 from repro.obs.diff import compile_grep
@@ -199,15 +200,15 @@ def test_app_only_mode_still_reconciles():
 # -- determinism through checkpoints ----------------------------------------
 
 
-def test_checkpoint_restore_reproduces_identical_fold(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+def test_checkpoint_restore_reproduces_identical_fold(tmp_path):
+    store = RunStore(tmp_path)
     spec = experiments.run_spec("specint", "smt", "full", 16_000, 11,
                                 mode="sampled", warmup=6_000,
                                 sample=(6_000, 2_000))
-    straight = experiments.execute_spec(spec, checkpoint=True)
+    straight = experiments.execute_spec(spec, checkpoint_store=store)
     assert straight.sampling["checkpoint"]["restored"] is False
     experiments.clear_cache()
-    restored = experiments.execute_spec(spec, checkpoint=True)
+    restored = experiments.execute_spec(spec, checkpoint_store=store)
     assert restored.sampling["checkpoint"]["restored"] is True
     for window in ("startup", "steady", "total"):
         fold_a = flame.fold(flame.flame_paths(straight.window(window)))

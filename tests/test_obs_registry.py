@@ -3,9 +3,6 @@
 import pytest
 
 from repro.obs.registry import (
-    NULL_COUNTER,
-    NULL_REGISTRY,
-    Counter,
     CounterGroup,
     Histogram,
     ProbeRegistry,
@@ -48,27 +45,6 @@ def test_cross_flavor_duplicate_rejected():
         reg.derive("os.ticks", lambda: 0)
     with pytest.raises(ValueError):
         reg.histogram("os.ticks")
-
-
-# -- disabled mode ----------------------------------------------------------
-
-def test_disabled_registry_hands_out_shared_null_counter():
-    reg = ProbeRegistry(enabled=False)
-    a = reg.counter("mem.l1d.flushes")
-    b = reg.counter("os.syscall.read.count")
-    assert a is b is NULL_COUNTER
-    a.add(1000)
-    assert NULL_COUNTER.value == 0
-    assert reg.snapshot() == {}
-    assert len(reg) == 0
-
-
-def test_disabled_registry_drops_derived_probes():
-    calls = []
-    NULL_REGISTRY.derive("mem.l1d.accesses", lambda: calls.append(1) or 1)
-    NULL_REGISTRY.derive_map("os.syscall", lambda: {"read.count": 1})
-    assert NULL_REGISTRY.snapshot() == {}
-    assert calls == []  # never evaluated
 
 
 # -- derived probes ---------------------------------------------------------
@@ -181,12 +157,6 @@ def test_counter_group_preserves_dict_idiom():
         del grp["spin_instructions"]
 
 
-def test_counter_group_falls_back_when_registry_disabled():
-    grp = CounterGroup(ProbeRegistry(enabled=False), "os", ("ticks",))
-    grp["ticks"] += 5
-    assert grp["ticks"] == 5  # counts survive even without a registry
-
-
 # -- miss-stats bridge ------------------------------------------------------
 
 def test_register_miss_stats_exposes_live_structure():
@@ -201,7 +171,3 @@ def test_register_miss_stats_exposes_live_structure():
     snap = reg.snapshot()
     assert snap["mem.l1d.accesses.user"] == 9
     assert snap["mem.l1d.miss.kernel"] == 2
-
-
-def test_null_counter_is_a_counter():
-    assert isinstance(NULL_COUNTER, Counter)

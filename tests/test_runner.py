@@ -158,3 +158,25 @@ def test_run_many_carries_tier_keys_through_dict_items():
     (rerun,) = _artifacts(again).values()
     assert rerun.sampling["checkpoint"]["restored"] is True
     assert rerun.steady == artifact.steady
+
+
+def test_warmup_checkpoint_lands_in_the_sweeps_own_store(tmp_path,
+                                                         monkeypatch):
+    # The engine stores each run in the store it was handed; the run's
+    # warm-up checkpoint belongs there too, not in the default store.
+    default = tmp_path / "default"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(default))
+    store = RunStore(tmp_path / "own")
+    item = {"workload": "specint", "cpu": "smt", "os_mode": "full",
+            "instructions": 12_000, "mode": "sampled", "warmup": 4_000,
+            "sample": (4_000, 2_000)}
+    (first,) = _artifacts(service.run_many(
+        [item], store=store, checkpoint=True, isolation="inline")).values()
+    assert first.sampling["checkpoint"]["restored"] is False
+    assert sorted(e.kind for e in store.entries()) == ["checkpoint", "run"]
+    assert RunStore(default).entries() == []
+    (again,) = _artifacts(service.run_many(
+        [item], store=store, force=True, checkpoint=True,
+        isolation="inline")).values()
+    assert again.sampling["checkpoint"]["restored"] is True
+    assert RunStore(default).entries() == []

@@ -240,20 +240,36 @@ def test_watchdog_raises_diagnostic_on_stall():
     assert "no instruction retired" in str(err)
 
 
+def test_execute_spec_arms_the_watchdog(monkeypatch):
+    # Every executed run arms the no-progress window, so a core that
+    # retires nothing raises instead of spinning to the cycle limit.
+    monkeypatch.setattr(experiments, "WATCHDOG_CYCLES", 3_000)
+    build = experiments.build_simulation
+
+    def starved(*args, **kwargs):
+        sim = build(*args, **kwargs)
+        sim.processor.cycle = lambda now: None
+        return sim
+
+    monkeypatch.setattr(experiments, "build_simulation", starved)
+    spec = experiments.run_spec("specint", "smt", "app",
+                                instructions=2_000, seed=31)
+    with pytest.raises(NoProgressError) as info:
+        experiments.execute_spec(spec)
+    assert info.value.retired == 0
+    assert "no instruction retired for 3,000 cycles" in str(info.value)
+
+
 def test_watchdog_does_not_perturb_results():
-    spec = experiments.run_spec("specint", "smt", "app",
-                                instructions=4_000, seed=37)
-    plain = experiments.execute_spec(spec)
-    watched = experiments.execute_spec(spec, watchdog_cycles=500)
+    artifacts = []
+    for stall_cycles in (None, 500):
+        sim = experiments.build_simulation("specint", "smt", "app", seed=37)
+        if stall_cycles is not None:
+            sim.attach_watchdog(stall_cycles)
+        windows = experiments.run_windowed(sim, 4_000)
+        artifacts.append(sim.to_artifact(*windows))
+    plain, watched = artifacts
     assert watched == plain  # chunked execution is result-identical
-
-
-def test_max_cycles_truncates_and_flags():
-    spec = experiments.run_spec("specint", "smt", "app",
-                                instructions=1_000_000, seed=41)
-    artifact = experiments.execute_spec(spec, max_cycles=3_000)
-    assert artifact.total["retired"] < 1_000_000
-    assert "truncated" in artifact.flags
 
 
 def test_untruncated_run_has_no_flags():

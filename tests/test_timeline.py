@@ -18,6 +18,7 @@ from repro.analysis import experiments
 from repro.analysis.artifact import canonical_json
 from repro.analysis.export import probe_timeline_to_csv
 from repro.analysis.render import sparkline
+from repro.analysis.store import RunStore
 from repro.core.simulator import Simulation
 from repro.obs import timeline as tl
 from repro.workloads.apache import ApacheWorkload
@@ -28,7 +29,7 @@ INTERVAL = 2048  # small so short test runs produce many samples
 
 def _sim(workload=SpecIntWorkload, seed=11, **kwargs):
     sim = Simulation(workload(), seed=seed)
-    sim.configure_timeline(interval=INTERVAL, **kwargs)
+    sim.probe_timeline = tl.ProbeTimeline(sim, interval=INTERVAL, **kwargs)
     return sim
 
 
@@ -45,19 +46,19 @@ def _artifact(sim):
 
 def test_interval_rounds_up_to_power_of_two():
     sim = Simulation(SpecIntWorkload(), seed=11)
-    probe_tl = sim.configure_timeline(interval=3000)
+    probe_tl = tl.ProbeTimeline(sim, interval=3000)
     assert probe_tl.interval == 4096
     assert probe_tl.mask == 4095
     with pytest.raises(ValueError, match="interval"):
-        sim.configure_timeline(interval=0)
+        tl.ProbeTimeline(sim, interval=0)
     with pytest.raises(ValueError, match="max_samples"):
-        sim.configure_timeline(max_samples=0)
+        tl.ProbeTimeline(sim, max_samples=0)
 
 
 def test_unsampleable_probe_rejected():
     sim = Simulation(SpecIntWorkload(), seed=11)
     with pytest.raises(ValueError, match="not a scalar"):
-        sim.configure_timeline(probes=("no.such.probe",))
+        tl.ProbeTimeline(sim, probes=("no.such.probe",))
 
 
 def test_record_shape_and_class_conservation_detailed_tier():
@@ -88,7 +89,7 @@ def test_class_conservation_fast_tier():
     sim = Simulation(SpecIntWorkload(), seed=11)
     # the fast tier retires ~width instructions per cycle, so shrink the
     # interval to still get several samples from a short run
-    sim.configure_timeline(interval=512)
+    sim.probe_timeline = tl.ProbeTimeline(sim, interval=512)
     fast_forward(sim, max_instructions=40_000)
     rec = sim.probe_timeline.to_record()
     interval = rec["interval"]
@@ -115,18 +116,13 @@ def test_same_seed_records_byte_identical():
 def test_telemetry_config_does_not_perturb_trajectory_or_fingerprint():
     base = Simulation(SpecIntWorkload(), seed=7)
     base.run(max_instructions=20_000)
-    off = Simulation(SpecIntWorkload(), seed=7)
-    off.configure_timeline(enabled=False)
-    off.run(max_instructions=20_000)
     weird = Simulation(SpecIntWorkload(), seed=7)
-    weird.configure_timeline(interval=256, probes=("core.retired",))
+    weird.probe_timeline = tl.ProbeTimeline(weird, interval=256,
+                                            probes=("core.retired",))
     weird.run(max_instructions=20_000)
-    assert base.params == off.params == weird.params
+    assert base.params == weird.params
     assert (base.stats.retired, base.stats.cycles) \
-        == (off.stats.retired, off.stats.cycles) \
         == (weird.stats.retired, weird.stats.cycles)
-    assert off.probe_timeline is None
-    assert off.obs.snapshot()["core.timeline.samples"] == 0
 
 
 def test_timeline_samples_mshr_occupancy_at_the_live_clock():
@@ -190,24 +186,23 @@ def test_sampled_legs_reconstruct_fast_cycles_column():
         assert measured == overlap, f"sample {i}: {measured} != {overlap}"
 
 
-def test_checkpoint_restore_reproduces_identical_record(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+def test_checkpoint_restore_reproduces_identical_record(tmp_path):
+    store = RunStore(tmp_path)
     spec = experiments.run_spec("specint", "smt", "full", 16_000, 11,
                                 mode="sampled", warmup=6_000,
                                 sample=(6_000, 2_000))
-    straight = experiments.execute_spec(spec, checkpoint=True)
+    straight = experiments.execute_spec(spec, checkpoint_store=store)
     assert straight.sampling["checkpoint"]["restored"] is False
     experiments.clear_cache()
-    restored = experiments.execute_spec(spec, checkpoint=True)
+    restored = experiments.execute_spec(spec, checkpoint_store=store)
     assert restored.sampling["checkpoint"]["restored"] is True
     assert straight.probe_timeline == restored.probe_timeline
 
 
 def test_checkpoint_survives_telemetry_config_change():
     # Checkpoint state digests must exclude core.timeline.* (telemetry
-    # is an execution option): a checkpoint saved with samples already
-    # recorded restores under a different interval -- or with the
-    # sampler removed -- without digest drift.
+    # is observation, not state): a checkpoint saved with samples already
+    # recorded restores under a different interval without digest drift.
     from repro.core import checkpoint as ckpt
     from repro.core.engine import Leg, run_plan
 
@@ -218,14 +213,10 @@ def test_checkpoint_survives_telemetry_config_change():
     saved = ckpt.take(saver, prefix)
 
     retuned = experiments.build_simulation("specint", "smt", "full")
-    retuned.configure_timeline(interval=INTERVAL)
+    retuned.probe_timeline = tl.ProbeTimeline(retuned, interval=INTERVAL)
     ckpt.restore(retuned, saved)     # would raise CheckpointError pre-v2
     assert retuned.stats.retired == saved["boundary"]
-
-    disabled = experiments.build_simulation("specint", "smt", "full")
-    disabled.configure_timeline(enabled=False)
-    ckpt.restore(disabled, saved)
-    assert disabled.now == saved["cycle"]
+    assert retuned.now == saved["cycle"]
 
 
 # -- derived series and phases ----------------------------------------------
@@ -396,10 +387,9 @@ def test_figures_1_and_5_render_without_probe_timeline():
     from repro.analysis import figures
 
     sim = Simulation(SpecIntWorkload(), seed=11)
-    sim.configure_timeline(enabled=False)
     sim.run(max_instructions=5_000)
     art = _artifact(sim)
-    assert art.probe_timeline is None
+    art.probe_timeline = None  # an artifact built without one
     assert tl.class_share_series(art.probe_timeline) == []
     for build in (figures.fig1, figures.fig5):
         out = build(art)
@@ -435,13 +425,6 @@ def test_heartbeat_carries_latest_interval_sample():
     line = render_sample(merged[-1])
     assert "krn" in line
     assert f"IPC {merged[-1]['sim_ipc']:.2f}" in line
-    # disabling telemetry detaches it from future beats too
-    sim2 = _sim()
-    beats2 = []
-    sim2.attach_heartbeat(Heartbeat(beats2.append, interval=INTERVAL))
-    sim2.configure_timeline(enabled=False)
-    sim2.run(max_instructions=20_000)
-    assert not any("sim_ipc" in s for s in beats2)
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -552,4 +535,4 @@ def test_cli_timeline_names_why_a_run_has_no_samples(tmp_path, monkeypatch,
         probe_timeline_to_csv(art, path.with_suffix(".csv"))
     art.probe_timeline = None
     assert tl.missing_timeline_cause(art) \
-        == "interval telemetry was disabled for this run"
+        == "the artifact was built without one"
