@@ -261,48 +261,51 @@ def execute_spec(spec: dict, heartbeat=None,
             _time.sleep(0.05)
     sim = build_simulation(spec["workload"], spec["cpu"], spec["os_mode"],
                            seed=spec["seed"])
-    if heartbeat is not None:
-        if heartbeat.target is None:
-            heartbeat.target = spec["instructions"]
-        sim.attach_heartbeat(heartbeat)
-    sim.attach_watchdog(WATCHDOG_CYCLES)
-    stall = faults.fire("sim.stall", label)
-    if stall is not None:
-        # Starve the core: cycles elapse, nothing retires.  A short
-        # window keeps the scenario quick.
-        sim.processor.cycle = lambda now: None
-        sim.attach_watchdog(stall.arg or 20_000)
-    boom = faults.fire("sim.exception", label)
-    if boom is not None:
-        sim.run(max_instructions=spec["instructions"],
-                max_cycles=boom.arg or 2_000)
-        raise faults.InjectedFault(
-            "sim.exception",
-            f"injected mid-simulation exception at cycle {sim.now:,} "
-            f"({label})",
-            snapshot=sim.obs.snapshot())
-    tiered = spec.get("mode", "full") != "full" or spec.get("warmup")
-    if tiered:
-        startup, steady, total, sampling = _execute_tiered(
-            sim, spec, checkpoint_store)
-    else:
-        startup, steady, total = run_windowed(sim, spec["instructions"])
-        sampling = None
-    if heartbeat is not None:
-        heartbeat.close()
-    artifact = sim.to_artifact(
-        startup, steady, total,
-        spec_extra={k: spec[k] for k in
-                    ("workload", "cpu", "os_mode", "instructions", "seed",
-                     "mode", "warmup", "sample", "stride") if k in spec},
-        mode=spec.get("mode", "full"),
-        sampling=sampling,
-    )
-    if artifact.fingerprint != run_fingerprint(spec):  # pragma: no cover
-        raise RuntimeError(
-            "config fingerprint drift: Simulation.params disagrees with "
-            "run_spec() for the same arguments")
-    return artifact
+    try:
+        if heartbeat is not None:
+            if heartbeat.target is None:
+                heartbeat.target = spec["instructions"]
+            sim.attach_heartbeat(heartbeat)
+        sim.attach_watchdog(WATCHDOG_CYCLES)
+        stall = faults.fire("sim.stall", label)
+        if stall is not None:
+            # Starve the core: cycles elapse, nothing retires.  A short
+            # window keeps the scenario quick.
+            sim.processor.cycle = lambda now: None
+            sim.attach_watchdog(stall.arg or 20_000)
+        boom = faults.fire("sim.exception", label)
+        if boom is not None:
+            sim.run(max_instructions=spec["instructions"],
+                    max_cycles=boom.arg or 2_000)
+            raise faults.InjectedFault(
+                "sim.exception",
+                f"injected mid-simulation exception at cycle {sim.now:,} "
+                f"({label})",
+                snapshot=sim.obs.snapshot())
+        tiered = spec.get("mode", "full") != "full" or spec.get("warmup")
+        if tiered:
+            startup, steady, total, sampling = _execute_tiered(
+                sim, spec, checkpoint_store)
+        else:
+            startup, steady, total = run_windowed(sim, spec["instructions"])
+            sampling = None
+        if heartbeat is not None:
+            heartbeat.close()
+        artifact = sim.to_artifact(
+            startup, steady, total,
+            spec_extra={k: spec[k] for k in
+                        ("workload", "cpu", "os_mode", "instructions", "seed",
+                         "mode", "warmup", "sample", "stride") if k in spec},
+            mode=spec.get("mode", "full"),
+            sampling=sampling,
+        )
+        if artifact.fingerprint != run_fingerprint(spec):  # pragma: no cover
+            raise RuntimeError(
+                "config fingerprint drift: Simulation.params disagrees with "
+                "run_spec() for the same arguments")
+        return artifact
+    finally:
+        sim.close()
 
 
 def _execute_tiered(sim: Simulation, spec: dict,

@@ -703,7 +703,8 @@ def _cmd_bench(args) -> int:
                  else baseline.DEFAULT_TOLERANCE)
     exit_code = 0
     for name in scenarios:
-        measured = baseline.measure(name, instructions=args.instructions)
+        measured = baseline.measure_isolated(name,
+                                             instructions=args.instructions)
         host = measured["host"]
         stats = "  ".join(f"{k}={v:,}" for k, v in sorted(host.items()))
         if not args.check:
@@ -1123,7 +1124,8 @@ def main(argv=None) -> int:
 
     p_bench = sub.add_parser(
         "bench",
-        help="measure simulator speed; write/check BENCH_<scenario>.json")
+        help="measure simulator speed, each scenario in a fresh "
+             "interpreter; write/check BENCH_<scenario>.json")
     p_bench.add_argument("scenarios", nargs="*",
                          help="scenarios to run: specint, apache, fast, "
                               "sampled, report "

@@ -103,10 +103,8 @@ class Processor:
         self._inflight_limit = config.inflight_limit
         #: Contexts eligible to fetch this cycle, refilled by _fetch.
         self._eligible: list[_HWContext] = []
-        #: Fetch-priority sort key, bound once: the policy never changes
-        #: after construction, so no lambda is built per cycle.
-        self._fetch_key = self._icount_key \
-            if config.fetch_policy == "icount" else self._rr_key
+        #: Fetch-priority policy: ICOUNT, or round robin (ablation).
+        self._icount = config.fetch_policy == "icount"
         self.int_queue: list[Instruction] = []
         self.fp_queue: list[Instruction] = []
         self.int_count = 0
@@ -410,7 +408,9 @@ class Processor:
         # stream would otherwise win ICOUNT priority and starve real work --
         # exactly the SMT resource waste the paper flags ("the idle loop ...
         # can waste resources on an SMT").
-        eligible.sort(key=self._fetch_key)
+        # The key is bound per cycle, not stored: a bound method kept on
+        # the processor would make it a reference cycle.
+        eligible.sort(key=self._icount_key if self._icount else self._rr_key)
         slots = cfg.fetch_width
         fetched = 0
         providers = 0

@@ -136,14 +136,6 @@ class Simulation:
         self.hierarchy = MemoryHierarchy(self.machine.memory,
                                          registry=self.obs)
         self.hierarchy.omit_kernel_refs = omit_kernel_refs
-        # The MSHR occupancy integrals behind Table 6's outstanding-miss
-        # rows advance lazily to a cycle, so they register here, where
-        # the clock is known: the cycle account, which both run loops
-        # keep current (``_now`` is written back only when a loop ends).
-        for level in ("l1i", "l1d", "l2"):
-            mshr = getattr(self.hierarchy, f"{level}_mshr")
-            self.obs.derive(f"mem.mshr.{level}.occupancy_cycles",
-                            lambda m=mshr: m.integral_at(self.stats.cycles))
         self.os = MiniDUX(
             self.hierarchy,
             self.machine.cpu.n_contexts,
@@ -161,6 +153,18 @@ class Simulation:
         self.stats = SimStats(self.machine.cpu.n_contexts,
                               threads_by_tid=self.os.threads_by_tid)
         self.attrib = self.stats.attrib
+        # The probe closures registered here bind the components they
+        # read, never ``self``: the registry is the machine's, so a
+        # closure over the machine would make a reference cycle.
+        #
+        # The MSHR occupancy integrals behind Table 6's outstanding-miss
+        # rows advance lazily to a cycle, so they register here, where
+        # the clock is known: the cycle account, which both run loops
+        # keep current (``_now`` is written back only when a loop ends).
+        for level in ("l1i", "l1d", "l2"):
+            mshr = getattr(self.hierarchy, f"{level}_mshr")
+            self.obs.derive(f"mem.mshr.{level}.occupancy_cycles",
+                            lambda m=mshr, s=self.stats: m.integral_at(s.cycles))
         self.processor = Processor(
             self.machine.cpu, self.os.streams, self.hierarchy, self.stats,
             rng, registry=self.obs)
@@ -170,7 +174,8 @@ class Simulation:
         # probe is nonzero, trace/flame output covers a suffix of the run.
         self.obs.derive(
             "core.events.dropped",
-            lambda: self.events.dropped if self.events is not None else 0)
+            lambda p=self.processor:
+                p.events.dropped if p.events is not None else 0)
         # Tiered-engine accounting (core.mode.* probes; all zero unless
         # fast-forward / sampling / checkpointing is used).
         self.tier = TierStats()
@@ -179,14 +184,16 @@ class Simulation:
         # headline probe subset every 2^k cycles in both tiers.  Always
         # on like attribution -- pure observation, no RNG draws, no
         # timing effects -- so, like the heartbeat and watchdog, it
-        # never enters the fingerprint.
+        # never enters the fingerprint.  The sampler can be replaced
+        # (see :attr:`probe_timeline`), so its probes read it from a
+        # one-item slot.
         from repro.obs.timeline import ProbeTimeline
 
-        self.probe_timeline = ProbeTimeline(self)
+        self._timeline = [ProbeTimeline(self)]
         self.obs.derive("core.timeline.samples",
-                        lambda: self.probe_timeline.samples)
+                        lambda slot=self._timeline: slot[0].samples)
         self.obs.derive("core.timeline.dropped",
-                        lambda: self.probe_timeline.dropped)
+                        lambda slot=self._timeline: slot[0].dropped)
         # Fast-forward I-line tracking and width-debt carry, one entry
         # per hardware context (the fast engine's analogues of the
         # pipeline's ctx.last_line and of slot occupancy).
@@ -201,11 +208,25 @@ class Simulation:
         # cannot change what a run computes, only whether a stuck run
         # dies with diagnostics instead of spinning forever.
         self.watchdog_cycles = None
+        #: Set by :meth:`close`; a closed machine cannot run.
+        self.closed = False
 
     @property
     def now(self) -> int:
         """Current simulation cycle (persists across chunked runs)."""
         return self._now
+
+    @property
+    def probe_timeline(self):
+        """The interval telemetry sampler
+        (:class:`~repro.obs.timeline.ProbeTimeline`).  Assign another one
+        before running to sample another interval or probe set; the
+        ``core.timeline.*`` probes follow the assignment."""
+        return self._timeline[0]
+
+    @probe_timeline.setter
+    def probe_timeline(self, timeline) -> None:
+        self._timeline[0] = timeline
 
     def attach_events(self, bus) -> None:
         """Wire one :class:`~repro.obs.events.EventBus` through every layer.
@@ -247,6 +268,25 @@ class Simulation:
                 f"watchdog stall_cycles must be >= 1, got {stall_cycles}")
         self.watchdog_cycles = stall_cycles
 
+    def close(self) -> None:
+        """Release the machine: drop the references that make it one
+        reference cycle, so that it is freed by reference counting as
+        soon as its owner lets go of it, not by a later pass of the
+        cyclic garbage collector.
+
+        The kernel and the workload drop their back-references
+        (:meth:`MiniDUX.close <repro.os_model.kernel.MiniDUX.close>`,
+        :meth:`Workload.close <repro.workloads.base.Workload.close>`);
+        nothing else is touched, so counters, results and artifacts
+        read before or after stay as they were.  Running a closed
+        machine raises.  Closing twice does nothing.
+        """
+        if self.closed:
+            return
+        self.closed = True
+        self.os.close()
+        self.workload.close()
+
     def run(
         self,
         max_instructions: int = 300_000,
@@ -270,6 +310,8 @@ class Simulation:
         watchdog: both tiers' run loops go through this one chunk loop.
         *unit* names the stalled cycles in the :class:`NoProgressError`
         message."""
+        if self.closed:
+            raise RuntimeError("cannot run a closed simulation")
         if self.watchdog_cycles is None:
             return run_once(max_instructions, max_cycles)
         limit_cycles = max_cycles if max_cycles is not None else (1 << 62)

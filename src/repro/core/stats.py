@@ -19,6 +19,8 @@ interval.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.isa.types import InstrType, Mode
 
 #: Mode classes used by the time-series figures.
@@ -288,7 +290,10 @@ class Attribution:
 
     def __init__(self, stats: SimStats, n_contexts: int,
                  threads_by_tid: dict) -> None:
-        self.stats = stats
+        #: The clock (``cycles``) of the stats that own this account.  A
+        #: weak proxy: a strong link back would make the pair a reference
+        #: cycle, which only the cyclic garbage collector frees.
+        self.stats = weakref.proxy(stats)
         self._threads = threads_by_tid
         #: Context-cycles charged per ``;``-joined call path.
         self.path_cycles: dict[str, int] = {}

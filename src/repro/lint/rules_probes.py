@@ -48,16 +48,22 @@ _PERCENTILE_RE = re.compile(r"\.p\d{2}$")
 def live_manifest() -> dict[str, Any]:
     """The probe manifest as the live registries define it.
 
-    Builds (never runs) the eight canonical simulations and unions
-    their registered names and derived-family prefixes.  Imports the
-    simulator lazily: checking the tree never needs it.
+    Builds (never runs) the eight canonical simulations one at a time
+    and unions their registered names and derived-family prefixes,
+    closing each machine once read.  Imports the simulator lazily:
+    checking the tree never needs it.
     """
     from repro.analysis.experiments import CANONICAL_SPECS, build_simulation
 
-    registries = [build_simulation(*spec).obs for spec in CANONICAL_SPECS]
-    return {"version": 2,
-            "names": sorted({n for r in registries for n in r.names()}),
-            "families": sorted({f for r in registries for f in r.families()})}
+    names: set[str] = set()
+    families: set[str] = set()
+    for spec in CANONICAL_SPECS:
+        sim = build_simulation(*spec)
+        names.update(sim.obs.names())
+        families.update(sim.obs.families())
+        sim.close()
+    return {"version": 2, "names": sorted(names),
+            "families": sorted(families)}
 
 
 def write_manifest() -> pathlib.Path:

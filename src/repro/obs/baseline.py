@@ -21,6 +21,10 @@ Scenarios:
 * ``report`` -- the full report build from a warm store (prefetch is
   excluded from the timing), i.e. the analysis layer's speed.
 
+``repro bench`` measures each scenario in a fresh spawned interpreter
+(:func:`measure_isolated`), so its peak RSS is its own, whatever ran
+before it.
+
 ``repro bench --check`` re-measures and compares against the committed
 baseline with a configurable noise band (host timings on shared machines
 jitter; the default tolerance is deliberately generous), exiting nonzero
@@ -123,6 +127,7 @@ def _measure_sim(workload: str, instructions: int) -> dict:
         "dropped": timeline.dropped,
         "columns": len(timeline.columns),
     }
+    sim.close()
     host = {"build_s": round(build, 3), "wall_s": round(wall, 3),
             "ips": round(retired / wall, 1) if wall > 0 else 0.0}
     rss = _max_rss_kb()
@@ -171,6 +176,7 @@ def _measure_tiered(mode: str, instructions: int) -> dict:
         sim_section["sample_windows"] = len(samples)
         sim_section["measured_instructions"] = sum(
             w.get("retired", 0) for w in samples)
+    sim.close()
     host = {"build_s": round(build, 3), "wall_s": round(wall, 3),
             "ips": round(retired / wall, 1) if wall > 0 else 0.0}
     rss = _max_rss_kb()
@@ -235,6 +241,25 @@ def measure(scenario: str,
         "generated": datetime.datetime.now().isoformat(timespec="seconds"),
     }
     return payload
+
+
+def measure_isolated(scenario: str,
+                     instructions: int | None = None) -> dict:
+    """:func:`measure` in a fresh spawned interpreter.
+
+    ``max_rss_kb`` is the peak resident memory of the process that ran
+    the scenario, so a scenario measured after another one in the same
+    process would report the larger peak of the two.  A spawned child
+    starts from an empty interpreter, so its peak is the scenario's own
+    as long as the caller's peak is lower (Linux carries a process's
+    peak across ``exec``): ``repro bench`` runs no simulation itself.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+        return pool.submit(measure, scenario, instructions).result()
 
 
 def baseline_path(scenario: str, directory: str | pathlib.Path = ".") -> pathlib.Path:

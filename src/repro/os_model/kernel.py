@@ -202,7 +202,6 @@ class MiniDUX:
         from repro.obs.registry import CounterGroup, ProbeRegistry
 
         obs = registry if registry is not None else ProbeRegistry()
-        self.obs = obs
         self.counters = CounterGroup(obs, "os", (
             "dtlb_miss_events",
             "itlb_miss_events",
@@ -795,6 +794,27 @@ class MiniDUX:
             "syscalls": dict(sorted(self.syscall_counts.items())),
             "rng": repr(self.rng.getstate()),
         }
+
+    def close(self) -> None:
+        """Drop every reference that leads back to this kernel (see
+        :meth:`repro.core.simulator.Simulation.close`).
+
+        These are the streams' kernel links, the scheduler's and VM's
+        hooks, each thread's behavior and in-flight frames (their
+        callbacks close over the kernel and the devices), the pending
+        interrupts and the device list.  Attributes are rebound, never
+        cleared in place, so containers a result or an artifact holds
+        stay intact.
+        """
+        for stream in self.streams:
+            stream.os = None
+        self.scheduler.on_switch = self.scheduler.flush_asn = None
+        self.vm.on_incursion = None
+        for thread in self.threads_by_tid.values():
+            thread.behavior = None
+            thread.frames = []
+        self.interrupts.pending = deque()
+        self.devices = []
 
     # -- context switching --------------------------------------------------------
 

@@ -82,6 +82,12 @@ class ApacheWorkload(Workload):
             and self.clients.responses_completed >= self.warmup_responses
         )
 
+    def close(self) -> None:
+        if self.stack is not None:
+            # The NIC and the client model point back at the stack.
+            self.stack.nic = None
+            self.stack.remote_rx = None
+
     def setup(self, os: MiniDUX, hierarchy, rng: random.Random) -> None:
         self.stack = NetworkStack(
             os, random.Random(rng.randrange(1 << 30)),

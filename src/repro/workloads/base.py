@@ -30,3 +30,10 @@ class Workload(abc.ABC):
         the paper's start-up vs steady-state windows.
         """
         return True
+
+    def close(self) -> None:
+        """Drop the references between this workload's own objects that
+        form reference cycles, once its machine is done (see
+        :meth:`repro.core.simulator.Simulation.close`).  The kernel
+        releases the threads and devices; most workloads hold nothing
+        else."""

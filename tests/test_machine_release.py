@@ -1,0 +1,175 @@
+"""A finished machine is freed by reference counting.
+
+Every job closes its :class:`~repro.core.simulator.Simulation`
+(:meth:`~repro.core.simulator.Simulation.close`), which drops the
+machine's reference cycles.  These tests run each job with the cyclic
+garbage collector disabled: once the job returns, the machine, its L2
+cache and its kernel code model must already be gone, and a collection
+must find no simulator object left for it.
+"""
+
+import gc
+import weakref
+
+import pytest
+
+from repro import faults
+from repro.analysis import experiments, sweeps
+from repro.analysis.store import RunStore
+from repro.core.engine import fast_forward
+from repro.core.simulator import NoProgressError
+from repro.net.packets import Packet
+
+
+@pytest.fixture(autouse=True)
+def _disarmed():
+    faults.clear()
+    yield
+    faults.clear()
+
+
+def _machine_refs(sim) -> list:
+    return [weakref.ref(obj) for obj in
+            (sim, sim.hierarchy.l2, sim.os.kernel_text)]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Weak references to every machine ``execute_spec`` builds."""
+    refs: list = []
+    build = experiments.build_simulation
+
+    def watched(*args, **kwargs):
+        sim = build(*args, **kwargs)
+        refs.append(_machine_refs(sim))
+        return sim
+
+    monkeypatch.setattr(experiments, "build_simulation", watched)
+    return refs
+
+
+def _run_uncollected(job, refs: list) -> list[str]:
+    """Run *job* with the collector off and check that every machine in
+    *refs* died with it; return the simulator types a collection then
+    finds unreachable."""
+    gc.collect()
+    gc.disable()
+    try:
+        job()
+        assert refs
+        for machine in refs:
+            assert [ref() is None for ref in machine] == [True] * 3
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.enable()
+    garbage = {type(obj) for obj in gc.garbage}
+    gc.garbage.clear()
+    return sorted(f"{t.__module__}.{t.__qualname__}" for t in garbage
+                  if t.__module__.startswith("repro"))
+
+
+@pytest.mark.parametrize("workload,cpu,os_mode", [
+    ("apache", "smt", "full"),
+    ("specint", "smt", "full"),
+    ("specint", "smt", "app"),
+    ("apache", "smt", "omit"),
+    ("apache", "ss", "full"),
+])
+def test_detailed_job_frees_its_machine(built, workload, cpu, os_mode):
+    spec = experiments.run_spec(workload, cpu, os_mode, 4_000, 11)
+    assert _run_uncollected(lambda: experiments.execute_spec(spec),
+                            built) == []
+
+
+def test_sampled_job_frees_its_machine(built):
+    spec = experiments.run_spec("specint", "smt", "full", 8_000, 11,
+                                mode="sampled", warmup=3_000,
+                                sample=(2_000, 1_000))
+    assert _run_uncollected(lambda: experiments.execute_spec(spec),
+                            built) == []
+
+
+def test_checkpoint_save_and_restore_free_their_machines(built, tmp_path):
+    spec = experiments.run_spec("specint", "smt", "full", 6_000, 11,
+                                mode="fast", warmup=3_000)
+    store = RunStore(tmp_path)
+    saved, restored = [], []
+
+    def save():
+        saved.append(experiments.execute_spec(spec, checkpoint_store=store))
+
+    def restore():
+        restored.append(experiments.execute_spec(spec,
+                                                 checkpoint_store=store))
+
+    assert _run_uncollected(save, built) == []
+    assert _run_uncollected(restore, built) == []
+    assert saved[0].sampling["checkpoint"]["restored"] is False
+    assert restored[0].sampling["checkpoint"]["restored"] is True
+
+
+def test_stalled_job_frees_its_machine(built):
+    spec = experiments.run_spec("specint", "smt", "app", 2_000, 31)
+    faults.install(faults.FaultPlan(
+        sites=(faults.FaultSite("sim.stall", arg=2_000),)), env=False)
+    raised = []
+
+    def job():
+        try:
+            experiments.execute_spec(spec)
+        except NoProgressError:
+            raised.append(True)
+
+    assert _run_uncollected(job, built) == []
+    assert raised == [True]
+
+
+def test_sweep_point_frees_its_machine():
+    refs: list = []
+
+    def build(n):
+        sim = sweeps.build_context_sim("apache", n)
+        refs.append(_machine_refs(sim))
+        return sim
+
+    points = []
+
+    def job():
+        sweep = sweeps.run_sweep("release", "contexts", (2,), build,
+                                 instructions=3_000)
+        points.extend(sweep.points)
+
+    assert _run_uncollected(job, refs) == []
+    assert points[0].metrics["ipc"] > 0
+
+
+def test_pending_interrupt_does_not_keep_a_closed_machine():
+    # A posted interrupt waits in the kernel's queue until a context can
+    # take it, and its effect closes over the device, which points at
+    # the kernel.  Here one is caught between the NIC's post and the
+    # kernel's dispatch.
+    sim = experiments.build_simulation("apache", "smt", "full")
+    sim.run(max_instructions=2_000)
+    nic = sim.workload.stack.nic
+    nic.inject(Packet(1, 40, "ack"))
+    nic.tick(1 << 40)  # posts; only the kernel's next tick delivers
+    assert sim.os.interrupts.pending
+    refs = [_machine_refs(sim)]
+    machines = [sim]
+    del sim, nic
+    assert _run_uncollected(lambda: machines.pop().close(), refs) == []
+
+
+def test_close_is_idempotent_and_a_closed_machine_cannot_run():
+    sim = experiments.build_simulation("specint", "smt", "full")
+    result = sim.run(max_instructions=500)
+    sim.close()
+    sim.close()
+    assert sim.closed
+    assert result.stats.retired >= 500  # counters stay readable
+    with pytest.raises(RuntimeError, match="closed"):
+        sim.run(max_instructions=1_000)
+    with pytest.raises(RuntimeError, match="closed"):
+        fast_forward(sim, 1_000)

@@ -116,6 +116,24 @@ def test_cli_bench_writes_trajectory_files(tmp_path, capsys):
     assert payload["scenario"] == "specint"
 
 
+def test_cli_bench_measures_each_scenario_in_a_fresh_interpreter(
+        tmp_path, capsys, monkeypatch):
+    # ru_maxrss is a process's peak so far, so a scenario measured in
+    # this process would carry the peaks of everything run before it.
+    # The command must not measure here: a scenario patched in this
+    # process is not the one that runs.
+    monkeypatch.setitem(baseline.SCENARIOS, "specint", (
+        "patched in the parent",
+        lambda n: {"host": {"max_rss_kb": 1}, "sim": {}}))
+    assert cli.main(["bench", "specint", "--instructions", str(BUDGET),
+                     "--dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    payload = baseline.load_baseline("specint", tmp_path)
+    assert payload["description"] != "patched in the parent"
+    assert payload["host"]["max_rss_kb"] > 1
+    assert payload["sim"]["retired"] >= BUDGET
+
+
 def test_cli_bench_check_seeds_passes_and_fails(tmp_path, capsys):
     """Acceptance: --check exits nonzero when a scenario regresses beyond
     the noise band (fabricated baseline), zero otherwise."""
