@@ -48,8 +48,6 @@ from dataclasses import dataclass, field
 #: per-mode physical memory ops and taken branches, and the MSHR
 #: occupancy integrals are probes, and ``probe_timeline`` drops its
 #: ``class.*`` columns (Figures 1/5 fold the ``svc.*`` ones).
-#: Checkpoints record and fingerprint this version too, so a bump
-#: retires them along with the runs.
 SCHEMA_VERSION = 9
 
 #: Coarse code-version tag folded into every fingerprint.  Bump when the
@@ -116,9 +114,10 @@ class RunArtifact:
     (``"timeline_truncated"`` when the interval telemetry hit its sample
     cap); a normal run's flags are empty.  ``mode`` is the execution
     tier the run used (see :mod:`repro.core.engine`) and ``sampling``
-    records a tiered run's leg plan, extrapolated probe estimates, and
-    checkpoint provenance; plain detailed runs carry ``mode="full"`` and
-    no sampling record.
+    records a tiered run's leg plan and extrapolated probe estimates;
+    plain detailed runs carry ``mode="full"`` and no sampling record.
+    A record stored by an older tree may hold a further key, which
+    still loads and which nothing reads.
 
     Each window holds the machine's ``cycles`` and ``retired`` totals,
     the per-service cycle fold ``service_cycles``, the call-path

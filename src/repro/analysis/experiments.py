@@ -229,8 +229,7 @@ def run_windowed(sim: Simulation, budget: int) -> tuple[dict, dict, dict]:
     return diff(mid, boot), diff(end, mid), diff(end, boot)
 
 
-def execute_spec(spec: dict, heartbeat=None,
-                 checkpoint_store: RunStore | None = None) -> RunArtifact:
+def execute_spec(spec: dict, heartbeat=None) -> RunArtifact:
     """Execute one run spec and freeze it into an artifact (no caching).
 
     This is the unit of work the run engine ships to worker
@@ -244,13 +243,7 @@ def execute_spec(spec: dict, heartbeat=None,
 
     Specs carrying tier keys (``mode``/``warmup``/``sample``/``stride``,
     see :func:`run_spec`) execute their leg plan through
-    :mod:`repro.core.engine` instead of the plain windowed run.  With
-    *checkpoint_store* (an execution option, never part of the
-    fingerprint), a run with a warm-up prefix saves the warmed state as
-    a checkpoint in that store on first execution and verify-restores
-    it on later ones; restored runs are byte-identical to
-    straight-through ones, with the provenance recorded under the
-    artifact's ``sampling`` metadata.
+    :mod:`repro.core.engine` instead of the plain windowed run.
     """
     from repro import faults
 
@@ -284,8 +277,7 @@ def execute_spec(spec: dict, heartbeat=None,
                 snapshot=sim.obs.snapshot())
         tiered = spec.get("mode", "full") != "full" or spec.get("warmup")
         if tiered:
-            startup, steady, total, sampling = _execute_tiered(
-                sim, spec, checkpoint_store)
+            startup, steady, total, sampling = _execute_tiered(sim, spec)
         else:
             startup, steady, total = run_windowed(sim, spec["instructions"])
             sampling = None
@@ -308,57 +300,29 @@ def execute_spec(spec: dict, heartbeat=None,
         sim.close()
 
 
-def _execute_tiered(sim: Simulation, spec: dict,
-                    checkpoint_store: RunStore | None):
+def _execute_tiered(sim: Simulation, spec: dict):
     """Run a tiered spec's leg plan and assemble its counter windows.
 
     Window semantics for tiered runs: *startup* covers boot through the
     warm-up prefix (empty when the spec has no warm-up), *total* covers
     the whole run, and *steady* is the rest -- except for sampled runs,
     where it is the merged union of the detailed measurement legs (the
-    only windows with real pipeline timing in them).  The warm-up's
-    checkpoint, if any, is read from and saved to *checkpoint_store*.
+    only windows with real pipeline timing in them).
 
     Returns ``(startup, steady, total, sampling_meta)``; the metadata
-    records the executed legs, the stride, the extrapolated whole-run
-    probe estimates for sampled mode, and checkpoint provenance.
+    records the executed legs, the stride, and the extrapolated
+    whole-run probe estimates for sampled mode.
     """
-    from repro.core import checkpoint as ckpt
     from repro.core.engine import extrapolate, run_plan
     from repro.analysis.snapshot import merge_windows
 
     plan, stride = spec_plan(spec)
     mode = spec.get("mode", "full")
-    warmup = spec.get("warmup", 0)
-    records: list[dict] = []
-    samples: list[dict] = []
-    ckpt_meta = None
+    split = 1 if spec.get("warmup") else 0  # the warm-up leg, if any
     boot = capture(sim)
-    rest = plan
-    if warmup:
-        prefix, rest = [plan[0]], plan[1:]
-        payload = None
-        if checkpoint_store is not None:
-            fingerprint = ckpt.checkpoint_fingerprint(
-                sim.params, prefix, stride)
-            payload = checkpoint_store.get_checkpoint(fingerprint)
-        if payload is not None:
-            ckpt.restore(sim, payload)
-            records.append({"mode": "fast", "target": warmup,
-                            "retired": sim.stats.retired,
-                            "cycles": sim.now})
-            ckpt_meta = {"fingerprint": fingerprint, "restored": True,
-                         "boundary": payload["boundary"]}
-        else:
-            leg_records, _ = run_plan(sim, prefix, stride=stride)
-            records.extend(leg_records)
-            if checkpoint_store is not None:
-                saved = ckpt.take(sim, prefix, stride)
-                checkpoint_store.put_checkpoint(saved)
-                ckpt_meta = {"fingerprint": fingerprint, "restored": False,
-                             "boundary": saved["boundary"]}
+    records, _ = run_plan(sim, plan[:split], stride=stride)
     mid = capture(sim)
-    leg_records, samples = run_plan(sim, rest, stride=stride)
+    leg_records, samples = run_plan(sim, plan[split:], stride=stride)
     records.extend(leg_records)
     end = capture(sim)
     startup = diff(mid, boot)
@@ -370,8 +334,6 @@ def _execute_tiered(sim: Simulation, spec: dict,
     meta: dict = {"mode": mode, "stride": stride, "plan": records}
     if mode == "sampled" and samples:
         meta["extrapolated"] = extrapolate(samples, spec["instructions"])
-    if ckpt_meta is not None:
-        meta["checkpoint"] = ckpt_meta
     return startup, steady, total, meta
 
 
@@ -417,25 +379,19 @@ def get_run(
     warmup: int = 0,
     sample: tuple[int, int] | None = None,
     stride: int | None = None,
-    checkpoint: bool = False,
 ) -> RunArtifact:
     """Fetch a canonical run artifact: memo, then store, then execute.
 
     *mode*/*warmup*/*sample*/*stride* select the execution tier (they
-    are part of the spec and therefore the store key); *checkpoint* is
-    an execution option only -- whether a cache-missing run may reuse
-    (or save) a warm-up checkpoint in the store -- and never changes
-    the key.
+    are part of the spec and therefore the store key).
     """
     spec = run_spec(workload, cpu, os_mode, instructions, seed,
                     mode=mode, warmup=warmup, sample=sample, stride=stride)
     fingerprint = run_fingerprint(spec)
     artifact = cached_artifact(fingerprint)
     if artifact is None:
-        store = RunStore()
-        artifact = execute_spec(
-            spec, checkpoint_store=store if checkpoint else None)
-        store.put(artifact)
+        artifact = execute_spec(spec)
+        RunStore().put(artifact)
         _MEMO[fingerprint] = artifact
     return artifact
 

@@ -207,15 +207,12 @@ class _StallingSink:
 
 def _run_attempt(spec: dict, store_root: str, attempt: int, *,
                  progress_path: str | None = None, on_beat=None,
-                 checkpoint: bool = False,
                  allow_exit: bool = False) -> RunArtifact:
     """One attempt's body, shared by worker processes and inline
     attempts: fire worker-level fault sites, execute, store.
 
     With *progress_path*, a heartbeat overwrites that file with the
-    latest progress sample (*on_beat* runs after each write); with
-    *checkpoint*, tiered specs reuse/save warm-up checkpoints in the
-    store under *store_root* (see :mod:`repro.core.checkpoint`).
+    latest progress sample (*on_beat* runs after each write).
     """
     faults.set_attempt(attempt)
     faults.reset_fired()
@@ -239,17 +236,13 @@ def _run_attempt(spec: dict, store_root: str, attempt: int, *,
             sink = _StallingSink(sink, after_beats=stall.arg or 1)
         heartbeat = Heartbeat(sink, target_instructions=spec["instructions"],
                               label=label)
-    store = RunStore(store_root)
-    artifact = experiments.execute_spec(
-        spec, heartbeat=heartbeat,
-        checkpoint_store=store if checkpoint else None)
-    store.put(artifact)
+    artifact = experiments.execute_spec(spec, heartbeat=heartbeat)
+    RunStore(store_root).put(artifact)
     return artifact
 
 
 def _supervised_worker(spec: dict, store_root: str, attempt: int,
-                       err_path: str, progress_path=None,
-                       checkpoint: bool = False) -> None:
+                       err_path: str, progress_path=None) -> None:
     """Process target: run one attempt, report failure via *err_path*.
 
     Success is signalled by exit code 0 plus the artifact being present
@@ -258,7 +251,7 @@ def _supervised_worker(spec: dict, store_root: str, attempt: int,
     """
     try:
         _run_attempt(spec, store_root, attempt, progress_path=progress_path,
-                     checkpoint=checkpoint, allow_exit=True)
+                     allow_exit=True)
     except BaseException as exc:  # noqa: BLE001 - report, then die
         record = {"type": type(exc).__name__, "message": str(exc),
                   "transient": getattr(exc, "transient", None)}
@@ -473,8 +466,7 @@ class ReproService:
     unlimited); the queue's ``lease_s`` bounds how long a claimed
     worker may go without a heartbeat before its lease is revoked.
     *isolation* is ``"auto"`` (worker processes when available),
-    ``"process"``, or ``"inline"``.  *checkpoint* lets tiered specs
-    reuse/save warm-up checkpoints in the store.  *on_complete* is
+    ``"process"``, or ``"inline"``.  *on_complete* is
     called with each finished :class:`~repro.analysis.queue.Job` (used
     by chaos scenarios to trigger drains mid-sweep).
     """
@@ -487,7 +479,7 @@ class ReproService:
                  isolation: str = "auto",
                  breaker_cooldown: int = DEFAULT_BREAKER_COOLDOWN,
                  events=None, on_complete=None,
-                 progress: bool = False, checkpoint: bool = False) -> None:
+                 progress: bool = False) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if retries < 0:
@@ -505,7 +497,6 @@ class ReproService:
         self.events = events
         self.on_complete = on_complete
         self.progress = progress
-        self.checkpoint = checkpoint
         self.breaker = CircuitBreaker(cooldown=breaker_cooldown,
                                       on_transition=self._breaker_moved)
         self._breaker_fault_seen = False
@@ -789,7 +780,7 @@ class ReproService:
         proc = ctx.Process(
             target=_supervised_worker,
             args=(job.spec, str(self.store.root), job.attempts, err_path,
-                  progress_path, self.checkpoint),
+                  progress_path),
             daemon=True)
         proc.start()
         if faults.fire("service.worker.lost", job.label) is not None:
@@ -886,8 +877,7 @@ class ReproService:
                     "service.worker.lost",
                     f"injected worker loss ({job.label})")
             artifact = _run_attempt(
-                job.spec, str(self.store.root), job.attempts,
-                checkpoint=self.checkpoint, **beats)
+                job.spec, str(self.store.root), job.attempts, **beats)
         except Exception as exc:  # noqa: BLE001 - taxonomy below
             error = f"{type(exc).__name__}: {exc}"
             kind = classify_error(type(exc).__name__,
@@ -1049,7 +1039,7 @@ def run_many(specs=None, *, max_workers: int | None = None,
     *max_workers* caps the worker slots (default: one per core).
     With *progress*, executing misses renders a live aggregate line.
     *options* are :class:`ReproService` keyword arguments (``retries``,
-    ``timeout``, ``isolation``, ``checkpoint``, ``backoff_base``, ...).
+    ``timeout``, ``isolation``, ``backoff_base``, ...).
     """
     items = list(specs) if specs is not None else list(CANONICAL_SPECS)
     resolved = [resolve_item(item) for item in items]

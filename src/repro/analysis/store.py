@@ -8,10 +8,6 @@ stored artifact instead.  Invalidation is automatic -- the fingerprint
 covers the artifact schema version, a code-version tag, and the full
 simulation config -- so changing any knob, the counter layout, or the
 simulator itself simply produces a different key and a cache miss.
-Warm-up checkpoints (:mod:`repro.core.checkpoint`) live in the same
-store under ``ckpt-`` file names and go through the same reader, writer
-and verifier: the two payload kinds differ only in file name, ``kind``
-tag, expected fingerprint and listing label, and never serve each other.
 
 The store root defaults to ``.repro_cache/`` in the current directory and
 can be redirected with the ``REPRO_CACHE_DIR`` environment variable
@@ -19,10 +15,10 @@ can be redirected with the ``REPRO_CACHE_DIR`` environment variable
 (temp file + rename) and carry a whole-payload ``content_hash``; on read
 that checksum is re-verified, and a corrupt entry is moved aside into
 ``<root>/quarantine/`` (with a ``.why`` sidecar naming the reason) and
-treated as a miss -- never as an error.  Schema-stale entries stay in
-place as plain misses (``cache gc`` collects them), and interrupted
-atomic writes leave ``*.tmp.<pid>`` files that :meth:`RunStore.collect_tmp`
-(``repro cache gc``) reclaims.
+treated as a miss -- never as an error.  Stale entries (see
+:func:`_stale_reason`) stay in place as plain misses (``cache gc``
+collects them), and interrupted atomic writes leave ``*.tmp.<pid>``
+files that :meth:`RunStore.collect_tmp` (``repro cache gc``) reclaims.
 """
 
 from __future__ import annotations
@@ -77,58 +73,31 @@ def _slug(spec: dict) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", text)
 
 
-#: Payload kinds: run artifacts, and warm-up checkpoints
-#: (:mod:`repro.core.checkpoint`), whose files carry a ``ckpt-`` prefix.
-RUN = "run"
-CHECKPOINT = "checkpoint"
-_CHECKPOINT_PREFIX = "ckpt-"
+#: File-name prefix of the warm-up replay files that older trees stored
+#: next to runs.  Nothing reads them any more, so they are stale at any
+#: schema.
+_LEFTOVER_PREFIX = "ckpt-"
 
 
-def _kind(payload: dict) -> str:
-    return CHECKPOINT if payload.get("kind") == CHECKPOINT else RUN
-
-
-def _listing_label(payload: dict) -> str:
-    """A payload's ``cache ls`` label: the run label, or for a
-    checkpoint e.g. ``ckpt:specint-full@100002``."""
-    if _kind(payload) == RUN:
-        return run_label(payload.get("spec"))
-    params = payload.get("params")
-    if not isinstance(params, dict):
-        return "ckpt"
-    parts = [str(params.get(k)) for k in ("workload", "os_mode")
-             if params.get(k) is not None]
-    base = "-".join(parts) or "ckpt"
-    return f"ckpt:{base}@{payload.get('boundary', '?')}"
-
-
-def _expected_fingerprint(payload: dict) -> str:
-    """The fingerprint a payload should carry, recomputed from the spec
-    or the checkpoint plan it records; :class:`ArtifactError` when it
-    records too little to recompute one."""
-    if _kind(payload) == RUN:
-        return run_fingerprint(RunArtifact.from_json_dict(payload).spec)
-    from repro.core.checkpoint import checkpoint_fingerprint
-    from repro.core.engine import Leg
-
-    try:
-        plan = [Leg(mode, instructions)
-                for mode, instructions in payload["plan"]]
-        return checkpoint_fingerprint(payload["params"], plan,
-                                      payload["stride"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"invalid checkpoint payload: {exc}") from exc
+def _stale_reason(path: pathlib.Path, schema_version) -> str:
+    """Why the stored file *path* can never be served, or ``""`` when it
+    is current: a leftover ``ckpt-*`` file, or a schema behind
+    :data:`~repro.analysis.artifact.SCHEMA_VERSION`.  Reads, listings,
+    ``cache ls --verify`` and ``cache gc`` all judge staleness here."""
+    if path.name.startswith(_LEFTOVER_PREFIX):
+        return "leftover ckpt- file, no longer read"
+    if schema_version != SCHEMA_VERSION:
+        return f"stale schema v{schema_version}"
+    return ""
 
 
 @dataclass(frozen=True)
 class StoreEntry:
-    """One stored artifact or checkpoint, as listed by ``repro cache ls``.
+    """One stored file, as listed by ``repro cache ls``.
 
-    ``kind`` is ``"run"`` for artifacts and ``"checkpoint"`` for
-    checkpoint recipes (:mod:`repro.core.checkpoint`); ``schema_version``
-    is the artifact schema the payload recorded (runs and checkpoints
-    record the same one), so stale entries can show why they miss.
-    ``created`` is the file's mtime as an ISO-8601 timestamp.
+    ``schema_version`` is the artifact schema the payload recorded, so
+    stale entries can show why they miss.  ``created`` is the file's
+    mtime as an ISO-8601 timestamp.
     """
 
     path: pathlib.Path
@@ -138,7 +107,12 @@ class StoreEntry:
     schema_version: int | None = None
     created: str = ""
     flags: tuple = ()
-    kind: str = RUN
+
+    @property
+    def stale(self) -> str:
+        """Why this entry is never served (see :func:`_stale_reason`), or
+        ``""`` when it is current."""
+        return _stale_reason(self.path, self.schema_version)
 
 
 @dataclass(frozen=True)
@@ -162,47 +136,17 @@ class RunStore:
     # -- read --------------------------------------------------------------
 
     def get(self, fingerprint: str) -> RunArtifact | None:
-        """Load the artifact with this fingerprint, or None on any miss
-        (see :meth:`_read`)."""
-        hit = self._read(fingerprint, RUN)
-        if hit is None:
-            return None
-        path, payload = hit
-        try:
-            return RunArtifact.from_json_dict(payload)
-        except ArtifactError as exc:
-            self._quarantine(path, f"invalid artifact payload: {exc}")
-            return None
+        """Load the artifact with this fingerprint, or None on any miss.
 
-    def __contains__(self, fingerprint: str) -> bool:
-        return self.get(fingerprint) is not None
-
-    def get_checkpoint(self, fingerprint: str) -> dict | None:
-        """Load the checkpoint payload with this fingerprint, or None on
-        any miss (see :meth:`_read`).  Returns the raw payload dict for
-        :func:`repro.core.checkpoint.restore`."""
-        hit = self._read(fingerprint, CHECKPOINT)
-        if hit is None:
-            return None
-        payload = hit[1]
-        payload.pop("content_hash", None)  # storage detail
-        return payload
-
-    def _read(self, fingerprint: str,
-              kind: str) -> tuple[pathlib.Path, dict] | None:
-        """The stored *kind* payload with this fingerprint, and its path.
-
-        Misses are never errors: an absent, unreadable or schema-stale
-        file, or one of the other kind, is a plain miss, while an
-        unparsable or checksum-failing file is *quarantined* (moved to
-        ``<root>/quarantine/`` with a ``.why`` sidecar) and then treated
-        as a miss, so one corrupt entry can never crash a sweep or be
-        silently served as data.
+        Misses are never errors: an absent, unreadable or stale file is
+        a plain miss, while an unparsable, checksum-failing or invalid
+        file is *quarantined* (moved to ``<root>/quarantine/`` with a
+        ``.why`` sidecar) and then treated as a miss, so one corrupt
+        entry can never crash a sweep or be silently served as data.
         """
         if not self.root.is_dir():
             return None
-        prefix = _CHECKPOINT_PREFIX if kind == CHECKPOINT else ""
-        pattern = f"{prefix}*-{fingerprint[:_NAME_HASH_LEN]}.json"
+        pattern = f"*-{fingerprint[:_NAME_HASH_LEN]}.json"
         for path in sorted(self.root.glob(pattern)):
             try:
                 data = path.read_bytes()
@@ -224,44 +168,33 @@ class RunStore:
             if not isinstance(payload, dict):
                 self._quarantine(path, "payload is not an object")
                 continue
-            if _kind(payload) != kind:
-                continue  # kinds never serve each other
-            if payload.get("schema_version") != SCHEMA_VERSION:
-                continue  # stale schema: a plain miss, collected by gc
+            if _stale_reason(path, payload.get("schema_version")):
+                continue  # a plain miss, collected by gc
             if payload.get("content_hash") != content_hash(payload):
                 self._quarantine(path, "content checksum mismatch")
                 continue
-            if payload.get("fingerprint") == fingerprint:
-                return path, payload
+            if payload.get("fingerprint") != fingerprint:
+                continue
+            try:
+                return RunArtifact.from_json_dict(payload)
+            except ArtifactError as exc:
+                self._quarantine(path, f"invalid artifact payload: {exc}")
+                return None
         return None
+
+    def __contains__(self, fingerprint: str) -> bool:
+        return self.get(fingerprint) is not None
 
     # -- write -------------------------------------------------------------
 
     def put(self, artifact: RunArtifact) -> pathlib.Path:
-        """Persist one artifact atomically; returns its path."""
-        name = (f"{_slug(artifact.spec)}"
-                f"-{artifact.fingerprint[:_NAME_HASH_LEN]}.json")
-        return self._write(name, artifact.to_json_dict())
-
-    def put_checkpoint(self, payload: dict) -> pathlib.Path:
-        """Persist one checkpoint payload atomically; returns its path.
-
-        Files are named ``ckpt-<slug>@<boundary>-<fp>.json`` so the
-        namespace is disjoint from run artifacts and the boundary is
-        visible in listings.
-        """
-        # Simulation params name no cpu or budget: the slug is
-        # workload-os_mode-seed.
-        slug = _slug(payload.get("params") or {})
-        return self._write(
-            f"{_CHECKPOINT_PREFIX}{slug}@{payload.get('boundary', 0)}"
-            f"-{payload['fingerprint'][:_NAME_HASH_LEN]}.json", payload)
-
-    def _write(self, name: str, payload: dict) -> pathlib.Path:
-        """Write *payload* plus its ``content_hash`` to *name*: a temp
-        file, then an atomic rename, so readers see all or nothing."""
+        """Persist one artifact atomically -- a temp file, then a rename,
+        so readers see all or nothing -- with its ``content_hash``;
+        returns its path."""
+        payload = artifact.to_json_dict()
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.root / name
+        path = self.root / (f"{_slug(artifact.spec)}"
+                            f"-{artifact.fingerprint[:_NAME_HASH_LEN]}.json")
         if faults.fire("store.put.disk_full", path.name) is not None:
             raise OSError(28, f"injected ENOSPC writing {path.name}")
         body = dict(payload, content_hash=content_hash(payload))
@@ -343,12 +276,12 @@ class RunStore:
                           f"not parseable as an artifact ({exc})")
         if not isinstance(payload, dict):
             return record("?", "UNREADABLE", "payload is not an object")
-        label = _listing_label(payload)
-        version = payload.get("schema_version")
-        if version != SCHEMA_VERSION:
-            return record(label, "SKIP", f"stale schema v{version}")
+        label = run_label(payload.get("spec"))
+        reason = _stale_reason(path, payload.get("schema_version"))
+        if reason:
+            return record(label, "SKIP", reason)
         try:
-            expected = _expected_fingerprint(payload)
+            expected = run_fingerprint(RunArtifact.from_json_dict(payload).spec)
         except ArtifactError as exc:
             return record(label, "UNREADABLE", str(exc))
         fingerprint = payload.get("fingerprint")
@@ -367,9 +300,9 @@ class RunStore:
     # -- maintenance -------------------------------------------------------
 
     def entries(self) -> list[StoreEntry]:
-        """All parseable artifacts in the store, sorted by filename.
+        """All parseable stored files, sorted by filename.
 
-        Stale-schema entries are still listed (with their recorded
+        Stale entries are still listed (with their recorded
         ``schema_version``) so ``repro cache ls`` can explain why a run
         re-simulated instead of hitting; only unreadable files are
         skipped.
@@ -392,26 +325,21 @@ class RunStore:
             flags = payload.get("flags")
             out.append(StoreEntry(
                 path=path, fingerprint=fingerprint,
-                label=_listing_label(payload), size=stat.st_size,
+                label=run_label(payload.get("spec")), size=stat.st_size,
                 schema_version=version if isinstance(version, int) else None,
                 created=created,
-                flags=tuple(flags) if isinstance(flags, list) else (),
-                kind=_kind(payload)))
+                flags=tuple(flags) if isinstance(flags, list) else ()))
         return out
 
     def gc(self, dry_run: bool = False) -> list[StoreEntry]:
-        """Delete stale-schema entries (the ones ``cache ls`` flags).
+        """Delete stale entries (the ones ``cache ls`` flags).
 
         A schema bump turns every stored artifact into a permanent miss;
         without collection those files leak disk forever.  Returns the
         stale entries (removed, or merely found with *dry_run*).  Current
-        -schema entries are never touched.  Runs and checkpoints are
-        judged by the one :data:`~repro.analysis.artifact.SCHEMA_VERSION`:
-        a checkpoint's probes digest hashes the layout that version
-        names, so a bump retires both.
+        entries are never touched.
         """
-        stale = [entry for entry in self.entries()
-                 if entry.schema_version != SCHEMA_VERSION]
+        stale = [entry for entry in self.entries() if entry.stale]
         if not dry_run:
             for entry in stale:
                 try:
@@ -423,9 +351,9 @@ class RunStore:
     def collect_tmp(self, dry_run: bool = False) -> list[tuple[pathlib.Path, int]]:
         """Reclaim ``*.tmp.<pid>`` files stranded by interrupted writes.
 
-        :meth:`put` and :meth:`put_checkpoint` stage each payload in a
-        temp file before the atomic rename; a worker killed in that
-        window leaves the temp file behind forever.  Returns ``(path, size)`` pairs (removed,
+        :meth:`put` stages each payload in a temp file before the
+        atomic rename; a worker killed in that window leaves the temp
+        file behind forever.  Returns ``(path, size)`` pairs (removed,
         or merely found with *dry_run*).
 
         The listing sorts on (base name, numeric pid), not the raw
@@ -454,19 +382,15 @@ class RunStore:
                     pass
         return found
 
-    def clear(self) -> tuple[int, int]:
-        """Delete every stored artifact and checkpoint; returns how many
-        of each were removed, as ``(runs, checkpoints)``."""
-        runs = checkpoints = 0
+    def clear(self) -> int:
+        """Delete every stored file; returns how many were removed."""
+        removed = 0
         if not self.root.is_dir():
-            return runs, checkpoints
+            return removed
         for path in sorted(self.root.glob("*.json")):
             try:
                 path.unlink()
             except OSError:  # pragma: no cover - racing deletion
                 continue
-            if path.name.startswith(_CHECKPOINT_PREFIX):
-                checkpoints += 1
-            else:
-                runs += 1
-        return runs, checkpoints
+            removed += 1
+        return removed

@@ -6,7 +6,7 @@
     python -m repro run specint --cpu smt --instructions 200000 --progress
     python -m repro run specint --mode fast --stride 8
     python -m repro run specint --mode sampled --warmup 100000 \
-        --sample 180000:20000 --checkpoint
+        --sample 180000:20000
     python -m repro table 4
     python -m repro figure 6
     python -m repro report --out EXPERIMENTS_GENERATED.md
@@ -122,8 +122,7 @@ def _cmd_run(args) -> int:
         retries = args.retries if args.retries is not None else DEFAULT_RETRIES
         (result,) = run_many(
             [item], retries=retries, timeout=args.timeout,
-            force=args.progress, progress=args.progress,
-            checkpoint=args.checkpoint).values()
+            force=args.progress, progress=args.progress).values()
         if not result.ok:
             for line in result.transcript:
                 print(f"  {line}")
@@ -143,16 +142,12 @@ def _cmd_run(args) -> int:
         heartbeat = Heartbeat(
             sink, target_instructions=spec["instructions"],
             label=run_label(spec))
-        store = RunStore()
-        rec = experiments.execute_spec(
-            spec, heartbeat=heartbeat,
-            checkpoint_store=store if args.checkpoint else None)
-        store.put(rec)
+        rec = experiments.execute_spec(spec, heartbeat=heartbeat)
+        RunStore().put(rec)
         experiments.register_artifact(rec)
     else:
         rec = get_run(args.workload, args.cpu, args.os_mode,
-                      instructions=args.instructions, seed=args.seed,
-                      checkpoint=args.checkpoint, **tier)
+                      instructions=args.instructions, seed=args.seed, **tier)
     w = rec.steady
     shares = metrics.class_shares(w)
     print(f"workload={args.workload} cpu={args.cpu} os_mode={args.os_mode}")
@@ -174,19 +169,14 @@ def _cmd_run(args) -> int:
 
 
 def _print_sampling(rec) -> None:
-    """Tiered-run provenance: leg plan, checkpoint reuse, and -- for
-    sampled runs -- the whole-run extrapolation with its error bars."""
+    """Tiered-run provenance: leg plan and -- for sampled runs -- the
+    whole-run extrapolation with its error bars."""
     sampling = rec.sampling
     if not sampling:
         return
     legs = ", ".join(f"{leg['mode']}:{leg['retired']:,}"
                      for leg in sampling.get("plan", []))
     print(f"leg plan            {legs} (stride {sampling.get('stride')})")
-    ckpt = sampling.get("checkpoint")
-    if ckpt:
-        state = "restored from" if ckpt.get("restored") else "saved to"
-        print(f"warm-up checkpoint  {state} store "
-              f"({ckpt.get('fingerprint', '')[:12]}@{ckpt.get('boundary')})")
     extra = sampling.get("extrapolated")
     if not extra:
         return
@@ -255,9 +245,7 @@ def _cmd_cache(args) -> int:
 
     store = RunStore()
     if args.cache_command == "clear":
-        runs, checkpoints = store.clear()
-        print(f"removed {runs} stored run(s), {checkpoints} checkpoint(s) "
-              f"from {store.root}")
+        print(f"removed {store.clear()} stored file(s) from {store.root}")
         return 0
     if args.cache_command == "ls" and args.verify:
         return _cache_verify(store)
@@ -293,30 +281,24 @@ def _cmd_cache(args) -> int:
             print(f"[{len(quarantined)} quarantined corrupt file(s) in "
                   f"{store.root / 'quarantine'}]")
         return 0
-    from repro.analysis.artifact import SCHEMA_VERSION
-
     total = 0
     stale = 0
-    checkpoints = 0
     for entry in entries:
         total += entry.size
-        if entry.kind == "checkpoint":
-            checkpoints += 1
         version = ("?" if entry.schema_version is None
                    else f"v{entry.schema_version}")
-        if entry.schema_version != SCHEMA_VERSION:
+        if entry.stale:
             stale += 1
             version += "*"
         flags = f"  [{','.join(entry.flags)}]" if entry.flags else ""
-        print(f"  {entry.label:24s} {entry.kind:10s} {version:<4s} "
+        print(f"  {entry.label:24s} {version:<4s} "
               f"{entry.created:19s} {entry.size:>10,} B  "
               f"{entry.fingerprint[:16]}  {entry.path.name}{flags}")
-    summary = (f"{len(entries) - checkpoints} stored run(s), "
-               f"{checkpoints} checkpoint(s), {total:,} bytes "
+    summary = (f"{len(entries) - stale} stored run(s), {total:,} bytes "
                f"in {store.root}")
     if stale:
-        summary += (f"  [{stale} stale: schema behind current, "
-                    "will re-run on next use]")
+        summary += (f"  [{stale} stale: never served, "
+                    "`repro cache gc` removes them]")
     if quarantined:
         summary += (f"  [{len(quarantined)} quarantined corrupt file(s) in "
                     f"{store.root / 'quarantine'}]")
@@ -871,11 +853,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--stride", type=int, default=None, metavar="S",
                        help="fast-mode frame subsampling stride "
                             "(default 8; 1 = materialize everything)")
-    p_run.add_argument("--checkpoint", action="store_true",
-                       help="verify a tiered run's warm-up against a "
-                            "replay recipe stored on first use (the "
-                            "warm-up still runs; results and store keys "
-                            "are unchanged)")
     p_run.add_argument("--progress", action="store_true",
                        help="execute fresh (even if stored) with a live "
                             "progress line")

@@ -25,8 +25,8 @@ Determinism contract: a given config *and mode plan* is one
 deterministic trajectory.  Because the cycle clock feeds kernel
 semantics (timer interrupts, quanta, halts), fast and full runs are
 *different* trajectories -- but any shared plan prefix is byte-identical
-across runs, which is what makes sampled windows reproducible and
-checkpoints (:mod:`repro.core.checkpoint`) verifiable.
+across runs, which is what makes sampled windows reproducible and lets
+a run split its plan at the warm-up boundary.
 """
 
 from __future__ import annotations
@@ -80,14 +80,7 @@ class TierStats:
         self.flushed_instructions = 0
 
     def register_probes(self, registry) -> None:
-        """Register the engine's probe subtree (``core.mode.*``).
-
-        Whether a warm-up checkpoint was saved or restored is not a
-        probe: probe snapshots are pure functions of the executed
-        trajectory, while saving vs. restoring is harness provenance (a
-        restored run must stay byte-identical to a straight-through
-        one).  The artifact's ``sampling`` metadata records it instead.
-        """
+        """Register the engine's probe subtree (``core.mode.*``)."""
         for name in ("fast_instructions", "fast_materialized", "fast_cycles",
                      "detailed_instructions", "detailed_cycles", "legs",
                      "samples", "pipeline_flushes", "flushed_instructions"):

@@ -177,7 +177,7 @@ class Simulation:
             lambda p=self.processor:
                 p.events.dropped if p.events is not None else 0)
         # Tiered-engine accounting (core.mode.* probes; all zero unless
-        # fast-forward / sampling / checkpointing is used).
+        # fast-forward or sampling is used).
         self.tier = TierStats()
         self.tier.register_probes(self.obs)
         # Interval probe telemetry (repro.obs.timeline): snapshots the
@@ -404,7 +404,7 @@ class Simulation:
         The artifact is flagged ``"timeline_truncated"`` when the
         interval telemetry hit its sample cap.  ``mode`` and
         ``sampling`` record the execution tier and its leg plan /
-        extrapolation / checkpoint provenance for tiered runs.
+        extrapolation for tiered runs.
         """
         from repro.analysis.artifact import RunArtifact
 

@@ -179,7 +179,8 @@ class Cache:
     # -- observability -----------------------------------------------------
 
     def content_state(self) -> list:
-        """Deterministic content summary for checkpoint state digests:
+        """Deterministic content summary for the state digests that
+        ``tests/test_engine.py::test_fast_tier_state_is_pinned`` pins:
         per set, the resident lines in LRU order with their filler
         attribution and sharing mask."""
         return [

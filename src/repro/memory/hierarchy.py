@@ -231,8 +231,8 @@ class MemoryHierarchy:
 
     def content_state(self) -> dict:
         """Deterministic summary of every stateful structure's contents,
-        hashed into checkpoint state digests (see
-        :mod:`repro.core.checkpoint`)."""
+        hashed into the state digests that
+        ``tests/test_engine.py::test_fast_tier_state_is_pinned`` pins."""
         return {
             "l1i": self.l1i.content_state(),
             "l1d": self.l1d.content_state(),

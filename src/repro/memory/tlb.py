@@ -131,7 +131,8 @@ class TLB:
         return n
 
     def content_state(self) -> list:
-        """Deterministic content summary for checkpoint state digests:
+        """Deterministic content summary for the state digests that
+        ``tests/test_engine.py::test_fast_tier_state_is_pinned`` pins:
         the resident translations in LRU order."""
         return [
             [asn, vpn, e.filler_tid, e.filler_kind]

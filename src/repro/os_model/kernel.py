@@ -226,8 +226,6 @@ class MiniDUX:
         self.vm.on_incursion = self._vm_incursion
         #: Core-registered listeners called with (ctx,) on context switch.
         self.switch_listeners: list[Callable[[int], None]] = []
-        #: Wired by the network layer: called with each transmitted packet.
-        self.net_tx_hook: Callable | None = None
 
         # Per-context CPU pseudo-threads host interrupt and scheduler frames.
         self.cpu_threads = [self._make_cpu_thread(ctx) for ctx in range(n_contexts)]
@@ -756,9 +754,10 @@ class MiniDUX:
     def state_summary(self) -> dict:
         """Deterministic, JSON-safe summary of kernel execution state.
 
-        Hashed into checkpoint state digests (see
-        :mod:`repro.core.checkpoint`): two runs of the same config whose
-        summaries match are at the same point of the same trajectory.
+        Hashed into the state digests that
+        ``tests/test_engine.py::test_fast_tier_state_is_pinned`` pins:
+        two runs of the same config whose summaries match are at the
+        same point of the same trajectory.
         RNG states are captured via ``repr`` -- exact, cheap, and only
         ever compared by hash.
         """

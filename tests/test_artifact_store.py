@@ -239,9 +239,9 @@ def test_store_entries_and_clear(tmp_path, small_artifact):
     assert entries[0].label == "specint-smt-full"
     assert entries[0].fingerprint == small_artifact.fingerprint
     assert entries[0].size > 0
-    assert store.clear() == (1, 0)
+    assert store.clear() == 1
     assert store.entries() == []
-    assert store.clear() == (0, 0)
+    assert store.clear() == 0
 
 
 # -- warm-cache guarantee (acceptance: no simulation after warm) ----------

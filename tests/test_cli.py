@@ -395,23 +395,16 @@ def test_cli_run_fast_mode(tmp_path, monkeypatch, capsys):
     assert "leg plan" in out and "stride" in out
 
 
-def test_cli_run_sampled_mode_with_checkpoint(tmp_path, monkeypatch, capsys):
+def test_cli_run_sampled_mode(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     args = ["run", "specint", "--instructions", "12000", "--mode", "sampled",
-            "--warmup", "4000", "--sample", "4000:2000", "--checkpoint"]
+            "--warmup", "4000", "--sample", "4000:2000"]
     assert cli.main(args) == 0
     out = capsys.readouterr().out
     assert "execution mode      sampled" in out
-    assert "saved to store" in out
     assert "sampled windows" in out
     assert "+/-" in out  # extrapolated estimates carry error bars
     assert "~derived.cycles" in out
-
-    # Same spec again: served from the store (same fingerprint), but a
-    # fresh forced execution restores the warm-up checkpoint.
-    experiments.clear_cache()
-    assert cli.main(args + ["--progress"]) == 0
-    assert "restored from store" in capsys.readouterr().out
 
 
 def test_cli_run_rejects_bad_sample(tmp_path, monkeypatch):
@@ -422,42 +415,88 @@ def test_cli_run_rejects_bad_sample(tmp_path, monkeypatch):
         cli.main(["run", "specint", "--mode", "sampled", "--sample", "a:b"])
 
 
-def test_cli_cache_ls_shows_checkpoint_kind(tmp_path, monkeypatch, capsys):
+def test_cli_cache_treats_leftover_ckpt_files_as_stale(
+        tmp_path, monkeypatch, capsys):
+    # Older trees stored warm-up replay recipes next to runs under
+    # ckpt- names.  Nothing reads them now: every cache command must
+    # see a stale entry, and get() must never serve one.
+    import json
+
+    from repro.analysis.artifact import SCHEMA_VERSION
+    from repro.analysis.store import RunStore, content_hash
+
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     assert cli.main(["run", "specint", "--instructions", "12000",
-                     "--mode", "sampled", "--warmup", "4000",
-                     "--sample", "4000:2000", "--checkpoint"]) == 0
+                     "--mode", "fast"]) == 0
     capsys.readouterr()
+    (run_path,) = tmp_path.glob("*.json")
+
+    fingerprint = ("6673eb4170dc8599fd81722c80e2ecdd"
+                   "0ab57b60d95bab6398ad82e25ce21219")
+    payload = {
+        "kind": "checkpoint", "schema_version": SCHEMA_VERSION,
+        "fingerprint": fingerprint,
+        "params": {"workload": "specint", "os_mode": "full", "seed": 11},
+        "plan": [["fast", 4000]], "stride": 8, "boundary": 4000,
+        "cycle": 500,
+        "digests": {"probes": "f0e0" * 16, "kernel": "a6ba" * 16,
+                    "memory": "9183" * 16},
+    }
+    payload["content_hash"] = content_hash(payload)
+    leftover = tmp_path / f"ckpt-specint-full-11@4000-{fingerprint[:20]}.json"
+
+    def write_leftover():
+        leftover.write_text(json.dumps(payload, sort_keys=True) + "\n")
+
+    write_leftover()
+    store = RunStore(tmp_path)
+    assert store.get(fingerprint) is None
+    assert leftover.exists() and store.quarantined == []
+
     assert cli.main(["cache", "ls"]) == 0
     out = capsys.readouterr().out
-    assert "checkpoint" in out
-    assert "ckpt:" in out
-    assert "1 stored run(s), 1 checkpoint(s)" in out
-    assert "stale" not in out
+    (line,) = [ln for ln in out.splitlines() if leftover.name in ln]
+    assert "*" in line
+    assert "1 stored run(s)" in out
+    assert "[1 stale" in out
 
     assert cli.main(["cache", "ls", "--verify"]) == 0
     out = capsys.readouterr().out
-    assert "0 problem(s)" in out
+    (line,) = [ln for ln in out.splitlines() if leftover.name in ln]
+    assert "SKIP" in line
+    assert "1 verified, 0 problem(s)" in out
 
+    assert cli.main(["cache", "gc", "--dry-run"]) == 0
+    out = capsys.readouterr().out
+    assert leftover.name in out
+    assert "would remove 1 stale run(s)" in out
+    assert leftover.exists()
+    assert cli.main(["cache", "gc"]) == 0
+    assert leftover.name in capsys.readouterr().out
+    assert not leftover.exists() and run_path.exists()
     assert cli.main(["cache", "gc"]) == 0
     assert "no stale-schema entries" in capsys.readouterr().out
 
+    write_leftover()
+    assert cli.main(["cache", "clear"]) == 0
+    assert "removed 2 stored file(s)" in capsys.readouterr().out
+    assert list(tmp_path.glob("*.json")) == []
 
-def test_cli_cache_clear_counts_runs_and_checkpoints_apart(
-        tmp_path, monkeypatch, capsys):
+
+def test_cli_cache_clear_counts_removed_files(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     experiments.clear_cache()
     assert cli.main(["run", "specint", "--instructions", "12000",
                      "--mode", "sampled", "--warmup", "4000",
-                     "--sample", "4000:2000", "--checkpoint"]) == 0
+                     "--sample", "4000:2000"]) == 0
     assert cli.main(["run", "specint", "--instructions", "12000",
                      "--mode", "fast"]) == 0
     capsys.readouterr()
     assert cli.main(["cache", "ls"]) == 0
-    assert "2 stored run(s), 1 checkpoint(s)" in capsys.readouterr().out
+    assert "2 stored run(s)" in capsys.readouterr().out
 
     assert cli.main(["cache", "clear"]) == 0
-    assert (f"removed 2 stored run(s), 1 checkpoint(s) from {tmp_path}"
+    assert (f"removed 2 stored file(s) from {tmp_path}"
             in capsys.readouterr().out)
     assert cli.main(["cache", "ls"]) == 0
     assert "empty" in capsys.readouterr().out

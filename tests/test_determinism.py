@@ -40,7 +40,7 @@ def test_different_seeds_actually_differ():
 #
 # The same contract extends to every execution tier: a config plus a
 # *mode plan* is one deterministic trajectory, so fast-forward legs,
-# sampled plans, and checkpoint-restored runs must all replay to
+# sampled plans, and a plan run in two calls must all replay to
 # byte-identical probe snapshots.
 
 
@@ -78,50 +78,23 @@ def test_sampled_plan_replays_byte_identical_windows():
     assert first and first == second
 
 
-def test_checkpoint_restore_then_run_matches_straight_through():
-    # The ISSUE-6 acceptance test: restore at K, run to 2K, and compare
-    # byte-for-byte against a straight-through run of the same plan.
-    from repro.core import checkpoint
+def test_split_plan_matches_one_call():
+    # _execute_tiered runs a warm-up leg, captures the warm boundary,
+    # then runs the rest of the plan in a second call: the split must
+    # not move the trajectory.
     from repro.core.engine import Leg, run_plan
 
     k = 6_000
     straight = build_simulation("specint", "smt", "full", seed=11)
     run_plan(straight, [Leg("fast", k), Leg("fast", k)])
 
-    saver = build_simulation("specint", "smt", "full", seed=11)
-    run_plan(saver, [Leg("fast", k)])
-    ckpt = checkpoint.take(saver, [Leg("fast", k)])
+    split = build_simulation("specint", "smt", "full", seed=11)
+    run_plan(split, [Leg("fast", k)])
+    capture(split)
+    run_plan(split, [Leg("fast", k)])
 
-    resumed = build_simulation("specint", "smt", "full", seed=11)
-    checkpoint.restore(resumed, ckpt)
-    run_plan(resumed, [Leg("fast", k)])
-
-    assert resumed.stats.retired == straight.stats.retired
-    assert resumed.now == straight.now
+    assert split.stats.retired == straight.stats.retired
+    assert split.now == straight.now
     a = canonical_json(capture(straight)["probes"]).encode()
-    b = canonical_json(capture(resumed)["probes"]).encode()
+    b = canonical_json(capture(split)["probes"]).encode()
     assert a == b
-
-
-def test_checkpointed_artifact_equals_straight_through(tmp_path):
-    # End to end through the store: executing the same tiered spec with
-    # and without checkpoint reuse yields byte-identical artifacts
-    # (checkpointing is an execution option, never part of the result).
-    from repro.analysis import experiments
-    from repro.analysis.store import RunStore
-
-    spec = experiments.run_spec("specint", "smt", "full", 12_000, seed=11,
-                                mode="sampled", warmup=4_000,
-                                sample=(4_000, 2_000))
-    plain = experiments.execute_spec(spec)
-    store = RunStore(tmp_path)
-    saved = experiments.execute_spec(spec, checkpoint_store=store)  # saves
-    restored = experiments.execute_spec(spec,
-                                        checkpoint_store=store)  # restores
-    assert saved.sampling["checkpoint"]["restored"] is False
-    assert restored.sampling["checkpoint"]["restored"] is True
-    for window in ("startup", "steady", "total"):
-        assert (canonical_json(plain.window(window))
-                == canonical_json(saved.window(window))
-                == canonical_json(restored.window(window)))
-    assert plain.fingerprint == saved.fingerprint == restored.fingerprint

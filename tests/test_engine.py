@@ -1,20 +1,21 @@
-"""Tiered execution engine: plans, fast-forward invariants, sampling
-extrapolation, and checkpoint replay (see docs/execution-modes.md).
+"""Tiered execution engine: plans, fast-forward invariants and sampling
+extrapolation (see docs/execution-modes.md).
 
-The determinism side (byte-identical replays, checkpoint restore vs
-straight-through) lives in test_determinism.py; this module covers the
-engine's structural contracts.
+The determinism side (byte-identical replays, a split plan vs one call)
+lives in test_determinism.py; this module covers the engine's
+structural contracts.
 """
+
+import hashlib
 
 import pytest
 
-from repro.analysis.artifact import SCHEMA_VERSION
+from repro.analysis.artifact import canonical_json
 from repro.analysis.experiments import build_simulation
 from repro.analysis.snapshot import capture, diff, merge_windows
 from repro.analysis.sweeps import build_context_sim
-from repro.core import checkpoint
-from repro.core.engine import (FF_STRIDE_DEFAULT, Leg, build_plan,
-                               extrapolate, fast_forward, run_plan)
+from repro.core.engine import (Leg, build_plan, extrapolate, fast_forward,
+                               run_plan)
 
 
 def _sim(workload="specint", seed=11):
@@ -99,6 +100,33 @@ def test_fast_forward_rejects_bad_stride():
         fast_forward(sim, max_instructions=1_000, stride=0)
 
 
+def state_digests(sim) -> dict:
+    """SHA-256 digests of *sim*'s current architectural state.
+
+    Three independent digests so a verification failure localizes the
+    drift: ``probes`` (the full counter tree), ``kernel`` (scheduler,
+    threads, wait queues, RNG states), ``memory`` (cache and TLB
+    contents in LRU order).
+
+    The ``core.timeline.*`` counters are excluded from the probes
+    digest: they mirror the interval telemetry sampler's progress
+    (:mod:`repro.obs.timeline`), which is observation, not machine
+    state.  The pinned digests below were taken without them, just as
+    telemetry never enters run fingerprints.
+    """
+
+    def sha(payload) -> str:
+        return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+    probes = {k: v for k, v in capture(sim)["probes"].items()
+              if not k.startswith("core.timeline.")}
+    return {
+        "probes": sha(probes),
+        "kernel": sha(sim.os.state_summary()),
+        "memory": sha(sim.hierarchy.content_state()),
+    }
+
+
 #: (workload, n_contexts) -> (sim.now, sim._ff_debt, state digests) at
 #: seed 11 after a fast leg at stride 8, a detailed leg and a fast leg at
 #: stride 4 (see test_fast_tier_state_is_pinned).
@@ -162,7 +190,7 @@ def test_fast_tier_state_is_pinned(workload, n):
     now, debt, digests = PINNED_FAST_STATE[workload, n]
     assert sim.now == now
     assert sim._ff_debt == debt
-    assert checkpoint.state_digests(sim) == digests
+    assert state_digests(sim) == digests
 
 
 def test_fast_forward_warms_caches_and_predictor():
@@ -244,57 +272,3 @@ def test_extrapolate_scales_counts_not_rates():
 def test_extrapolate_needs_a_window():
     with pytest.raises(ValueError):
         extrapolate([], total_instructions=1_000)
-
-
-# -- checkpoints -------------------------------------------------------------
-
-
-def test_checkpoint_roundtrip_restores_identical_state():
-    plan = [Leg("fast", 8_000)]
-    saver = _sim()
-    run_plan(saver, plan)
-    ckpt = checkpoint.take(saver, plan)
-    assert ckpt["kind"] == "checkpoint"
-    assert ckpt["boundary"] == saver.stats.retired
-
-    restorer = _sim()
-    checkpoint.restore(restorer, ckpt)
-    assert restorer.stats.retired == saver.stats.retired
-    assert restorer.now == saver.now
-    assert checkpoint.state_digests(restorer) == ckpt["digests"]
-
-
-def test_checkpoint_restore_rejects_config_mismatch():
-    plan = [Leg("fast", 4_000)]
-    saver = _sim()
-    run_plan(saver, plan)
-    ckpt = checkpoint.take(saver, plan)
-    other = build_simulation("specint", "smt", "app", seed=11)
-    with pytest.raises(checkpoint.CheckpointError):
-        checkpoint.restore(other, ckpt)
-
-
-def test_checkpoint_restore_rejects_stale_schema_and_drift():
-    plan = [Leg("fast", 4_000)]
-    saver = _sim()
-    run_plan(saver, plan)
-    ckpt = checkpoint.take(saver, plan)
-
-    stale = dict(ckpt, schema_version=SCHEMA_VERSION + 1)
-    with pytest.raises(checkpoint.CheckpointError, match="schema"):
-        checkpoint.restore(_sim(), stale)
-
-    drifted = dict(ckpt, digests=dict(ckpt["digests"], kernel="0" * 64))
-    with pytest.raises(checkpoint.CheckpointError, match="kernel"):
-        checkpoint.restore(_sim(), drifted)
-
-
-def test_checkpoint_fingerprint_covers_plan_and_stride():
-    sim = _sim()
-    base = checkpoint.checkpoint_fingerprint(
-        sim.params, [Leg("fast", 1_000)], FF_STRIDE_DEFAULT)
-    other_plan = checkpoint.checkpoint_fingerprint(
-        sim.params, [Leg("fast", 2_000)], FF_STRIDE_DEFAULT)
-    other_stride = checkpoint.checkpoint_fingerprint(
-        sim.params, [Leg("fast", 1_000)], FF_STRIDE_DEFAULT + 1)
-    assert len({base, other_plan, other_stride}) == 3

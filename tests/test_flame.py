@@ -2,8 +2,8 @@
 
 Covers the reconciliation invariant (folded paths grouped by leaf ==
 the flat per-service cycle counters), span nesting discipline across
-execution tiers, fold determinism through checkpoint restore, and the
-``repro flame`` / ``repro diff --flame`` CLI surface.
+execution tiers, fold determinism, and the ``repro flame`` /
+``repro diff --flame`` CLI surface.
 """
 
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from repro import cli
 from repro.analysis import experiments
 from repro.analysis.snapshot import capture
-from repro.analysis.store import RunStore
 from repro.core.simulator import Simulation
 from repro.obs import flame
 from repro.obs.diff import compile_grep
@@ -197,24 +196,7 @@ def test_app_only_mode_still_reconciles():
     _reconcile(rec.window("total"))
 
 
-# -- determinism through checkpoints ----------------------------------------
-
-
-def test_checkpoint_restore_reproduces_identical_fold(tmp_path):
-    store = RunStore(tmp_path)
-    spec = experiments.run_spec("specint", "smt", "full", 16_000, 11,
-                                mode="sampled", warmup=6_000,
-                                sample=(6_000, 2_000))
-    straight = experiments.execute_spec(spec, checkpoint_store=store)
-    assert straight.sampling["checkpoint"]["restored"] is False
-    experiments.clear_cache()
-    restored = experiments.execute_spec(spec, checkpoint_store=store)
-    assert restored.sampling["checkpoint"]["restored"] is True
-    for window in ("startup", "steady", "total"):
-        fold_a = flame.fold(flame.flame_paths(straight.window(window)))
-        fold_b = flame.fold(flame.flame_paths(restored.window(window)))
-        assert fold_a == fold_b
-        assert fold_a  # non-trivial: the windows really carry paths
+# -- determinism ------------------------------------------------------------
 
 
 def test_same_seed_folds_byte_identical():

@@ -15,7 +15,6 @@ import pytest
 
 from repro import faults
 from repro.analysis import experiments, sweeps
-from repro.analysis.store import RunStore
 from repro.core.engine import fast_forward
 from repro.core.simulator import NoProgressError
 from repro.net.packets import Packet
@@ -89,25 +88,6 @@ def test_sampled_job_frees_its_machine(built):
                                 sample=(2_000, 1_000))
     assert _run_uncollected(lambda: experiments.execute_spec(spec),
                             built) == []
-
-
-def test_checkpoint_save_and_restore_free_their_machines(built, tmp_path):
-    spec = experiments.run_spec("specint", "smt", "full", 6_000, 11,
-                                mode="fast", warmup=3_000)
-    store = RunStore(tmp_path)
-    saved, restored = [], []
-
-    def save():
-        saved.append(experiments.execute_spec(spec, checkpoint_store=store))
-
-    def restore():
-        restored.append(experiments.execute_spec(spec,
-                                                 checkpoint_store=store))
-
-    assert _run_uncollected(save, built) == []
-    assert _run_uncollected(restore, built) == []
-    assert saved[0].sampling["checkpoint"]["restored"] is False
-    assert restored[0].sampling["checkpoint"]["restored"] is True
 
 
 def test_stalled_job_frees_its_machine(built):

@@ -141,29 +141,18 @@ def test_run_many_carries_tier_keys_through_dict_items():
     item = {"workload": "specint", "cpu": "smt", "os_mode": "full",
             "instructions": 12_000, "mode": "sampled", "warmup": 4_000,
             "sample": (4_000, 2_000)}
-    result = service.run_many([item], max_workers=1, checkpoint=True)
+    result = service.run_many([item], max_workers=1)
     (artifact,) = _artifacts(result).values()
     assert artifact.mode == "sampled"
     assert artifact.spec["mode"] == "sampled"
     assert artifact.spec["warmup"] == 4_000
     assert artifact.spec["sample"] == [4_000, 2_000]
-    assert artifact.sampling["checkpoint"]["restored"] is False
-    # The checkpoint landed next to the run in the shared store.
-    store = RunStore()
-    kinds = sorted(e.kind for e in store.entries())
-    assert kinds == ["checkpoint", "run"]
-    # A forced re-run restores it.
-    again = service.run_many([item], max_workers=1, force=True,
-                             checkpoint=True)
-    (rerun,) = _artifacts(again).values()
-    assert rerun.sampling["checkpoint"]["restored"] is True
-    assert rerun.steady == artifact.steady
 
 
-def test_warmup_checkpoint_lands_in_the_sweeps_own_store(tmp_path,
-                                                         monkeypatch):
-    # The engine stores each run in the store it was handed; the run's
-    # warm-up checkpoint belongs there too, not in the default store.
+def test_sweep_with_its_own_store_writes_nothing_to_the_default_store(
+        tmp_path, monkeypatch):
+    # The engine stores each run in the store it was handed, a warm-up
+    # run included, never in the default store.
     default = tmp_path / "default"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(default))
     store = RunStore(tmp_path / "own")
@@ -171,12 +160,8 @@ def test_warmup_checkpoint_lands_in_the_sweeps_own_store(tmp_path,
             "instructions": 12_000, "mode": "sampled", "warmup": 4_000,
             "sample": (4_000, 2_000)}
     (first,) = _artifacts(service.run_many(
-        [item], store=store, checkpoint=True, isolation="inline")).values()
-    assert first.sampling["checkpoint"]["restored"] is False
-    assert sorted(e.kind for e in store.entries()) == ["checkpoint", "run"]
+        [item], store=store, isolation="inline")).values()
+    assert [e.fingerprint for e in store.entries()] == [first.fingerprint]
     assert RunStore(default).entries() == []
-    (again,) = _artifacts(service.run_many(
-        [item], store=store, force=True, checkpoint=True,
-        isolation="inline")).values()
-    assert again.sampling["checkpoint"]["restored"] is True
+    service.run_many([item], store=store, force=True, isolation="inline")
     assert RunStore(default).entries() == []

@@ -88,8 +88,7 @@ def _kill_after_completes(proc, journal, wanted):
 
 
 def _artifact_fingerprints(store):
-    return sorted(entry.fingerprint for entry in store.entries()
-                  if entry.kind == "run")
+    return sorted(entry.fingerprint for entry in store.entries())
 
 
 @pytest.mark.parametrize("kill_after", [1, 2, 3])

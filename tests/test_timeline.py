@@ -3,10 +3,10 @@
 Covers record determinism (same config+seed => byte-identical
 ``probe_timeline``), both-tier alignment (``svc.*`` column conservation
 in the detailed and fast tiers; sampled-mode fast/full leg boundaries
-reconstructed from the leg records), checkpoint-restore equivalence,
-truncation at the sample cap, fingerprint neutrality of telemetry
-options, phase detection, the diff/flatten layer, CSV export, and the
-``repro timeline`` / ``repro diff --timeline`` CLI surface.
+reconstructed from the leg records), truncation at the sample cap,
+fingerprint neutrality of telemetry options, phase detection, the
+diff/flatten layer, CSV export, and the ``repro timeline`` /
+``repro diff --timeline`` CLI surface.
 """
 
 import json
@@ -18,7 +18,6 @@ from repro.analysis import experiments
 from repro.analysis.artifact import canonical_json
 from repro.analysis.export import probe_timeline_to_csv
 from repro.analysis.render import sparkline
-from repro.analysis.store import RunStore
 from repro.core.simulator import Simulation
 from repro.obs import timeline as tl
 from repro.workloads.apache import ApacheWorkload
@@ -184,39 +183,6 @@ def test_sampled_legs_reconstruct_fast_cycles_column():
         lo, hi = i * rec["interval"], (i + 1) * rec["interval"]
         overlap = sum(max(0, min(hi, b) - max(lo, a)) for a, b in spans)
         assert measured == overlap, f"sample {i}: {measured} != {overlap}"
-
-
-def test_checkpoint_restore_reproduces_identical_record(tmp_path):
-    store = RunStore(tmp_path)
-    spec = experiments.run_spec("specint", "smt", "full", 16_000, 11,
-                                mode="sampled", warmup=6_000,
-                                sample=(6_000, 2_000))
-    straight = experiments.execute_spec(spec, checkpoint_store=store)
-    assert straight.sampling["checkpoint"]["restored"] is False
-    experiments.clear_cache()
-    restored = experiments.execute_spec(spec, checkpoint_store=store)
-    assert restored.sampling["checkpoint"]["restored"] is True
-    assert straight.probe_timeline == restored.probe_timeline
-
-
-def test_checkpoint_survives_telemetry_config_change():
-    # Checkpoint state digests must exclude core.timeline.* (telemetry
-    # is observation, not state): a checkpoint saved with samples already
-    # recorded restores under a different interval without digest drift.
-    from repro.core import checkpoint as ckpt
-    from repro.core.engine import Leg, run_plan
-
-    prefix = [Leg("fast", 100_000)]  # ~12.5k fast cycles: > one default
-    saver = experiments.build_simulation("specint", "smt", "full")
-    run_plan(saver, prefix)          # interval, so samples > 0 at save
-    assert saver.obs.reader("core.timeline.samples")() > 0
-    saved = ckpt.take(saver, prefix)
-
-    retuned = experiments.build_simulation("specint", "smt", "full")
-    retuned.probe_timeline = tl.ProbeTimeline(retuned, interval=INTERVAL)
-    ckpt.restore(retuned, saved)     # would raise CheckpointError pre-v2
-    assert retuned.stats.retired == saved["boundary"]
-    assert retuned.now == saved["cycle"]
 
 
 # -- derived series and phases ----------------------------------------------
