@@ -17,8 +17,9 @@ that checksum is re-verified, and a corrupt entry is moved aside into
 ``<root>/quarantine/`` (with a ``.why`` sidecar naming the reason) and
 treated as a miss -- never as an error.  Stale entries (see
 :func:`_stale_reason`) stay in place as plain misses (``cache gc``
-collects them), and interrupted atomic writes leave ``*.tmp.<pid>``
-files that :meth:`RunStore.collect_tmp` (``repro cache gc``) reclaims.
+collects them, and quarantines any unreadable file it finds), and
+interrupted atomic writes leave ``*.tmp.<pid>`` files that
+:meth:`RunStore.collect_tmp` (``repro cache gc``) reclaims.
 """
 
 from __future__ import annotations
@@ -307,17 +308,34 @@ class RunStore:
         re-simulated instead of hitting; only unreadable files are
         skipped.
         """
+        return self.scan()[0]
+
+    def scan(self) -> tuple[list[StoreEntry], list[tuple[pathlib.Path, str]]]:
+        """One pass over the stored files: the :meth:`entries`, and
+        ``(path, reason)`` for each file that does not parse or whose
+        payload is not an object -- a file :meth:`get` would quarantine
+        on sight, with the reason it would record."""
+        out: list[StoreEntry] = []
+        unreadable: list[tuple[pathlib.Path, str]] = []
         if not self.root.is_dir():
-            return []
-        out = []
+            return out, unreadable
         for path in sorted(self.root.glob("*.json")):
             try:
                 payload = json.loads(path.read_text())
-                fingerprint = payload["fingerprint"]
-                stat = path.stat()
-            except (OSError, ValueError, KeyError, TypeError):
+            except OSError:
                 continue
-            if not isinstance(payload, dict) or not isinstance(fingerprint, str):
+            except ValueError:
+                unreadable.append((path, "unparsable JSON"))
+                continue
+            if not isinstance(payload, dict):
+                unreadable.append((path, "payload is not an object"))
+                continue
+            fingerprint = payload.get("fingerprint")
+            if not isinstance(fingerprint, str):
+                continue
+            try:
+                stat = path.stat()
+            except OSError:
                 continue
             version = payload.get("schema_version")
             created = datetime.datetime.fromtimestamp(
@@ -329,24 +347,31 @@ class RunStore:
                 schema_version=version if isinstance(version, int) else None,
                 created=created,
                 flags=tuple(flags) if isinstance(flags, list) else ()))
-        return out
+        return out, unreadable
 
-    def gc(self, dry_run: bool = False) -> list[StoreEntry]:
-        """Delete stale entries (the ones ``cache ls`` flags).
+    def gc(self, dry_run: bool = False
+           ) -> tuple[list[StoreEntry], list[tuple[pathlib.Path, str]]]:
+        """Delete stale entries (the ones ``cache ls`` flags) and move
+        unreadable files into ``quarantine/``.
 
         A schema bump turns every stored artifact into a permanent miss;
-        without collection those files leak disk forever.  Returns the
-        stale entries (removed, or merely found with *dry_run*).  Current
-        entries are never touched.
+        without collection those files leak disk forever.  An unreadable
+        file (see :meth:`scan`) is kept as evidence, as :meth:`get`
+        keeps it.  Returns the stale entries and the unreadable
+        ``(path, reason)`` pairs (collected, or merely found with
+        *dry_run*).  Current entries are never touched.
         """
-        stale = [entry for entry in self.entries() if entry.stale]
+        entries, unreadable = self.scan()
+        stale = [entry for entry in entries if entry.stale]
         if not dry_run:
             for entry in stale:
                 try:
                     entry.path.unlink()
                 except OSError:  # pragma: no cover - racing deletion
                     pass
-        return stale
+            for path, reason in unreadable:
+                self._quarantine(path, reason)
+        return stale, unreadable
 
     def collect_tmp(self, dry_run: bool = False) -> list[tuple[pathlib.Path, int]]:
         """Reclaim ``*.tmp.<pid>`` files stranded by interrupted writes.

@@ -86,7 +86,6 @@ def run_sweep(
         sim = build(value)
         sim.run(max_instructions=instructions)
         window = capture(sim)
-        sim.close()
         sweep.points.append(
             SweepPoint(value, {name: fn(window) for name, fn in fns.items()}))
     return sweep

@@ -250,11 +250,11 @@ def _cmd_cache(args) -> int:
     if args.cache_command == "ls" and args.verify:
         return _cache_verify(store)
     if args.cache_command == "gc":
-        stale = store.gc(dry_run=args.dry_run)
+        stale, unreadable = store.gc(dry_run=args.dry_run)
         tmp = store.collect_tmp(dry_run=args.dry_run)
-        if not stale and not tmp:
-            print(f"no stale-schema entries or stranded temp files "
-                  f"in {store.root}")
+        if not stale and not unreadable and not tmp:
+            print(f"no stale entries, unreadable files or stranded temp "
+                  f"files in {store.root}")
             return 0
         verb = "would remove" if args.dry_run else "removed"
         for entry in stale:
@@ -265,6 +265,12 @@ def _cmd_cache(args) -> int:
         if stale:
             print(f"{verb} {len(stale)} stale run(s), "
                   f"{sum(e.size for e in stale):,} bytes from {store.root}")
+        for path, reason in unreadable:
+            print(f"  {'(unreadable)':24s} {path.name}: {reason}")
+        if unreadable:
+            print(f"{'would move' if args.dry_run else 'moved'} "
+                  f"{len(unreadable)} unreadable file(s) into "
+                  f"{store.root / 'quarantine'}")
         for path, size in tmp:
             print(f"  {'(interrupted write)':24s} {'':4s} {size:>10,} B  "
                   f"{path.name}")
@@ -273,9 +279,9 @@ def _cmd_cache(args) -> int:
                   f"{sum(size for _, size in tmp):,} bytes "
                   f"from {store.root}")
         return 0
-    entries = store.entries()
+    entries, unreadable = store.scan()
     quarantined = store.quarantine_entries()
-    if not entries:
+    if not entries and not unreadable:
         print(f"store {store.root} is empty")
         if quarantined:
             print(f"[{len(quarantined)} quarantined corrupt file(s) in "
@@ -294,11 +300,16 @@ def _cmd_cache(args) -> int:
         print(f"  {entry.label:24s} {version:<4s} "
               f"{entry.created:19s} {entry.size:>10,} B  "
               f"{entry.fingerprint[:16]}  {entry.path.name}{flags}")
+    for path, reason in unreadable:
+        print(f"  {'(unreadable)':24s} {path.name}: {reason}")
     summary = (f"{len(entries) - stale} stored run(s), {total:,} bytes "
                f"in {store.root}")
     if stale:
         summary += (f"  [{stale} stale: never served, "
                     "`repro cache gc` removes them]")
+    if unreadable:
+        summary += (f"  [{len(unreadable)} unreadable: `repro cache gc` "
+                    "quarantines them]")
     if quarantined:
         summary += (f"  [{len(quarantined)} quarantined corrupt file(s) in "
                     f"{store.root / 'quarantine'}]")

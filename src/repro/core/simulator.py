@@ -10,6 +10,7 @@ paper's metrics from a single run.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import asdict, dataclass
 
 from repro.core.config import MachineConfig
@@ -92,6 +93,15 @@ class SimResult:
     @property
     def ipc(self) -> float:
         return self.stats.ipc
+
+
+def _release(kernel: MiniDUX, workload) -> None:
+    """Drop the reference cycles of one machine (see
+    :meth:`Simulation.close`).  A module function, so the finalizer that
+    calls it holds the kernel and the workload but not the
+    :class:`Simulation`."""
+    kernel.close()
+    workload.close()
 
 
 class Simulation:
@@ -208,8 +218,14 @@ class Simulation:
         # cannot change what a run computes, only whether a stuck run
         # dies with diagnostics instead of spinning forever.
         self.watchdog_cycles = None
-        #: Set by :meth:`close`; a closed machine cannot run.
-        self.closed = False
+        # Last: the machine releases itself when its last reference goes.
+        self._finalizer = weakref.finalize(self, _release, self.os,
+                                           self.workload)
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` ran; a closed machine cannot run."""
+        return not self._finalizer.alive
 
     @property
     def now(self) -> int:
@@ -274,6 +290,11 @@ class Simulation:
         soon as its owner lets go of it, not by a later pass of the
         cyclic garbage collector.
 
+        A machine does this by itself when its last reference goes (a
+        :func:`weakref.finalize` registered by ``__init__``), and at
+        interpreter exit; call it to release a machine that something
+        else still holds, such as a failed job's traceback.
+
         The kernel and the workload drop their back-references
         (:meth:`MiniDUX.close <repro.os_model.kernel.MiniDUX.close>`,
         :meth:`Workload.close <repro.workloads.base.Workload.close>`);
@@ -281,11 +302,7 @@ class Simulation:
         read before or after stay as they were.  Running a closed
         machine raises.  Closing twice does nothing.
         """
-        if self.closed:
-            return
-        self.closed = True
-        self.os.close()
-        self.workload.close()
+        self._finalizer()
 
     def run(
         self,

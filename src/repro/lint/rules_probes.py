@@ -49,9 +49,9 @@ def live_manifest() -> dict[str, Any]:
     """The probe manifest as the live registries define it.
 
     Builds (never runs) the eight canonical simulations one at a time
-    and unions their registered names and derived-family prefixes,
-    closing each machine once read.  Imports the simulator lazily:
-    checking the tree never needs it.
+    and unions their registered names and derived-family prefixes; each
+    machine is freed when the next one rebinds ``sim``.  Imports the
+    simulator lazily: checking the tree never needs it.
     """
     from repro.analysis.experiments import CANONICAL_SPECS, build_simulation
 
@@ -61,7 +61,6 @@ def live_manifest() -> dict[str, Any]:
         sim = build_simulation(*spec)
         names.update(sim.obs.names())
         families.update(sim.obs.families())
-        sim.close()
     return {"version": 2, "names": sorted(names),
             "families": sorted(families)}
 

@@ -16,6 +16,8 @@ behavior plus per-line ownership history:
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from repro.memory.classify import MissCause, MissStats
 
 #: Sentinel evictor thread id meaning "removed by an explicit OS flush".
@@ -78,8 +80,11 @@ class Cache:
         self._line_shift = line_size.bit_length() - 1
         if (1 << self._line_shift) != line_size:
             raise ValueError(f"{name}: line size must be a power of two")
-        # One insertion-ordered dict per set: line_addr -> _Line (LRU at front).
-        self._sets: list[dict[int, _Line]] = [dict() for _ in range(self.n_sets)]
+        # One insertion-ordered dict per set: line_addr -> _Line (LRU at
+        # front), keyed by set index and created by the set's first fill:
+        # a run touches a small share of a large L2's sets.  Lookups that
+        # must not fill read it with ``.get``.
+        self._sets: defaultdict[int, dict[int, _Line]] = defaultdict(dict)
         # Eviction history: line_addr -> (evictor_tid, evictor_kind).
         self._evicted: dict[int, tuple[int, int]] = {}
         # Every line address ever referenced (for compulsory classification).
@@ -125,7 +130,7 @@ class Cache:
     def probe(self, addr: int) -> bool:
         """Non-destructive presence check (no stats, no LRU update)."""
         line = addr >> self._line_shift
-        return line in self._sets[placement_index(line) & self._set_mask]
+        return line in self._sets.get(placement_index(line) & self._set_mask, ())
 
     def _classify_miss(self, line: int, tid: int, kind: int) -> None:
         stats = self.stats
@@ -158,7 +163,7 @@ class Cache:
         discarded.
         """
         dropped = 0
-        for s in self._sets:
+        for s in self._sets.values():
             for line in s:
                 self._evicted[line] = (_INVALIDATED, 0)
                 dropped += 1
@@ -169,7 +174,7 @@ class Cache:
     def flush_address(self, addr: int) -> bool:
         """Invalidate the single line containing *addr* if present."""
         line = addr >> self._line_shift
-        s = self._sets[placement_index(line) & self._set_mask]
+        s = self._sets.get(placement_index(line) & self._set_mask, ())
         if line in s:
             del s[line]
             self._evicted[line] = (_INVALIDATED, 0)
@@ -182,11 +187,13 @@ class Cache:
         """Deterministic content summary for the state digests that
         ``tests/test_engine.py::test_fast_tier_state_is_pinned`` pins:
         per set, the resident lines in LRU order with their filler
-        attribution and sharing mask."""
+        attribution and sharing mask, for all ``n_sets`` sets in index
+        order, whether or not a set was ever filled."""
+        sets = self._sets
         return [
             [[line, e.filler_tid, e.filler_kind, e.touched]
-             for line, e in s.items()]
-            for s in self._sets
+             for line, e in sets.get(index, {}).items()]
+            for index in range(self.n_sets)
         ]
 
     def register_probes(self, registry, prefix: str) -> None:
@@ -202,7 +209,7 @@ class Cache:
     @property
     def resident_lines(self) -> int:
         """Number of lines currently resident."""
-        return sum(len(s) for s in self._sets)
+        return sum(map(len, self._sets.values()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -127,7 +127,6 @@ def _measure_sim(workload: str, instructions: int) -> dict:
         "dropped": timeline.dropped,
         "columns": len(timeline.columns),
     }
-    sim.close()
     host = {"build_s": round(build, 3), "wall_s": round(wall, 3),
             "ips": round(retired / wall, 1) if wall > 0 else 0.0}
     rss = _max_rss_kb()
@@ -176,7 +175,6 @@ def _measure_tiered(mode: str, instructions: int) -> dict:
         sim_section["sample_windows"] = len(samples)
         sim_section["measured_instructions"] = sum(
             w.get("retired", 0) for w in samples)
-    sim.close()
     host = {"build_s": round(build, 3), "wall_s": round(wall, 3),
             "ips": round(retired / wall, 1) if wall > 0 else 0.0}
     rss = _max_rss_kb()

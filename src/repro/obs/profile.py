@@ -25,7 +25,7 @@ from typing import Callable
 
 
 class _Scope:
-    """Reusable context manager for one named scope."""
+    """Context manager for one named scope."""
 
     __slots__ = ("_profiler", "_name")
 
@@ -47,20 +47,16 @@ class ScopeProfiler:
 
     ``stats`` maps scope name to ``[calls, inclusive_seconds,
     child_seconds]``; :meth:`report` derives self time.  Calling the
-    profiler returns a context manager for the named scope; context
-    managers are cached so the hot loop allocates nothing per entry.
+    profiler returns a context manager for the named scope (hot code
+    goes through :meth:`wrap`, which allocates nothing per call).
     """
 
     def __init__(self) -> None:
         self.stats: dict[str, list] = {}
         self._stack: list[list] = []  # [name, start, child_seconds]
-        self._scopes: dict[str, _Scope] = {}
 
     def __call__(self, name: str) -> _Scope:
-        scope = self._scopes.get(name)
-        if scope is None:
-            scope = self._scopes[name] = _Scope(self, name)
-        return scope
+        return _Scope(self, name)
 
     def _enter(self, name: str) -> None:
         self._stack.append([name, time.perf_counter(), 0.0])

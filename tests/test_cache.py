@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory.cache import Cache
+from repro.analysis.experiments import build_simulation
+from repro.core.config import MachineConfig, MemoryConfig
+from repro.memory.cache import Cache, placement_index
 from repro.memory.classify import MissCause
+from repro.memory.hierarchy import MemoryHierarchy
 
 
 def make_cache(size=4096, assoc=2, line=64):
@@ -179,3 +182,73 @@ def test_hits_plus_misses_equals_accesses(addrs):
     for addr in addrs:
         hits += c.access(addr, 0, 0)
     assert hits + sum(c.stats.misses) == sum(c.stats.accesses)
+
+
+# -- lazy sets ----------------------------------------------------------------
+
+def _touched_sets(cache) -> set[int]:
+    """Set indices of every line the cache was ever asked for."""
+    return {placement_index(line) & (cache.n_sets - 1) for line in cache._seen}
+
+
+class _EagerCache(Cache):
+    """The same cache with every set created up front."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._sets = {index: {} for index in range(self.n_sets)}
+
+
+def test_fresh_l2_materializes_no_set():
+    l2 = MemoryHierarchy(MemoryConfig()).l2
+    assert l2.n_sets == 32_768
+    assert not l2._sets
+    assert len(l2.content_state()) == l2.n_sets
+
+
+def test_paper_scale_hierarchy_builds_no_l2_set():
+    l2 = MemoryHierarchy(MachineConfig.paper_scale().memory).l2
+    assert l2.n_sets == 262_144
+    assert not l2._sets
+
+
+def test_probe_and_flush_address_create_no_set():
+    c = make_cache()
+    c.access(0x1000, 1, 0)
+    for addr in range(0x2000, 0x2000 + 64 * 64, 64):
+        assert not c.probe(addr)
+        assert not c.flush_address(addr)
+    assert set(c._sets) == _touched_sets(c) and len(c._sets) == 1
+
+
+def test_short_run_materializes_exactly_the_touched_sets():
+    sim = build_simulation("specint", "smt", "full", seed=11)
+    sim.run(max_instructions=3_000)
+    hierarchy = sim.hierarchy
+    for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2):
+        assert set(cache._sets) == _touched_sets(cache), cache.name
+    assert 0 < len(hierarchy.l2._sets) < hierarchy.l2.n_sets
+
+
+@settings(max_examples=30, deadline=None)
+@given(ops=st.lists(st.tuples(st.sampled_from("aaaaapf*"),
+                              st.integers(0, 1 << 14)), max_size=300),
+       assoc=st.sampled_from([1, 2, 4]))
+def test_lazy_sets_agree_with_eager_sets(ops, assoc):
+    lazy = Cache("L", 16 * 64 * assoc, assoc, 64)
+    eager = _EagerCache("E", 16 * 64 * assoc, assoc, 64)
+    for i, (op, addr) in enumerate(ops):
+        if op == "a":
+            outcomes = [c.access(addr, i % 3, i % 2) for c in (lazy, eager)]
+        elif op == "p":
+            outcomes = [c.probe(addr) for c in (lazy, eager)]
+        elif op == "f":
+            outcomes = [c.flush_address(addr) for c in (lazy, eager)]
+        else:
+            outcomes = [c.flush_all() for c in (lazy, eager)]
+        assert outcomes[0] == outcomes[1]
+        assert lazy.resident_lines == eager.resident_lines
+    assert lazy.content_state() == eager.content_state()
+    assert lazy.flush_all() == eager.flush_all()
+    assert lazy.stats.causes == eager.stats.causes
+    assert set(lazy._sets) == _touched_sets(lazy)

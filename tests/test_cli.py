@@ -202,7 +202,7 @@ def test_cli_cache_gc_removes_only_stale_schema_entries(
 
     # Nothing stale yet: gc is a no-op.
     assert cli.main(["cache", "gc"]) == 0
-    assert "no stale-schema entries" in capsys.readouterr().out
+    assert "no stale entries" in capsys.readouterr().out
 
     # Fabricate a leftover from an older schema (a permanent store miss).
     current = next(tmp_path.glob("*.json"))
@@ -475,12 +475,49 @@ def test_cli_cache_treats_leftover_ckpt_files_as_stale(
     assert leftover.name in capsys.readouterr().out
     assert not leftover.exists() and run_path.exists()
     assert cli.main(["cache", "gc"]) == 0
-    assert "no stale-schema entries" in capsys.readouterr().out
+    assert "no stale entries" in capsys.readouterr().out
 
     write_leftover()
     assert cli.main(["cache", "clear"]) == 0
     assert "removed 2 stored file(s)" in capsys.readouterr().out
     assert list(tmp_path.glob("*.json")) == []
+
+
+def test_cli_cache_gc_quarantines_unreadable_files(tmp_path, monkeypatch,
+                                                   capsys):
+    from repro.analysis.store import RunStore
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    truncated = tmp_path / "specint-smt-full-11-9999-00000000000000000000.json"
+    truncated.write_text('{"schema_version": 9, "spec": {"workload"')
+    not_object = tmp_path / "apache-smt-full-11-9999-11111111111111111111.json"
+    not_object.write_text("[1, 2]\n")
+
+    assert cli.main(["cache", "ls"]) == 0
+    out = capsys.readouterr().out
+    assert "empty" not in out
+    assert f"{truncated.name}: unparsable JSON" in out
+    assert "0 stored run(s)" in out and "[2 unreadable" in out
+    assert cli.main(["cache", "ls", "--verify"]) == 1
+    capsys.readouterr()
+
+    assert cli.main(["cache", "gc", "--dry-run"]) == 0
+    assert "would move 2 unreadable file(s)" in capsys.readouterr().out
+    assert truncated.exists() and not_object.exists()
+    assert cli.main(["cache", "gc"]) == 0
+    out = capsys.readouterr().out
+    assert f"{not_object.name}: payload is not an object" in out
+    assert "moved 2 unreadable file(s)" in out
+    assert not truncated.exists() and not not_object.exists()
+    # Kept as evidence, with the reason a read would have recorded.
+    assert sorted((e.path.name, e.reason)
+                  for e in RunStore(tmp_path).quarantine_entries()) == [
+        (not_object.name, "payload is not an object"),
+        (truncated.name, "unparsable JSON")]
+
+    assert cli.main(["cache", "ls", "--verify"]) == 0
+    assert cli.main(["cache", "gc"]) == 0
+    assert "no stale entries" in capsys.readouterr().out
 
 
 def test_cli_cache_clear_counts_removed_files(tmp_path, monkeypatch, capsys):

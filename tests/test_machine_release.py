@@ -1,23 +1,32 @@
 """A finished machine is freed by reference counting.
 
-Every job closes its :class:`~repro.core.simulator.Simulation`
-(:meth:`~repro.core.simulator.Simulation.close`), which drops the
-machine's reference cycles.  These tests run each job with the cyclic
-garbage collector disabled: once the job returns, the machine, its L2
-cache and its kernel code model must already be gone, and a collection
-must find no simulator object left for it.
+A :class:`~repro.core.simulator.Simulation` drops its machine's
+reference cycles (:meth:`~repro.core.simulator.Simulation.close`) when
+its last reference goes, and a job also closes it explicitly.  These
+tests run each job with the cyclic garbage collector disabled: once the
+job returns, the machine, its L2 cache and its kernel code model must
+already be gone, and a collection must find no simulator object left
+for it.  A new reference to the ``Simulation`` from inside the machine
+(a probe closure over it, a stored bound method) would keep it alive
+and fail them.
 """
 
 import gc
+import os
+import pathlib
+import subprocess
+import sys
 import weakref
 
 import pytest
 
-from repro import faults
+from repro import cli, faults
 from repro.analysis import experiments, sweeps
+from repro.analysis.snapshot import capture, diff
 from repro.core.engine import fast_forward
-from repro.core.simulator import NoProgressError
+from repro.core.simulator import NoProgressError, Simulation
 from repro.net.packets import Packet
+from repro.workloads.specint import SpecIntWorkload
 
 
 @pytest.fixture(autouse=True)
@@ -153,3 +162,92 @@ def test_close_is_idempotent_and_a_closed_machine_cannot_run():
         sim.run(max_instructions=1_000)
     with pytest.raises(RuntimeError, match="closed"):
         fast_forward(sim, 1_000)
+
+
+def _detailed_pass(workload: str, warmup: int):
+    """One pass shaped like perfbench's specint and apache passes: build,
+    fast-forward, run slices, freeze the artifact, and never close."""
+    sim = experiments.build_simulation(workload, "smt", "full", seed=1)
+    if warmup:
+        fast_forward(sim, warmup)
+    start = capture(sim)
+    base = sim.stats.retired
+    for s in range(1, 4):
+        sim.run(max_instructions=base + s * 1_000)
+    total = diff(capture(sim), start)
+    return sim.to_artifact(total, total, total,
+                           spec_extra={"workload": workload})
+
+
+@pytest.mark.parametrize("workload,warmup", [("specint", 20_000),
+                                             ("apache", 0)])
+def test_dropped_machine_frees_itself(built, workload, warmup):
+    artifacts = []
+    assert _run_uncollected(
+        lambda: artifacts.append(_detailed_pass(workload, warmup)),
+        built) == []
+    assert artifacts[0].total["retired"] >= 3_000
+
+
+@pytest.mark.parametrize("command,printed", [
+    (["trace", "--out", "{out}"], "wrote"),
+    (["profile"], "instructions in"),
+], ids=["trace", "profile"])
+def test_cli_trace_and_profile_free_their_machine(built, tmp_path, capsys,
+                                                  command, printed):
+    argv = [arg.format(out=tmp_path / "trace.json") for arg in command]
+    argv += ["apache", "--instructions", "2000"]
+    codes = []
+    assert _run_uncollected(lambda: codes.append(cli.main(argv)),
+                            built) == []
+    assert codes == [0]
+    assert printed in capsys.readouterr().out
+
+
+def test_rebinding_frees_the_previous_machine(built):
+    def job():
+        sim = experiments.build_simulation("specint", "smt", "full", seed=1)
+        sim.run(max_instructions=1_000)
+        sim = experiments.build_simulation("specint", "smt", "full", seed=2)
+        first, second = built
+        assert [ref() is None for ref in first] == [True] * 3
+        assert [ref() is None for ref in second] == [False] * 3
+        sim.run(max_instructions=1_000)
+
+    assert _run_uncollected(job, built) == []
+    assert len(built) == 2
+
+
+def test_one_liner_result_stays_readable_after_release():
+    gc.collect()
+    gc.disable()
+    try:
+        result = Simulation(SpecIntWorkload(), seed=3).run(
+            max_instructions=1_000)
+        # The machine is already released: the kernel holds no link
+        # back to itself, yet every counter still reads.
+        assert all(stream.os is None for stream in result.os.streams)
+        assert result.stats.retired >= 1_000 and result.cycles > 0
+        assert 0 < result.ipc == result.stats.retired / result.stats.cycles
+        assert sum(result.hierarchy.l2.stats.accesses) > 0
+        assert result.os.threads_by_tid
+        refs = [weakref.ref(obj) for obj in
+                (result.os, result.hierarchy.l2, result.os.kernel_text)]
+        del result
+        assert [ref() is None for ref in refs] == [True] * 3
+    finally:
+        gc.enable()
+
+
+def test_machine_in_a_module_global_is_released_cleanly_at_exit():
+    # At interpreter exit the finalizer releases a machine that is still
+    # alive, before modules are torn down; under -X dev a failure there
+    # would print "Exception ignored" on stderr.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    script = ("from repro.analysis import experiments\n"
+              "SIM = experiments.build_simulation('apache', 'smt', 'full')\n"
+              "SIM.run(max_instructions=1_000)\n")
+    proc = subprocess.run([sys.executable, "-X", "dev", "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stderr) == (0, "")
